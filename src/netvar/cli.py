@@ -56,6 +56,19 @@ def _csv_list(valid, flag):
     return convert
 
 
+def _positive_int(flag):
+    def convert(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = 0
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"{flag} takes an integer >= 1, got {text!r}")
+        return value
+
+    return convert
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="netvar",
@@ -100,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=list(MC_STATS), metavar="vart,varg,varn")
     p.add_argument("--replicates", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--workers", type=_positive_int("--workers"), default=None,
                    help="Monte Carlo worker threads (NETVAR_THREADS caps this)")
 
     p = sub.add_parser("classify", help="entropy classification of a sample set")

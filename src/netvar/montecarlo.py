@@ -17,30 +17,45 @@ observed one.  Two implementation guarantees matter here:
    pure function of (seed, replicate index) and the tally is identical
    for any number of workers.
 
-2. Exact ties.  Replicate statistics are rationals with denominator m^2;
-   an observed covariance that sits exactly on such a rational (it does
-   for covariance matrices entered as decimals, and for any covariance
-   estimated from a sample set) ties with positive probability.  Floats
-   cannot resolve those ties reliably, so replicates within a small
-   margin of the observed value are re-evaluated in exact rational
-   arithmetic.  ``p_value * R`` is therefore exactly the number of
+2. Exact ties.  Replicate statistics are rationals with denominator a
+   power of m, and an observed covariance can sit exactly on one of them
+   with positive probability (it does for covariance matrices entered as
+   decimals, and for any covariance estimated from a sample set).  The
+   total and Frobenius statistics are therefore compared in integer
+   count space: ``4m^2 T* = sum((2 S_i - m)^2)`` and
+   ``16m^4 F* = sum_ij((4 c_ij - m^2 delta_ij)^2)`` with
+   ``c = m s2 - s1 s1^T``, each against the single integer threshold
+   ``ceil(t0 * scale)``.  This is exact by construction while the scaled
+   statistic fits in int64 (``k m^2 < 2^63`` for total, ``k^2 m^4 < 2^63``
+   for Frobenius).  The generalized statistic (and the other two past
+   those bounds) is evaluated in floats, and replicates within a small
+   margin of the observed value are re-checked in exact arithmetic (a
+   Bareiss determinant for the generalized one) up to k = 64; beyond
+   that, floats decide.  ``p_value * R`` is thus exactly the number of
    replicates with statistic >= observed.
+
+Replicates draw their edge bits straight from the generator's raw 64-bit
+output: each column is ``ceil(m/64)`` words, bits past m are cleared, and
+one batched float32 matmul of the unpacked bits gives the cross sums
+(exact, since every partial sum is an integer <= m < 2^24).
 """
 
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, sqrt
+from math import ceil, lcm, sqrt
 
 import numpy as np
 
 from .moments import CovMatrix
 from .variability import StatKind
 
-CHUNK_TARGET = 1 << 22  # bernoulli draws per chunk, caps worker memory
+CHUNK_TARGET = 1 << 22  # edge bits per chunk, caps worker memory
 NEAR_TIE_REL = 1e-11  # well above kernel float error, well below grid spacing
-EXACT_TIE_MAX_K = 64  # beyond this, tie atoms are unreachable; floats decide
+EXACT_TIE_MAX_K = 64  # float-path statistics: beyond this, tie atoms are unreachable
+INT64_MAX = 2**63 - 1
+FLOAT32_EXACT_M = 1 << 24  # float32 sums of 0/1 values are exact below this
 
 
 @dataclass(frozen=True)
@@ -85,21 +100,78 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _resolve_workers(workers: int | None) -> int:
-    cap = os.environ.get("NETVAR_THREADS")
-    limit = max(1, int(cap)) if cap else None
+def _resolve_workers(workers: int | None, n_chunks: int) -> int:
+    """Worker threads for n_chunks chunks: min(requested, n_chunks, NETVAR_THREADS)."""
     w = workers if workers is not None else (os.cpu_count() or 1)
-    if limit is not None:
+    if w < 1:
+        raise ValueError(f"worker count must be >= 1, got {w}")
+    cap = os.environ.get("NETVAR_THREADS")
+    if cap:
+        try:
+            limit = int(cap)
+        except ValueError:
+            limit = 0
+        if limit < 1:
+            raise ValueError(f"NETVAR_THREADS must be an integer >= 1, got {cap!r}")
         w = min(w, limit)
-    return max(1, w)
+    return min(w, n_chunks)
+
+
+def _draw_bits(bitgen: np.random.BitGenerator, n: int, m: int, k: int) -> np.ndarray:
+    """n replicates' k edge columns of m fair bits, packed.
+
+    Shape (n, k, ceil(m/64)) of uint64 words: bit j of a column is bit
+    j % 64 of word j // 64, and bits at positions >= m are cleared.
+    """
+    words = bitgen.random_raw(n * k * ((m + 63) // 64)).reshape(n, k, -1)
+    if m % 64:
+        words[:, :, -1] &= np.uint64((1 << (m % 64)) - 1)
+    return words
+
+
+def _bit_counts(words: np.ndarray, m: int):
+    """Column sums s1 (n, k) and cross sums s2 (n, k, k), int64, from packed bits."""
+    octets = words.astype("<u8", copy=False).view(np.uint8)
+    x = np.unpackbits(octets, axis=-1, count=m, bitorder="little")
+    x = x.astype(np.float32 if m < FLOAT32_EXACT_M else np.float64)
+    s2 = np.matmul(x, x.transpose(0, 2, 1)).astype(np.int64)  # exact: sums <= m
+    s1 = s2.diagonal(axis1=1, axis2=2).copy()  # binary data: x_i . x_i = sum(x_i)
+    return s1, s2
 
 
 def _draw_counts(seed: int, chunk_index: int, n: int, m: int, k: int):
-    """Integer-valued count arrays for n replicates: column sums and cross sums."""
-    x = (_chunk_rng(seed, chunk_index).random((n, m, k)) < 0.5).astype(np.float64)
-    s1 = x.sum(axis=1)
-    s2 = np.matmul(x.transpose(0, 2, 1), x)  # exact: entries are integers < 2^53
-    return s1, s2
+    """Count arrays (s1, s2) for the n replicates of one chunk."""
+    bitgen = _chunk_rng(seed, chunk_index).bit_generator
+    return _bit_counts(_draw_bits(bitgen, n, m, k), m)
+
+
+def _int_scale(kind: StatKind, m: int) -> int:
+    """Factor that makes a total or Frobenius replicate statistic an integer."""
+    return 4 * m * m if kind is StatKind.TOTAL else 16 * m**4
+
+
+def _int_stats_fit(kind: StatKind, m: int, k: int) -> bool:
+    """True when the scaled statistic of every replicate fits in int64."""
+    if kind is StatKind.TOTAL:
+        return k * m * m <= INT64_MAX  # k terms (2S - m)^2, each <= m^2
+    if kind is StatKind.FROBENIUS:
+        return k * k * m**4 <= INT64_MAX  # k^2 terms, each <= m^4
+    return False
+
+
+def _int_stats(kind: StatKind, s1, s2, m: int) -> np.ndarray:
+    """``_int_scale(kind, m)`` times the statistic, per replicate, in int64.
+
+    total:     4m^2 T* = sum_i (2 S_i - m)^2
+    frobenius: 16m^4 F* = sum_ij (4 c_ij - m^2 delta_ij)^2,  c = m s2 - s1 s1^T
+    """
+    if kind is StatKind.TOTAL:
+        d = 2 * s1 - m
+        return (d * d).sum(axis=1)
+    k = s1.shape[1]
+    d = 4 * (m * s2 - s1[:, :, None] * s1[:, None, :])
+    d[:, range(k), range(k)] -= m * m
+    return (d * d).sum(axis=(1, 2))
 
 
 def _float_stats(kind: StatKind, s1, s2, m: int, k: int) -> np.ndarray:
@@ -201,9 +273,7 @@ def _near_margin(kind: StatKind, k: int, t0f: float) -> float:
 
 def null_statistic(stat: StatKind, m: int, k: int, rng: np.random.Generator) -> float:
     """Draw one replicate from the null and return its statistic."""
-    x = (rng.random((m, k)) < 0.5).astype(np.float64)
-    s1 = x.sum(axis=0)[None, :]
-    s2 = (x.T @ x)[None, :, :]
+    s1, s2 = _bit_counts(_draw_bits(rng.bit_generator, 1, m, k), m)
     return float(_float_stats(stat, s1, s2, m, k)[0])
 
 
@@ -220,19 +290,50 @@ def sample_null_statistics(stat: StatKind, m: int, k: int, count: int, seed: int
     return np.concatenate(parts)
 
 
-def _chunk_tally(seed, chunk_index, n, m, k, kinds, t0f, t0_exact, margin):
+@dataclass(frozen=True)
+class _Cut:
+    """How one statistic's replicates are compared with the observed value.
+
+    Exactly one path applies: ``threshold`` set (integer count space),
+    else ``exact`` set (float band plus exact re-check), else floats.
+    """
+
+    kind: StatKind
+    observed: float
+    exact: Fraction | None = None
+    threshold: int | None = None
+
+
+def _make_cut(kind: StatKind, sigma: CovMatrix, m: int) -> _Cut:
+    k = sigma.k
+    if _int_stats_fit(kind, m, k):
+        t0 = observed_statistic_exact(kind, sigma)
+        # replicate values lie in [0, INT64_MAX), so clamping keeps every count
+        threshold = min(max(ceil(t0 * _int_scale(kind, m)), 0), INT64_MAX)
+        return _Cut(kind, float(t0), threshold=threshold)
+    if k <= EXACT_TIE_MAX_K:
+        t0 = observed_statistic_exact(kind, sigma)
+        return _Cut(kind, float(t0), exact=t0)
+    return _Cut(kind, _observed_float(kind, sigma))
+
+
+def _chunk_tally(seed, chunk_index, n, m, k, cuts):
     """Count replicates with statistic >= observed, exactly, for one chunk."""
     s1, s2 = _draw_counts(seed, chunk_index, n, m, k)
     counts = []
-    for kind in kinds:
-        stats = _float_stats(kind, s1, s2, m, k)
-        if k > EXACT_TIE_MAX_K:
-            counts.append(int((stats >= t0f[kind]).sum()))
+    for cut in cuts:
+        if cut.threshold is not None:
+            counts.append(int((_int_stats(cut.kind, s1, s2, m) >= cut.threshold).sum()))
             continue
-        hits = int((stats > t0f[kind] + margin[kind]).sum())
-        near = np.flatnonzero(np.abs(stats - t0f[kind]) <= margin[kind])
+        stats = _float_stats(cut.kind, s1, s2, m, k)
+        if cut.exact is None:
+            counts.append(int((stats >= cut.observed).sum()))
+            continue
+        margin = _near_margin(cut.kind, k, cut.observed)
+        hits = int((stats > cut.observed + margin).sum())
+        near = np.flatnonzero(np.abs(stats - cut.observed) <= margin)
         for r in near:
-            if _replicate_stat_exact(kind, s1[r], s2[r], m, k) >= t0_exact[kind]:
+            if _replicate_stat_exact(cut.kind, s1[r], s2[r], m, k) >= cut.exact:
                 hits += 1
         counts.append(hits)
     return counts
@@ -263,37 +364,31 @@ def mc_pvalues(
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
 
-    if k <= EXACT_TIE_MAX_K:
-        t0_exact = {kind: observed_statistic_exact(kind, sigma) for kind in kinds}
-        t0f = {kind: float(v) for kind, v in t0_exact.items()}
-    else:
-        t0_exact = {kind: None for kind in kinds}
-        t0f = {kind: _observed_float(kind, sigma) for kind in kinds}
-    margin = {kind: _near_margin(kind, k, v) for kind, v in t0f.items()}
+    cuts = [_make_cut(kind, sigma, m) for kind in kinds]
 
     chunk = _chunk_size(m, k)
     n_chunks = (replicates + chunk - 1) // chunk
     sizes = [min(chunk, replicates - c * chunk) for c in range(n_chunks)]
+    n_workers = _resolve_workers(workers, n_chunks)
 
     def task(c):
-        return _chunk_tally(seed, c, sizes[c], m, k, kinds, t0f, t0_exact, margin)
+        return _chunk_tally(seed, c, sizes[c], m, k, cuts)
 
-    n_workers = _resolve_workers(workers)
-    if n_workers == 1 or n_chunks == 1:
+    if n_workers == 1:
         tallies = [task(c) for c in range(n_chunks)]
     else:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             tallies = list(pool.map(task, range(n_chunks)))
 
     out = []
-    for pos, kind in enumerate(kinds):
+    for pos, cut in enumerate(cuts):
         count = sum(t[pos] for t in tallies)
         if estimator == "proportion":
             p = count / replicates
         else:
             p = (count + 1) / (replicates + 1)
         stderr = sqrt(p * (1.0 - p) / replicates)
-        out.append(McEstimate(p, replicates, stderr, seed, t0f[kind], kind, estimator))
+        out.append(McEstimate(p, replicates, stderr, seed, cut.observed, cut.kind, estimator))
     return out
 
 

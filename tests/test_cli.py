@@ -174,6 +174,31 @@ def test_mc_command_reproducible_reports(tmp_path, capsys, schema):
         assert e["seed"] == 9 and e["replicates"] == 4000
 
 
+def test_mc_reports_identical_across_worker_counts(tmp_path, capsys):
+    path = write(tmp_path, "s1.csv", "0.24,0.04\n0.04,0.24\n")
+    argv = ["mc", "--cov", path, "--m", "10", "--replicates", "9000", "--seed", "4",
+            "--format", "json"]
+    outs = {run(argv + ["--workers", w], capsys)[1] for w in ("1", "2", "8")}
+    assert len(outs) == 1
+
+
+@pytest.mark.parametrize("workers", ["0", "-3", "abc"])
+def test_mc_workers_below_one_is_usage_error(tmp_path, capsys, workers):
+    path = write(tmp_path, "s1.csv", "0.24,0.04\n0.04,0.24\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["mc", "--cov", path, "--m", "10", "--workers", workers])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
+def test_mc_bad_netvar_threads_is_reported(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("NETVAR_THREADS", "abc")
+    path = write(tmp_path, "s1.csv", "0.24,0.04\n0.04,0.24\n")
+    code, _, err = run(["mc", "--cov", path, "--m", "10", "--replicates", "100"], capsys)
+    assert code == 1
+    assert "NETVAR_THREADS" in err
+
+
 def test_mc_below_resolution_annotation(tmp_path, capsys, schema):
     path = write(tmp_path, "s2.csv", "0.1056,-0.0336\n-0.0336,0.2016\n")
     _, report, _ = json_report(

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from netvar import asymptotic
+from netvar import asymptotic, montecarlo
 from netvar.moments import CovMatrix
 from netvar.montecarlo import (
     McConfig,
@@ -78,6 +78,10 @@ def test_exact_tie_counting_one_dimensional():
     sigma = CovMatrix.from_csv_text("0.1875\n")
     est = mc_pvalues(sigma, (StatKind.TOTAL,), 200_000, 4, seed=9)[0]
     assert est.p_value == pytest.approx(10 / 16, abs=0.01)
+    # just above the atom (64 T0 = 4.0064, not an integer) the atom drops out
+    sigma = CovMatrix.from_csv_text("0.1874\n")
+    est = mc_pvalues(sigma, (StatKind.TOTAL,), 200_000, 4, seed=9)[0]
+    assert est.p_value == pytest.approx(2 / 16, abs=0.01)
 
 
 def test_tie_atom_matches_exact_enumeration():
@@ -211,3 +215,95 @@ def test_agreement_with_asymptotics_far_from_null():
     asy = asymptotic.test_total(S2, 200)
     assert mc.p_value <= 1e-4
     assert asy.p_adjusted < 1e-9
+
+
+def test_resolve_workers_caps_at_chunks_and_env(monkeypatch):
+    monkeypatch.delenv("NETVAR_THREADS", raising=False)
+    assert montecarlo._resolve_workers(8, 3) == 3
+    assert montecarlo._resolve_workers(2, 100) == 2
+    assert montecarlo._resolve_workers(None, 1) == 1
+    monkeypatch.setenv("NETVAR_THREADS", "4")
+    assert montecarlo._resolve_workers(16, 100) == 4
+    assert montecarlo._resolve_workers(16, 2) == 2
+    assert montecarlo._resolve_workers(3, 100) == 3
+    monkeypatch.setenv("NETVAR_THREADS", "")  # empty means unset
+    assert montecarlo._resolve_workers(5, 100) == 5
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+def test_bad_netvar_threads_is_rejected(monkeypatch, value):
+    monkeypatch.setenv("NETVAR_THREADS", value)
+    with pytest.raises(ValueError, match="NETVAR_THREADS"):
+        montecarlo._resolve_workers(2, 10)
+    with pytest.raises(ValueError, match="NETVAR_THREADS"):
+        mc_pvalues(S1, (StatKind.TOTAL,), 100, 10, seed=1)
+
+
+def test_worker_count_below_one_is_rejected():
+    with pytest.raises(ValueError, match="worker count"):
+        montecarlo._resolve_workers(0, 10)
+    with pytest.raises(ValueError, match="worker count"):
+        mc_pvalues(S1, (StatKind.TOTAL,), 100, 10, seed=1, workers=-2)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 28])
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 200])
+def test_integer_statistics_match_exact_oracle(k, m):
+    bitgen = np.random.Philox(key=np.array([k, m], dtype=np.uint64))
+    words = montecarlo._draw_bits(bitgen, 4, m, k)
+    assert words.shape == (4, k, (m + 63) // 64)
+    # no bit at or past position m is set in any column
+    positions = np.arange(64 * words.shape[2]).reshape(words.shape[2], 64)
+    bits = (words[..., :, None] >> (positions % 64).astype(np.uint64)) & np.uint64(1)
+    assert not bits.reshape(4, k, -1)[:, :, m:].any()
+    # counts agree with an integer recomputation from the shifted-out bits
+    x = bits.reshape(4, k, -1)[:, :, :m].astype(np.int64)
+    s1, s2 = montecarlo._bit_counts(words, m)
+    assert s1.dtype == s2.dtype == np.int64
+    assert (s1 == x.sum(axis=2)).all() and (s1 <= m).all()
+    assert (s2 == x @ x.transpose(0, 2, 1)).all()
+    for kind in (StatKind.TOTAL, StatKind.FROBENIUS):
+        assert montecarlo._int_stats_fit(kind, m, k)
+        got = montecarlo._int_stats(kind, s1, s2, m)
+        assert got.dtype == np.int64
+        scale = montecarlo._int_scale(kind, m)
+        for r in range(4):
+            exact = montecarlo._replicate_stat_exact(kind, s1[r], s2[r], m, k)
+            assert int(got[r]) == scale * exact
+
+
+def test_integer_path_bounds():
+    # the scaled Frobenius statistic reaches k^2 m^4; total only k m^2
+    assert montecarlo._int_stats_fit(StatKind.FROBENIUS, 10_000, 28)
+    assert not montecarlo._int_stats_fit(StatKind.FROBENIUS, 11_000, 28)
+    assert montecarlo._int_stats_fit(StatKind.TOTAL, 11_000, 28)
+    assert not montecarlo._int_stats_fit(StatKind.GENERALIZED, 2, 2)
+
+
+def test_exact_ties_above_k64():
+    # k=70, m=2, sigma = diag(35 zeros, 35 quarters): 16 T* = 4 Bin(70, 1/2)
+    # and T0 = 35/4, so p = P(Bin >= 35) = 0.548; strict counting gives 0.453
+    from math import comb
+
+    sigma = CovMatrix(np.diag([0.0] * 35 + [0.25] * 35))
+    assert observed_statistic_exact(StatKind.TOTAL, sigma) == Fraction(35, 4)
+    alpha = sum(comb(70, j) for j in range(35, 71)) / 2**70
+    strict = sum(comb(70, j) for j in range(36, 71)) / 2**70
+    assert alpha - strict > 0.09
+    est = mc_pvalues(sigma, (StatKind.TOTAL,), 20_000, 2, seed=70)[0]
+    band = 3.3 * np.sqrt(alpha * (1 - alpha) / 20_000)
+    assert abs(est.p_value - alpha) <= band, (est.p_value, alpha)
+
+
+def test_null_draws_share_the_mc_stream():
+    # an observed point off the 1/m^2 grid: float counts over the sampled
+    # statistics equal the tallies of mc_pvalues on the same seed
+    sigma = CovMatrix.from_csv_text("0.2,0.03\n0.03,0.17\n")
+    ests = mc_pvalues(sigma, ALL_KINDS, 5000, 7, seed=12)
+    for est in ests:
+        stats = sample_null_statistics(est.stat, 7, 2, 5000, seed=12)
+        assert int((stats >= est.observed_statistic).sum()) == round(est.p_value * 5000)
+    # null_statistic draws through the same helper: chunk 0's first replicate
+    rng = np.random.Generator(np.random.Philox(key=np.array([12, 0], dtype=np.uint64)))
+    first = sample_null_statistics(StatKind.FROBENIUS, 7, 2, 1, seed=12)[0]
+    assert null_statistic(StatKind.FROBENIUS, 7, 2, rng) == first
