@@ -84,8 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
             src.add_argument("--cov", metavar="FILE", help="covariance CSV file")
             p.add_argument("--m", type=int, help="sample count behind a covariance CSV"
                            + (" (required with --cov)" if need_m else ""))
-        p.add_argument("--directed", action="store_true",
-                       help="treat sample-set edge lines as arcs")
         p.add_argument("--estimator", choices=("plugin", "unbiased"), default="plugin",
                        help="covariance estimator for sample-set input")
         p.add_argument("--format", choices=("json", "table"), default="table")
@@ -103,9 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, need_m=True)
     p.add_argument("--methods", type=_csv_list(METHOD_NAMES, "--methods"),
                    default=list(METHOD_NAMES), metavar="tt,tg1,tg2,tn")
-    p.add_argument("--adjusted", action="store_true",
-                   help="accepted for compatibility; raw and corrected "
-                        "significance are always both reported")
 
     p = sub.add_parser("mc", help="Monte Carlo significance values")
     add_common(p, need_m=True)
@@ -126,7 +121,7 @@ def _load(args, need_m: bool) -> Inputs:
     warnings: list = []
     if args.samples:
         with open(args.samples, "r", encoding="utf-8") as fh:
-            samples = parse_sample_set(fh, directed=args.directed)
+            samples = parse_sample_set(fh)
         est = estimate_moments(samples, args.estimator)
         return Inputs("samples", args.samples, est.sigma, samples.m, samples.k,
                       samples.nodes, samples, est, args.estimator, warnings)

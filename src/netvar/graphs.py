@@ -14,8 +14,8 @@ Text format (UTF-8, line oriented)::
     B C
     graph         # a block with no edge lines is the empty graph
 
-With ``directed=True`` the edge lines are read as arcs; antiparallel arcs
-collapse onto the same column.
+Edge lines may be arcs of a directed graph: antiparallel arcs collapse
+onto the same column.
 """
 
 from dataclasses import dataclass
@@ -138,12 +138,11 @@ class SampleSet:
         return self.incidence.shape[1]
 
 
-def parse_sample_set(stream: str | IO[str], directed: bool = False) -> SampleSet:
+def parse_sample_set(stream: str | IO[str]) -> SampleSet:
     """Parse the sample-set text format into a :class:`SampleSet`.
 
-    ``directed`` marks edge lines as arcs; parsing is otherwise identical
-    because arcs are always collapsed onto their unordered endpoint pair.
-    Duplicate edges inside one block are idempotent.
+    Arcs collapse onto their unordered endpoint pair, and duplicate edges
+    inside one block are idempotent.
     """
     text = stream if isinstance(stream, str) else stream.read()
     nodes: NodeSet | None = None
@@ -201,7 +200,6 @@ def format_sample_set(samples: SampleSet) -> str:
 def sample_set_from_edge_lists(
     labels: Sequence[str],
     graphs: Iterable[Iterable[tuple[str, str]]],
-    directed: bool = False,
 ) -> SampleSet:
     """Build a SampleSet from in-memory edge (or arc) lists."""
     nodes = NodeSet(tuple(labels))

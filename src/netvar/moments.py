@@ -15,6 +15,7 @@ summing to at most k/4); :func:`validate_covariance` reports every breach.
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isinf, lcm
 from typing import Sequence
 
 import numpy as np
@@ -35,13 +36,17 @@ class CovMatrix:
     descending order, and clamped to 0 when within -1e-9; the raw minimum
     is kept for diagnostics.
 
-    A ``CovMatrix`` may carry an exact rational view of its entries
-    (supplied by the moment estimator or the decimal CSV parser).  The
-    Monte Carlo module uses it to resolve ties exactly; when absent, the
-    binary values of the float entries are taken as exact.
+    The exact value of the matrix is ``num / den``: a read-only integer
+    numerator array over one positive integer denominator, supplied by
+    the moment estimator or the decimal CSV parser (the given ``num`` is
+    made read-only, not copied).  A non-symmetric ``num`` is symmetrized
+    like the floats, as ``(num + num^T) / (2 den)``.  When no exact value
+    is given, the binary values of the float entries are taken as exact
+    (numerators over a common power of two).  The Monte Carlo module uses
+    it to resolve ties exactly.
     """
 
-    def __init__(self, entries, exact: tuple[tuple[Fraction, ...], ...] | None = None):
+    def __init__(self, entries, exact: tuple[np.ndarray, int] | None = None):
         arr = np.asarray(entries, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"covariance matrix must be square, got shape {arr.shape}")
@@ -49,12 +54,18 @@ class CovMatrix:
             raise ValueError("covariance matrix must be at least 1 x 1")
         if not np.isfinite(arr).all():
             raise ValueError("covariance matrix entries must be finite")
-        gap = np.abs(arr - arr.T).max()
+        transposed = arr.T.copy()
+        gap = np.abs(arr - transposed).max()
         if gap > SYMMETRY_TOL:
             raise ValueError(f"matrix asymmetric beyond {SYMMETRY_TOL}: max |M - M^T| = {gap}")
-        arr = (arr + arr.T) / 2.0
+        arr = np.add(arr, transposed, out=transposed)
+        arr /= 2.0
         arr.setflags(write=False)
         self._entries = arr
+        if exact is not None:
+            if not (exact[0] == exact[0].T).all():
+                exact = (exact[0] + exact[0].T, 2 * exact[1])
+            exact[0].setflags(write=False)
         self._exact = exact
         self._lock = threading.Lock()
         self._spectrum: tuple[np.ndarray, float] | None = None
@@ -94,20 +105,27 @@ class CovMatrix:
     def trace(self) -> float:
         return float(np.trace(self._entries))
 
-    def exact_entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Entries as exact rationals; float entries exactify bit-for-bit."""
-        if self._exact is None:
-            self._exact = tuple(
-                tuple(Fraction(v) for v in row) for row in self._entries.tolist()
-            )
+    @property
+    def exact(self) -> tuple[np.ndarray, int]:
+        """Exact value as ``(num, den)``: integer numerators over one denominator."""
+        if self._exact is None:  # float entries are exact binary fractions
+            ratios = [v.as_integer_ratio() for v in self._entries.ravel().tolist()]
+            num, den = _over_common_den(ratios, self.k)
+            num.setflags(write=False)
+            self._exact = (num, den)
         return self._exact
 
+    def exact_entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Entries as exact rationals, built on demand from :attr:`exact`."""
+        num, den = self.exact
+        return tuple(tuple(Fraction(v, den) for v in row) for row in num.tolist())
+
     def submatrix(self, idx: Sequence[int]) -> "CovMatrix":
-        ids = list(idx)
+        ix = np.ix_(list(idx), list(idx))
         exact = None
         if self._exact is not None:
-            exact = tuple(tuple(self._exact[i][j] for j in ids) for i in ids)
-        return CovMatrix(self._entries[np.ix_(ids, ids)], exact=exact)
+            exact = (self._exact[0][ix], self._exact[1])
+        return CovMatrix(self._entries[ix], exact=exact)
 
     def __repr__(self):
         return f"CovMatrix(k={self.k})"
@@ -117,17 +135,22 @@ class CovMatrix:
         """Parse k lines of k comma-separated decimals; decimals are exact."""
         from decimal import Decimal, InvalidOperation
 
-        rows, exact = [], []
+        rows, ratios = [], []
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             cells = [c.strip() for c in line.split(",")]
             try:
-                exact.append(tuple(Fraction(Decimal(c)) for c in cells))
-            except InvalidOperation:
+                exact = [Decimal(c) for c in cells]
+                row = [float(c) for c in cells]
+            except (InvalidOperation, ValueError):
                 raise ValueError(f"line {lineno}: invalid number in covariance CSV") from None
-            rows.append([float(c) for c in cells])
+            for d, f in zip(exact, row):  # range first, so huge exponents fail fast
+                if not d.is_finite() or isinf(f) or (f == 0.0 and not d.is_zero()):
+                    raise ValueError(f"line {lineno}: {d} is outside the finite float64 range")
+            ratios += [d.as_integer_ratio() for d in exact]
+            rows.append(row)
         if not rows:
             raise ValueError("empty covariance CSV")
         if any(len(r) != len(rows) for r in rows):
@@ -135,7 +158,13 @@ class CovMatrix:
                 f"covariance CSV must be square, got {len(rows)} rows of widths "
                 f"{sorted({len(r) for r in rows})}"
             )
-        return cls(np.array(rows), exact=tuple(exact))
+        return cls(np.array(rows), exact=_over_common_den(ratios, len(rows)))
+
+
+def _over_common_den(ratios: list[tuple[int, int]], k: int) -> tuple[np.ndarray, int]:
+    """k*k integer ratios (n, d), row-major, as numerators over their least common d."""
+    den = lcm(*{d for _, d in ratios})
+    return np.array([n * (den // d) for n, d in ratios], dtype=object).reshape(k, k), den
 
 
 @dataclass(frozen=True)
@@ -193,8 +222,8 @@ def estimate_moments(samples: SampleSet, estimator: str = "plugin") -> MomentEst
     if estimator == "unbiased" and m < 2:
         raise ValueError("bias-corrected estimator needs at least 2 samples")
     x = samples.incidence.astype(np.float64)
-    s1 = np.rint(x.sum(axis=0)).astype(np.int64)
-    s2 = np.rint(x.T @ x).astype(np.int64)  # exact: integer-valued float matmul
+    s2 = (x.T @ x).astype(np.int64)  # exact: integer-valued float matmul
+    s1 = s2.diagonal().copy()  # binary data: x_i . x_i = sum(x_i)
 
     p_hat = s1 / m
     p_hat2 = s2 / m
@@ -205,11 +234,7 @@ def estimate_moments(samples: SampleSet, estimator: str = "plugin") -> MomentEst
     scale = 1.0 if estimator == "plugin" else m / (m - 1.0)
     np.fill_diagonal(sigma, scale * p_hat * (1.0 - p_hat))
 
-    exact = tuple(
-        tuple(Fraction(int(num[i, j]), den) for j in range(samples.k))
-        for i in range(samples.k)
-    )
-    return MomentEstimate(p_hat, p_hat2, CovMatrix(sigma, exact=exact), m, estimator)
+    return MomentEstimate(p_hat, p_hat2, CovMatrix(sigma, exact=(num, den)), m, estimator)
 
 
 def validate_covariance(sigma: CovMatrix, tol: float = BOUND_TOL) -> Diagnostic:
@@ -223,18 +248,24 @@ def validate_covariance(sigma: CovMatrix, tol: float = BOUND_TOL) -> Diagnostic:
     k = sigma.k
     violations: list[Violation] = []
 
-    for i in range(k):
-        d = ent[i, i]
-        if d < -tol or d > 0.25 + tol:
-            violations.append(Violation("diagonal_range", (i,), float(d), 0.25))
-    for i in range(k):
-        for j in range(i + 1, k):
-            off = abs(ent[i, j])
-            if off > 0.25 + tol:
-                violations.append(Violation("offdiag_quarter", (i, j), float(ent[i, j]), 0.25))
-            cs = np.sqrt(max(ent[i, i], 0.0) * max(ent[j, j], 0.0))
-            if off > cs + tol:
-                violations.append(Violation("cauchy_schwarz", (i, j), float(ent[i, j]), float(cs)))
+    d = np.diagonal(ent)
+    for i in np.flatnonzero((d < -tol) | (d > 0.25 + tol)).tolist():
+        violations.append(Violation("diagonal_range", (i,), float(d[i]), 0.25))
+    dpos = np.where(d < 0.0, 0.0, d)  # keeps -0.0, like max(d, 0.0)
+    # an entry breaches a bound iff |e_ij| > min(sqrt(d_i d_j), 1/4) + tol
+    lim = np.sqrt(np.outer(dpos, dpos))
+    np.minimum(lim, 0.25, out=lim)
+    lim += tol
+    rows, cols = np.nonzero(np.abs(ent) > lim)  # row-major, so pair-major over i < j
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        if i >= j:
+            continue
+        value = float(ent[i, j])
+        cs = float(np.sqrt(dpos[i] * dpos[j]))
+        if abs(value) > 0.25 + tol:
+            violations.append(Violation("offdiag_quarter", (i, j), value, 0.25))
+        if abs(value) > cs + tol:
+            violations.append(Violation("cauchy_schwarz", (i, j), value, cs))
 
     raw_min = sigma.min_raw_eigenvalue
     if raw_min < -tol:

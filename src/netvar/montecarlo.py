@@ -20,19 +20,18 @@ observed one.  Two implementation guarantees matter here:
 2. Exact ties.  Replicate statistics are rationals with denominator a
    power of m, and an observed covariance can sit exactly on one of them
    with positive probability (it does for covariance matrices entered as
-   decimals, and for any covariance estimated from a sample set).  The
-   total and Frobenius statistics are therefore compared in integer
-   count space: ``4m^2 T* = sum((2 S_i - m)^2)`` and
-   ``16m^4 F* = sum_ij((4 c_ij - m^2 delta_ij)^2)`` with
-   ``c = m s2 - s1 s1^T``, each against the single integer threshold
-   ``ceil(t0 * scale)``.  This is exact by construction while the scaled
-   statistic fits in int64 (``k m^2 < 2^63`` for total, ``k^2 m^4 < 2^63``
-   for Frobenius).  The generalized statistic (and the other two past
-   those bounds) is evaluated in floats, and replicates within a small
-   margin of the observed value are re-checked in exact arithmetic (a
-   Bareiss determinant for the generalized one) up to k = 64; beyond
-   that, floats decide.  ``p_value * R`` is thus exactly the number of
-   replicates with statistic >= observed.
+   decimals, and for any covariance estimated from a sample set).  Each
+   statistic has one integer form in a covariance's exact value
+   ``num / den`` (:func:`_scaled_stat`); replicates have
+   ``num = m s2 - s1 s1^T`` over ``den = m^2`` and are compared with one
+   integer threshold, ``ceil(t0 * scale)`` by integer division.  Total
+   and Frobenius are compared in int64 while the scaled statistic fits
+   (``k m^2 < 2^63`` and ``k^2 m^4 < 2^63``).  Otherwise, and always for
+   the generalized statistic, floats decide outside a narrow band around
+   the observed value and replicates inside it are re-checked in Python
+   ints; for the generalized statistic above k = 64 floats decide alone.
+   ``p_value * R`` is thus exactly the number of replicates with
+   statistic >= observed.
 
 Replicates draw their edge bits straight from the generator's raw 64-bit
 output: each column is ``ceil(m/64)`` words, bits past m are cleared, and
@@ -44,7 +43,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, lcm, sqrt
+from math import sqrt
 
 import numpy as np
 
@@ -53,7 +52,7 @@ from .variability import StatKind
 
 CHUNK_TARGET = 1 << 22  # edge bits per chunk, caps worker memory
 NEAR_TIE_REL = 1e-11  # well above kernel float error, well below grid spacing
-EXACT_TIE_MAX_K = 64  # float-path statistics: beyond this, tie atoms are unreachable
+EXACT_TIE_MAX_K = 64  # generalized: beyond this, tie atoms are unreachable
 INT64_MAX = 2**63 - 1
 FLOAT32_EXACT_M = 1 << 24  # float32 sums of 0/1 values are exact below this
 
@@ -145,9 +144,18 @@ def _draw_counts(seed: int, chunk_index: int, n: int, m: int, k: int):
     return _bit_counts(_draw_bits(bitgen, n, m, k), m)
 
 
-def _int_scale(kind: StatKind, m: int) -> int:
-    """Factor that makes a total or Frobenius replicate statistic an integer."""
-    return 4 * m * m if kind is StatKind.TOTAL else 16 * m**4
+def _count_num(s1, s2, m: int) -> np.ndarray:
+    """``m s2 - s1 s1^T`` per replicate: m^2 times the plug-in covariance, int64."""
+    return m * s2 - s1[:, :, None] * s1[:, None, :]
+
+
+def _scale(kind: StatKind, k: int, den: int) -> int:
+    """Factor that makes the statistic of a covariance ``num / den`` an integer."""
+    if kind is StatKind.TOTAL:
+        return 4 * den
+    if kind is StatKind.FROBENIUS:
+        return 16 * den * den
+    return 4**k * den**k
 
 
 def _int_stats_fit(kind: StatKind, m: int, k: int) -> bool:
@@ -159,24 +167,27 @@ def _int_stats_fit(kind: StatKind, m: int, k: int) -> bool:
     return False
 
 
-def _int_stats(kind: StatKind, s1, s2, m: int) -> np.ndarray:
-    """``_int_scale(kind, m)`` times the statistic, per replicate, in int64.
+def _scaled_stat(kind: StatKind, num: np.ndarray, den: int):
+    """``_scale(kind, k, den)`` times the statistic of the covariance ``num / den``.
 
-    total:     4m^2 T* = sum_i (2 S_i - m)^2
-    frobenius: 16m^4 F* = sum_ij (4 c_ij - m^2 delta_ij)^2,  c = m s2 - s1 s1^T
+    total: ``k den - 4 tr(num)``; frobenius: ``sum_ij (4 num_ij - den delta_ij)^2``
+    (both also on a batch (n, k, k), int64 within :func:`_int_stats_fit`);
+    generalized: ``den^k - 4^k det(num)``, one matrix.  Object arrays of
+    Python ints never overflow.
     """
+    k = num.shape[-1]
     if kind is StatKind.TOTAL:
-        d = 2 * s1 - m
-        return (d * d).sum(axis=1)
-    k = s1.shape[1]
-    d = 4 * (m * s2 - s1[:, :, None] * s1[:, None, :])
-    d[:, range(k), range(k)] -= m * m
-    return (d * d).sum(axis=(1, 2))
+        return k * den - 4 * num.diagonal(axis1=-2, axis2=-1).sum(axis=-1)
+    if kind is StatKind.FROBENIUS:
+        d = 4 * num
+        d[..., range(k), range(k)] -= den
+        return (d * d).sum(axis=(-2, -1))
+    return den**k - 4**k * _int_det(num.tolist())
 
 
-def _float_stats(kind: StatKind, s1, s2, m: int, k: int) -> np.ndarray:
-    """Vectorized statistic over replicates from the count arrays."""
-    cov = (m * s2 - s1[:, :, None] * s1[:, None, :]) / float(m * m)
+def _float_stats(kind: StatKind, cov: np.ndarray) -> np.ndarray:
+    """Statistic of each covariance in a batch (n, k, k), in floats."""
+    k = cov.shape[-1]
     if kind is StatKind.TOTAL:
         return k / 4.0 - np.trace(cov, axis1=1, axis2=2)
     if kind is StatKind.GENERALIZED:
@@ -207,52 +218,15 @@ def _int_det(mat: list[list[int]]) -> int:
     return sign * m[-1][-1]
 
 
-def _exact_det(entries: tuple[tuple[Fraction, ...], ...]) -> Fraction:
-    den = lcm(*(f.denominator for row in entries for f in row))
-    ints = [[int(f * den) for f in row] for row in entries]
-    return Fraction(_int_det(ints), den ** len(entries))
+def _observed_scaled(kind: StatKind, sigma: CovMatrix) -> tuple[int, int]:
+    """The observed statistic as the integer pair (scaled value, scale)."""
+    num, den = sigma.exact
+    return _scaled_stat(kind, num.astype(object), den), _scale(kind, sigma.k, den)
 
 
 def observed_statistic_exact(kind: StatKind, sigma: CovMatrix) -> Fraction:
     """Observed statistic as an exact rational (same form as the replicates)."""
-    ent = sigma.exact_entries()
-    k = sigma.k
-    if kind is StatKind.TOTAL:
-        return Fraction(k, 4) - sum(ent[i][i] for i in range(k))
-    if kind is StatKind.GENERALIZED:
-        return Fraction(1, 4) ** k - _exact_det(ent)
-    quarter = Fraction(1, 4)
-    total = sum((ent[i][i] - quarter) ** 2 for i in range(k))
-    total += 2 * sum(ent[i][j] ** 2 for i in range(k) for j in range(i + 1, k))
-    return total
-
-
-def _observed_float(kind: StatKind, sigma: CovMatrix) -> float:
-    """Observed statistic in plain floats (used above the exact-tie cap)."""
-    k = sigma.k
-    if kind is StatKind.TOTAL:
-        return k / 4.0 - sigma.trace()
-    if kind is StatKind.GENERALIZED:
-        return 4.0**-k - float(np.linalg.det(sigma.entries))
-    diff = sigma.entries - 0.25 * np.eye(k)
-    return float((diff * diff).sum())
-
-
-def _replicate_stat_exact(kind: StatKind, s1_row, s2_row, m: int, k: int) -> Fraction:
-    """Exact statistic of one replicate from its integer counts."""
-    den = m * m
-    num = [
-        [m * int(s2_row[i, j]) - int(s1_row[i]) * int(s1_row[j]) for j in range(k)]
-        for i in range(k)
-    ]
-    if kind is StatKind.TOTAL:
-        return Fraction(k, 4) - Fraction(sum(num[i][i] for i in range(k)), den)
-    if kind is StatKind.GENERALIZED:
-        return Fraction(1, 4) ** k - Fraction(_int_det(num), den**k)
-    quarter = Fraction(1, 4)
-    total = sum((Fraction(num[i][i], den) - quarter) ** 2 for i in range(k))
-    total += 2 * sum(Fraction(num[i][j], den) ** 2 for i in range(k) for j in range(i + 1, k))
-    return total
+    return Fraction(*_observed_scaled(kind, sigma))
 
 
 def _near_margin(kind: StatKind, k: int, t0f: float) -> float:
@@ -274,7 +248,7 @@ def _near_margin(kind: StatKind, k: int, t0f: float) -> float:
 def null_statistic(stat: StatKind, m: int, k: int, rng: np.random.Generator) -> float:
     """Draw one replicate from the null and return its statistic."""
     s1, s2 = _bit_counts(_draw_bits(rng.bit_generator, 1, m, k), m)
-    return float(_float_stats(stat, s1, s2, m, k)[0])
+    return float(_float_stats(stat, _count_num(s1, s2, m) / float(m * m))[0])
 
 
 def sample_null_statistics(stat: StatKind, m: int, k: int, count: int, seed: int) -> np.ndarray:
@@ -285,7 +259,7 @@ def sample_null_statistics(stat: StatKind, m: int, k: int, count: int, seed: int
     for c in range((count + chunk - 1) // chunk):
         n = min(chunk, count - produced)
         s1, s2 = _draw_counts(seed, c, n, m, k)
-        parts.append(_float_stats(stat, s1, s2, m, k))
+        parts.append(_float_stats(stat, _count_num(s1, s2, m) / float(m * m)))
         produced += n
     return np.concatenate(parts)
 
@@ -294,47 +268,46 @@ def sample_null_statistics(stat: StatKind, m: int, k: int, count: int, seed: int
 class _Cut:
     """How one statistic's replicates are compared with the observed value.
 
-    Exactly one path applies: ``threshold`` set (integer count space),
-    else ``exact`` set (float band plus exact re-check), else floats.
+    ``threshold`` is the least replicate ``_scaled_stat`` at ``den = m^2``
+    that counts as >= observed; None (generalized above EXACT_TIE_MAX_K)
+    leaves the comparison to floats.
     """
 
     kind: StatKind
     observed: float
-    exact: Fraction | None = None
     threshold: int | None = None
 
 
 def _make_cut(kind: StatKind, sigma: CovMatrix, m: int) -> _Cut:
     k = sigma.k
-    if _int_stats_fit(kind, m, k):
-        t0 = observed_statistic_exact(kind, sigma)
-        # replicate values lie in [0, INT64_MAX), so clamping keeps every count
-        threshold = min(max(ceil(t0 * _int_scale(kind, m)), 0), INT64_MAX)
-        return _Cut(kind, float(t0), threshold=threshold)
-    if k <= EXACT_TIE_MAX_K:
-        t0 = observed_statistic_exact(kind, sigma)
-        return _Cut(kind, float(t0), exact=t0)
-    return _Cut(kind, _observed_float(kind, sigma))
+    if kind is StatKind.GENERALIZED and k > EXACT_TIE_MAX_K:
+        return _Cut(kind, float(_float_stats(kind, sigma.entries[None])[0]))
+    t0, scale0 = _observed_scaled(kind, sigma)
+    # replicate value s / scale >= t0 / scale0  <=>  s >= ceil(t0 scale / scale0);
+    # replicate values are >= 0, so clamping at 0 keeps every count
+    threshold = max(-(-t0 * _scale(kind, k, m * m) // scale0), 0)
+    return _Cut(kind, t0 / scale0, threshold)
 
 
 def _chunk_tally(seed, chunk_index, n, m, k, cuts):
     """Count replicates with statistic >= observed, exactly, for one chunk."""
     s1, s2 = _draw_counts(seed, chunk_index, n, m, k)
+    num, den = _count_num(s1, s2, m), m * m
     counts = []
     for cut in cuts:
-        if cut.threshold is not None:
-            counts.append(int((_int_stats(cut.kind, s1, s2, m) >= cut.threshold).sum()))
+        if cut.threshold is not None and _int_stats_fit(cut.kind, m, k):
+            # int64 values stay below INT64_MAX, so clamping keeps every count
+            scaled = _scaled_stat(cut.kind, num, den)
+            counts.append(int((scaled >= min(cut.threshold, INT64_MAX)).sum()))
             continue
-        stats = _float_stats(cut.kind, s1, s2, m, k)
-        if cut.exact is None:
+        stats = _float_stats(cut.kind, num / float(den))
+        if cut.threshold is None:
             counts.append(int((stats >= cut.observed).sum()))
             continue
         margin = _near_margin(cut.kind, k, cut.observed)
         hits = int((stats > cut.observed + margin).sum())
-        near = np.flatnonzero(np.abs(stats - cut.observed) <= margin)
-        for r in near:
-            if _replicate_stat_exact(cut.kind, s1[r], s2[r], m, k) >= cut.exact:
-                hits += 1
+        for r in np.flatnonzero(np.abs(stats - cut.observed) <= margin):
+            hits += _scaled_stat(cut.kind, num[r].astype(object), den) >= cut.threshold
         counts.append(hits)
     return counts
 

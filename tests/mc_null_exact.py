@@ -1,4 +1,12 @@
-"""Exact null distribution of the k=2 Monte Carlo statistics.
+"""Exact oracles for the Monte Carlo statistics.
+
+``statistic`` evaluates a statistic of an exact covariance matrix in
+plain ``Fraction`` arithmetic (Gaussian elimination for the
+determinant), independently of the integer forms the library uses;
+``replicate_covariance`` builds a replicate's exact covariance from its
+counts.
+
+Exact null distribution of the k=2 statistics:
 
 For k = 2 the plug-in covariance of m independent fair-coin edge pairs is
 a function of the multinomial cell counts (n11, n10, n01, n00).  This
@@ -65,3 +73,47 @@ def exact_pvalues(m: int, t0: Fraction, kind: str) -> tuple[float, float]:
         incl += float(w[lhs >= rhs].sum())
         excl += float(w[lhs > rhs].sum())
     return incl, excl
+
+
+def replicate_covariance(s1, s2, m: int) -> list[list[Fraction]]:
+    """Plug-in covariance of one replicate from its counts, as Fractions."""
+    k = len(s1)
+    return [[Fraction(m * int(s2[i][j]) - int(s1[i]) * int(s1[j]), m * m) for j in range(k)]
+            for i in range(k)]
+
+
+def determinant(cov) -> Fraction:
+    """Determinant of a square matrix of Fractions by Gaussian elimination."""
+    a = [list(row) for row in cov]
+    n, det = len(a), Fraction(1)
+    for i in range(n):
+        pivot = next((r for r in range(i, n) if a[r][i] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != i:
+            a[i], a[pivot] = a[pivot], a[i]
+            det = -det
+        det *= a[i][i]
+        for r in range(i + 1, n):
+            f = a[r][i] / a[i][i]
+            for c in range(i, n):
+                a[r][c] -= f * a[i][c]
+    return det
+
+
+def statistic(kind: str, cov) -> Fraction:
+    """Distance-from-maximum-entropy statistic of an exact covariance.
+
+    ``kind`` is one of "total", "generalized", "frobenius"; ``cov`` a
+    square matrix of Fractions.
+    """
+    k = len(cov)
+    quarter = Fraction(1, 4)
+    if kind == "total":
+        return k * quarter - sum(cov[i][i] for i in range(k))
+    if kind == "generalized":
+        return quarter**k - determinant(cov)
+    if kind == "frobenius":
+        return sum((cov[i][j] - (quarter if i == j else 0)) ** 2
+                   for i in range(k) for j in range(k))
+    raise ValueError(kind)

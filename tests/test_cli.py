@@ -145,15 +145,6 @@ def test_test_command_per_method_error(tmp_path, capsys, schema):
     assert report["tests"][1]["method"] == "t_T"
 
 
-def test_adjusted_flag_is_accepted(tmp_path, capsys, schema):
-    path = write(tmp_path, "s1.csv", "0.24,0.04\n0.04,0.24\n")
-    code, report, _ = json_report(
-        ["test", "--cov", path, "--m", "10", "--adjusted"], capsys, schema
-    )
-    assert code == 0
-    assert all("p_adjusted" in t and "p_raw" in t for t in report["tests"])
-
-
 def test_test_requires_m_with_cov(tmp_path, capsys):
     path = write(tmp_path, "s1.csv", "0.24,0.04\n0.04,0.24\n")
     code, _, err = run(["test", "--cov", path], capsys)
@@ -244,11 +235,18 @@ def test_parse_error_reports_line(tmp_path, capsys):
     assert "line 3" in err and "unknown node label" in err
 
 
-def test_directed_flag(tmp_path, capsys, schema):
-    path = write(tmp_path, "arcs.txt", "nodes A B\ngraph\nA B\nB A\n")
-    _, report, _ = json_report(["moments", "--samples", path, "--directed"],
-                               capsys, schema)
-    assert report["moments"]["p_hat"] == [1.0]
+@pytest.mark.parametrize("cell", ["inf", "nan", "-Infinity", "1e999999999", "1e-999999999"])
+def test_bad_csv_cell_fails_fast_with_line(tmp_path, capsys, cell):
+    # huge exponents are rejected from the float value, before any exact
+    # conversion could build 10^999999999
+    import time
+
+    path = write(tmp_path, "bad.csv", f"# header\n0.24,0.04\n0.04,{cell}\n")
+    started = time.perf_counter()
+    code, out, err = run(["stats", "--cov", path], capsys)
+    assert time.perf_counter() - started < 2.0
+    assert code == 1 and out == ""
+    assert err.startswith("netvar: error: line 3: ")
 
 
 def test_estimator_flag(tmp_path, capsys, schema):

@@ -28,7 +28,7 @@ def test_parse_duplicate_blocks():
 
 
 def test_parse_directed_antiparallel_collapse():
-    ss = parse_sample_set("nodes A B\ngraph\nA B\nB A\n", directed=True)
+    ss = parse_sample_set("nodes A B\ngraph\nA B\nB A\n")
     assert ss.incidence.tolist() == [[1]]
 
 
@@ -101,12 +101,12 @@ def test_directed_dag_equals_biorientation():
     # arcs of a DAG vs its undirected edge set parse identically
     arcs = "nodes A B C D\ngraph\nA B\nA C\nB D\nC D\n"
     undirected = "nodes A B C D\ngraph\nA B\nA C\nB D\nC D\n"
-    da = parse_sample_set(arcs, directed=True)
-    un = parse_sample_set(undirected, directed=False)
+    da = parse_sample_set(arcs)
+    un = parse_sample_set(undirected)
     assert np.array_equal(da.incidence, un.incidence)
     # with both arc directions present the undirected side is unchanged
     both = "nodes A B C D\ngraph\nA B\nB A\nA C\nB D\nD B\nC D\n"
-    assert np.array_equal(parse_sample_set(both, directed=True).incidence, un.incidence)
+    assert np.array_equal(parse_sample_set(both).incidence, un.incidence)
 
 
 def test_sample_set_from_edge_lists():

@@ -6,6 +6,7 @@ import pytest
 from netvar.graphs import SampleSet
 from netvar.moments import (
     CovMatrix,
+    Violation,
     block_independence,
     eigenvalues,
     estimate_moments,
@@ -84,6 +85,57 @@ def test_validate_reports_cauchy_schwarz_and_trace():
     assert "cauchy_schwarz" in kinds and "negative_eigenvalue" in kinds
     diag = validate_covariance(CovMatrix([[0.25, 0.2], [0.2, 0.26]]))
     assert {"diagonal_range", "trace_bound"} <= {v.kind for v in diag.violations}
+
+
+def test_validate_reports_every_breach_in_order():
+    # diagonal breaches by index, then pairs i < j in row-major order with
+    # the quarter bound before Cauchy-Schwarz, then eigenvalue and trace
+    ent = np.array([[0.3, 0.1, 0.3, 0.26],
+                    [0.1, -0.01, -0.05, 0.0],
+                    [0.3, -0.05, 0.26, -0.24],
+                    [0.26, 0.0, -0.24, 0.5]])
+    diag = validate_covariance(CovMatrix(ent))
+    assert diag.violations == (
+        Violation("diagonal_range", (0,), 0.3, 0.25),
+        Violation("diagonal_range", (1,), -0.01, 0.25),
+        Violation("diagonal_range", (2,), 0.26, 0.25),
+        Violation("diagonal_range", (3,), 0.5, 0.25),
+        Violation("cauchy_schwarz", (0, 1), 0.1, 0.0),
+        Violation("offdiag_quarter", (0, 2), 0.3, 0.25),
+        Violation("cauchy_schwarz", (0, 2), 0.3, float(np.sqrt(0.3 * 0.26))),
+        Violation("offdiag_quarter", (0, 3), 0.26, 0.25),
+        Violation("cauchy_schwarz", (1, 2), -0.05, 0.0),
+        Violation("negative_eigenvalue", (), float(np.linalg.eigvalsh(ent).min()), 0.0),
+        Violation("trace_bound", (), 1.05, 1.0),
+    )
+    assert all(type(i) is int for v in diag.violations for i in v.where)
+
+
+def test_validate_matches_pairwise_loop():
+    # the pair-by-pair loop over i < j is the reference for the vectorized
+    # bound checks: same Violations, same values, same order
+    def pair_loop(ent, tol=1e-9):
+        out = []
+        for i in range(len(ent)):
+            if ent[i, i] < -tol or ent[i, i] > 0.25 + tol:
+                out.append(Violation("diagonal_range", (i,), float(ent[i, i]), 0.25))
+        for i in range(len(ent)):
+            for j in range(i + 1, len(ent)):
+                off = abs(ent[i, j])
+                if off > 0.25 + tol:
+                    out.append(Violation("offdiag_quarter", (i, j), float(ent[i, j]), 0.25))
+                cs = np.sqrt(max(ent[i, i], 0.0) * max(ent[j, j], 0.0))
+                if off > cs + tol:
+                    out.append(Violation("cauchy_schwarz", (i, j), float(ent[i, j]), float(cs)))
+        return out
+
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        a = rng.uniform(-0.35, 0.35, size=(9, 9))
+        a[rng.random((9, 9)) < 0.3] = 0.0
+        sigma = CovMatrix((a + a.T) / 2)
+        got = [v for v in validate_covariance(sigma).violations if v.where]
+        assert got == pair_loop(sigma.entries) and len(got) > 5
 
 
 def test_asymmetric_input_rejected():
@@ -218,6 +270,8 @@ def test_exact_entries_fallback_for_float_matrices():
     m = CovMatrix(SIGMA1)
     exact = m.exact_entries()
     assert exact[0][0] == Fraction(6.0 / 25.0)  # binary value of the float entry
+    ent = [[0.1, -3e-300, 0.0], [-3e-300, 2.5e10, 5e-324], [0.0, 5e-324, 0.25]]
+    assert CovMatrix(ent).exact_entries() == tuple(tuple(map(Fraction, r)) for r in ent)
 
 
 def test_csv_parsing_exact_decimals():

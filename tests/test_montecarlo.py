@@ -3,8 +3,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from mc_null_exact import replicate_covariance, statistic
 from netvar import asymptotic, montecarlo
-from netvar.moments import CovMatrix
+from netvar.graphs import SampleSet
+from netvar.moments import CovMatrix, estimate_moments
 from netvar.montecarlo import (
     McConfig,
     mc_pvalue,
@@ -146,18 +148,15 @@ def test_k3_pvalue_matches_exhaustive_enumeration():
     # k=3, m=3: the null has 8 cell patterns; enumerate all count vectors
     # with exact rational statistics, ties included, as the ground truth
     from itertools import product
-    from math import comb, factorial
+    from math import factorial
 
     rows = np.array([[1, 0, 1], [1, 1, 0], [0, 0, 1]], dtype=np.uint8)
-    from netvar.graphs import SampleSet
-    from netvar.moments import estimate_moments
-
     sigma = estimate_moments(SampleSet(None, rows)).sigma
     m = 3
     patterns = [np.array(bits) for bits in product((0, 1), repeat=3)]
 
     def exact_alpha(kind):
-        t0 = observed_statistic_exact(kind, sigma)
+        t0 = statistic(kind.value, sigma.exact_entries())
         total = Fraction(0)
         for counts in product(range(m + 1), repeat=7):
             if sum(counts) > m:
@@ -168,22 +167,7 @@ def test_k3_pvalue_matches_exhaustive_enumeration():
                 weight /= factorial(c)
             x = sum(c * p for c, p in zip(counts, patterns))
             xx = sum(c * np.outer(p, p) for c, p in zip(counts, patterns))
-            num = [[m * int(xx[i][j]) - int(x[i]) * int(x[j]) for j in range(3)]
-                   for i in range(3)]
-            if kind is StatKind.TOTAL:
-                t = Fraction(3, 4) - Fraction(sum(num[i][i] for i in range(3)), m * m)
-            elif kind is StatKind.FROBENIUS:
-                t = sum((Fraction(num[i][i], m * m) - Fraction(1, 4)) ** 2
-                        for i in range(3))
-                t += 2 * sum(Fraction(num[i][j], m * m) ** 2
-                             for i in range(3) for j in range(i + 1, 3))
-            else:
-                a, b, c3 = num[0], num[1], num[2]
-                det = (a[0] * (b[1] * c3[2] - b[2] * c3[1])
-                       - a[1] * (b[0] * c3[2] - b[2] * c3[0])
-                       + a[2] * (b[0] * c3[1] - b[1] * c3[0]))
-                t = Fraction(1, 4) ** 3 - Fraction(det, (m * m) ** 3)
-            if t >= t0:
+            if statistic(kind.value, replicate_covariance(x, xx, m)) >= t0:
                 total += weight
         return float(total)
 
@@ -192,6 +176,38 @@ def test_k3_pvalue_matches_exhaustive_enumeration():
         est = mc_pvalues(sigma, (kind,), 40_000, m, seed=17)[0]
         band = 3.3 * np.sqrt(max(alpha * (1 - alpha), 1e-9) / 40_000)
         assert abs(est.p_value - alpha) <= band, (kind, est.p_value, alpha)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_pvalue_counts_equal_oracle_counts_on_the_same_draws(k):
+    # an on-grid observed covariance (estimated at the replicates' m) has
+    # ties with positive probability; p * R must be exactly the oracle's
+    # count of replicates at or above it, over the very same draws
+    m, replicates, seed = 10, 2000, 5
+    rows = np.random.default_rng(k).integers(0, 2, size=(m, k), dtype=np.uint8)
+    sigma = estimate_moments(SampleSet(None, rows)).sigma
+    ests = mc_pvalues(sigma, ALL_KINDS, replicates, m, seed)
+    chunk = montecarlo._chunk_size(m, k)
+    draws = [montecarlo._draw_counts(seed, c, min(chunk, replicates - c * chunk), m, k)
+             for c in range((replicates + chunk - 1) // chunk)]
+    ties = 0
+    for est in ests:
+        t0 = statistic(est.stat.value, sigma.exact_entries())
+        values = [statistic(est.stat.value, replicate_covariance(s1[r], s2[r], m))
+                  for s1, s2 in draws for r in range(len(s1))]
+        assert est.p_value == sum(v >= t0 for v in values) / replicates, est.stat
+        ties += sum(v == t0 for v in values)
+    assert ties > 0  # the exact comparison is exercised
+
+
+def test_asymmetric_csv_is_symmetrized_exactly():
+    # asymmetry within 1e-12 is averaged away in the exact view as well
+    skew = CovMatrix.from_csv_text("0.24,0.04\n0.0400000000005,0.24\n")
+    mean = CovMatrix.from_csv_text("0.24,0.04000000000025\n0.04000000000025,0.24\n")
+    exact = skew.exact_entries()
+    assert exact[0][1] == exact[1][0] == Fraction(4000000000025, 10**14)
+    for kind in ALL_KINDS:
+        assert observed_statistic_exact(kind, skew) == observed_statistic_exact(kind, mean)
 
 
 def test_null_pvalues_roughly_uniform():
@@ -262,13 +278,18 @@ def test_integer_statistics_match_exact_oracle(k, m):
     assert s1.dtype == s2.dtype == np.int64
     assert (s1 == x.sum(axis=2)).all() and (s1 <= m).all()
     assert (s2 == x @ x.transpose(0, 2, 1)).all()
-    for kind in (StatKind.TOTAL, StatKind.FROBENIUS):
-        assert montecarlo._int_stats_fit(kind, m, k)
-        got = montecarlo._int_stats(kind, s1, s2, m)
-        assert got.dtype == np.int64
-        scale = montecarlo._int_scale(kind, m)
+    # each statistic's integer form is scale x the independent Fraction oracle
+    num, den = montecarlo._count_num(s1, s2, m), m * m
+    for kind in ALL_KINDS:
+        if kind is StatKind.GENERALIZED:
+            got = [montecarlo._scaled_stat(kind, num[r].astype(object), den) for r in range(4)]
+        else:
+            assert montecarlo._int_stats_fit(kind, m, k)
+            got = montecarlo._scaled_stat(kind, num, den)
+            assert got.dtype == np.int64
+        scale = montecarlo._scale(kind, k, den)
         for r in range(4):
-            exact = montecarlo._replicate_stat_exact(kind, s1[r], s2[r], m, k)
+            exact = statistic(kind.value, replicate_covariance(s1[r], s2[r], m))
             assert int(got[r]) == scale * exact
 
 
