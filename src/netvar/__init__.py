@@ -40,17 +40,13 @@ from .moments import (
     MomentEstimate,
     Violation,
     block_independence,
-    eigenvalues,
     estimate_moments,
     marginal_subvector,
     validate_covariance,
 )
 from .montecarlo import (
-    McConfig,
     McEstimate,
-    mc_pvalue,
     mc_pvalues,
-    null_statistic,
     observed_statistic_exact,
     sample_null_statistics,
 )
@@ -61,7 +57,6 @@ from .variability import (
     StatValue,
     classify_entropy,
     describe,
-    describe_samples,
     frobenius_bounds,
     normalize,
     var_frobenius,
@@ -76,7 +71,6 @@ __all__ = [
     "Diagnostic",
     "EntropySummary",
     "GenVar",
-    "McConfig",
     "McEstimate",
     "MomentEstimate",
     "NodeSet",
@@ -91,19 +85,15 @@ __all__ = [
     "chi_square_cdf",
     "classify_entropy",
     "describe",
-    "describe_samples",
     "edge_index",
     "edge_pairs",
-    "eigenvalues",
     "estimate_moments",
     "format_sample_set",
     "frobenius_bounds",
     "gamma_cdf",
     "marginal_subvector",
-    "mc_pvalue",
     "mc_pvalues",
     "normalize",
-    "null_statistic",
     "observed_statistic_exact",
     "parse_sample_set",
     "reg_lower_gamma",

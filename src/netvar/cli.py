@@ -82,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
         src.add_argument("--samples", metavar="FILE", help="sample-set text file")
         if cov_input:
             src.add_argument("--cov", metavar="FILE", help="covariance CSV file")
-            p.add_argument("--m", type=int, help="sample count behind a covariance CSV"
+            p.add_argument("--m", type=_positive_int("--m"),
+                           help="sample count behind a covariance CSV"
                            + (" (required with --cov)" if need_m else ""))
         p.add_argument("--estimator", choices=("plugin", "unbiased"), default="plugin",
                        help="covariance estimator for sample-set input")
@@ -106,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, need_m=True)
     p.add_argument("--mc-stat", type=_csv_list(tuple(MC_STATS), "--mc-stat"),
                    default=list(MC_STATS), metavar="vart,varg,varn")
-    p.add_argument("--replicates", type=int, default=100_000)
+    p.add_argument("--replicates", type=_positive_int("--replicates"), default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=_positive_int("--workers"), default=None,
                    help="Monte Carlo worker threads (NETVAR_THREADS caps this)")
@@ -122,14 +123,15 @@ def _load(args, need_m: bool) -> Inputs:
     if args.samples:
         with open(args.samples, "r", encoding="utf-8") as fh:
             samples = parse_sample_set(fh)
+        m = getattr(args, "m", None)
+        if m is not None and m != samples.m:
+            raise ValueError(f"--m {m} differs from the {samples.m} graphs in {args.samples}")
         est = estimate_moments(samples, args.estimator)
         return Inputs("samples", args.samples, est.sigma, samples.m, samples.k,
                       samples.nodes, samples, est, args.estimator, warnings)
 
     if need_m and args.m is None:
         raise ValueError("--m is required with --cov for this command")
-    if args.m is not None and args.m < 1:
-        raise ValueError(f"--m must be >= 1, got {args.m}")
     with open(args.cov, "r", encoding="utf-8") as fh:
         sigma = CovMatrix.from_csv_text(fh.read())
     return Inputs("covariance", args.cov, sigma, args.m, sigma.k,
@@ -279,7 +281,7 @@ def cmd_mc(args) -> dict:
             "stderr": est.stderr,
             "seed": est.seed,
             "observed_statistic": est.observed_statistic,
-            "estimator": est.estimator,
+            "estimator": "proportion",
             "p_value_upper_bound": 1.0 / est.replicates if est.below_resolution else None,
         }
         if est.below_resolution:

@@ -84,10 +84,8 @@ def reg_upper_gamma(a: float, x: float) -> float:
     return _upper_cf(a, x)
 
 
-def gamma_cdf(x: float, shape: float, upper: bool = False) -> float:
-    """CDF of the Gamma(shape, rate 1) distribution; upper tail on request."""
-    if upper:
-        return reg_upper_gamma(shape, x)
+def gamma_cdf(x: float, shape: float) -> float:
+    """CDF of the Gamma(shape, rate 1) distribution."""
     return reg_lower_gamma(shape, x)
 
 

@@ -237,49 +237,44 @@ def estimate_moments(samples: SampleSet, estimator: str = "plugin") -> MomentEst
     return MomentEstimate(p_hat, p_hat2, CovMatrix(sigma, exact=(num, den)), m, estimator)
 
 
-def validate_covariance(sigma: CovMatrix, tol: float = BOUND_TOL) -> Diagnostic:
+def validate_covariance(sigma: CovMatrix) -> Diagnostic:
     """Check the binary-vector covariance bounds, reporting every breach.
 
     Checks: diagonal within [0, 1/4], off-diagonal within the
     Cauchy-Schwarz envelope and within 1/4 in absolute value, eigenvalues
-    above -1e-9, and trace at most k/4; all with ``tol`` slack.
+    above -1e-9, and trace at most k/4; all with ``BOUND_TOL`` slack.
     """
     ent = sigma.entries
     k = sigma.k
     violations: list[Violation] = []
 
     d = np.diagonal(ent)
-    for i in np.flatnonzero((d < -tol) | (d > 0.25 + tol)).tolist():
+    for i in np.flatnonzero((d < -BOUND_TOL) | (d > 0.25 + BOUND_TOL)).tolist():
         violations.append(Violation("diagonal_range", (i,), float(d[i]), 0.25))
     dpos = np.where(d < 0.0, 0.0, d)  # keeps -0.0, like max(d, 0.0)
-    # an entry breaches a bound iff |e_ij| > min(sqrt(d_i d_j), 1/4) + tol
+    # an entry breaches a bound iff |e_ij| > min(sqrt(d_i d_j), 1/4) + BOUND_TOL
     lim = np.sqrt(np.outer(dpos, dpos))
     np.minimum(lim, 0.25, out=lim)
-    lim += tol
+    lim += BOUND_TOL
     rows, cols = np.nonzero(np.abs(ent) > lim)  # row-major, so pair-major over i < j
     for i, j in zip(rows.tolist(), cols.tolist()):
         if i >= j:
             continue
         value = float(ent[i, j])
         cs = float(np.sqrt(dpos[i] * dpos[j]))
-        if abs(value) > 0.25 + tol:
+        if abs(value) > 0.25 + BOUND_TOL:
             violations.append(Violation("offdiag_quarter", (i, j), value, 0.25))
-        if abs(value) > cs + tol:
+        if abs(value) > cs + BOUND_TOL:
             violations.append(Violation("cauchy_schwarz", (i, j), value, cs))
 
     raw_min = sigma.min_raw_eigenvalue
-    if raw_min < -tol:
+    if raw_min < -BOUND_TOL:
         violations.append(Violation("negative_eigenvalue", (), raw_min, 0.0))
     tr = sigma.trace()
-    if tr > k / 4.0 + tol:
+    if tr > k / 4.0 + BOUND_TOL:
         violations.append(Violation("trace_bound", (), tr, k / 4.0))
 
     return Diagnostic(valid=not violations, violations=tuple(violations))
-
-
-def eigenvalues(sigma: CovMatrix) -> np.ndarray:
-    """Descending eigenvalues of the covariance matrix (clamped at 0)."""
-    return sigma.eigenvalues
 
 
 def marginal_subvector(est: MomentEstimate, idx: Sequence[int]) -> MomentEstimate:
@@ -307,7 +302,7 @@ def marginal_subvector(est: MomentEstimate, idx: Sequence[int]) -> MomentEstimat
 
 
 def block_independence(
-    sigma: CovMatrix, part_a: Sequence[int], part_b: Sequence[int], tol: float = BOUND_TOL
+    sigma: CovMatrix, part_a: Sequence[int], part_b: Sequence[int]
 ) -> tuple[bool, float]:
     """Zero cross-covariance check between two disjoint index blocks.
 
@@ -325,4 +320,4 @@ def block_independence(
             raise ValueError(f"index {i} out of range [0, {sigma.k})")
     cross = sigma.entries[np.ix_(a, b)]
     max_abs = float(np.abs(cross).max())
-    return max_abs <= tol, max_abs
+    return max_abs <= BOUND_TOL, max_abs

@@ -25,13 +25,13 @@ observed one.  Two implementation guarantees matter here:
    ``num / den`` (:func:`_scaled_stat`); replicates have
    ``num = m s2 - s1 s1^T`` over ``den = m^2`` and are compared with one
    integer threshold, ``ceil(t0 * scale)`` by integer division.  Total
-   and Frobenius are compared in int64 while the scaled statistic fits
-   (``k m^2 < 2^63`` and ``k^2 m^4 < 2^63``).  Otherwise, and always for
-   the generalized statistic, floats decide outside a narrow band around
-   the observed value and replicates inside it are re-checked in Python
-   ints; for the generalized statistic above k = 64 floats decide alone.
-   ``p_value * R`` is thus exactly the number of replicates with
-   statistic >= observed.
+   and Frobenius are always decided in integers: in int64 while the
+   scaled statistic fits (``k m^2 < 2^63`` and ``k^2 m^4 < 2^63``), in
+   Python ints past that.  Only the generalized statistic uses floats:
+   they decide outside a narrow band around the observed value, and
+   replicates inside it are re-checked in Python ints; above k = 64
+   floats decide alone.  ``p_value * R`` is thus exactly the number of
+   replicates with statistic >= observed.
 
 Replicates draw their edge bits straight from the generator's raw 64-bit
 output: each column is ``ceil(m/64)`` words, bits past m are cleared, and
@@ -58,23 +58,6 @@ FLOAT32_EXACT_M = 1 << 24  # float32 sums of 0/1 values are exact below this
 
 
 @dataclass(frozen=True)
-class McConfig:
-    replicates: int
-    m: int
-    k: int
-    seed: int
-    stat: StatKind
-
-    def __post_init__(self):
-        if self.replicates < 1:
-            raise ValueError(f"replicate count must be >= 1, got {self.replicates}")
-        if self.m < 1 or self.k < 1:
-            raise ValueError(f"need m >= 1 and k >= 1, got m={self.m}, k={self.k}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-
-
-@dataclass(frozen=True)
 class McEstimate:
     p_value: float
     replicates: int
@@ -82,7 +65,6 @@ class McEstimate:
     seed: int
     observed_statistic: float
     stat: StatKind
-    estimator: str = "proportion"
 
     @property
     def below_resolution(self) -> bool:
@@ -185,15 +167,16 @@ def _scaled_stat(kind: StatKind, num: np.ndarray, den: int):
     return den**k - 4**k * _int_det(num.tolist())
 
 
-def _float_stats(kind: StatKind, cov: np.ndarray) -> np.ndarray:
-    """Statistic of each covariance in a batch (n, k, k), in floats."""
-    k = cov.shape[-1]
-    if kind is StatKind.TOTAL:
-        return k / 4.0 - np.trace(cov, axis1=1, axis2=2)
-    if kind is StatKind.GENERALIZED:
-        return 4.0 ** (-k) - np.linalg.det(cov)
-    diff = cov - 0.25 * np.eye(k)
-    return (diff * diff).sum(axis=(1, 2))
+def _replicate_scaled(kind: StatKind, num: np.ndarray, m: int):
+    """Total or Frobenius :func:`_scaled_stat` of replicates ``num / m^2``:
+    int64 within :func:`_int_stats_fit`, Python ints past it."""
+    k = num.shape[-1]
+    return _scaled_stat(kind, num if _int_stats_fit(kind, m, k) else num.astype(object), m * m)
+
+
+def _float_generalized(cov: np.ndarray) -> np.ndarray:
+    """Generalized statistic ``4^-k - det(cov)`` of a batch (n, k, k), in floats."""
+    return 4.0 ** -cov.shape[-1] - np.linalg.det(cov)
 
 
 def _int_det(mat: list[list[int]]) -> int:
@@ -229,37 +212,37 @@ def observed_statistic_exact(kind: StatKind, sigma: CovMatrix) -> Fraction:
     return Fraction(*_observed_scaled(kind, sigma))
 
 
-def _near_margin(kind: StatKind, k: int, t0f: float) -> float:
-    """Width of the band around the observed value that goes to exact checks.
+def _near_margin(k: int, t0f: float) -> float:
+    """Width of the band around the observed generalized statistic that
+    goes to exact checks.
 
-    Scaled to each statistic's magnitude: kernel float error is at most a
+    Scaled to the statistic's magnitude: kernel float error is at most a
     few 1e-14 of it, while distinct rational outcomes differ by at least
     ~scale/(4 m^2), so for any workable m the band isolates true ties.
     """
-    if kind is StatKind.TOTAL:
-        scale = max(k / 4.0, abs(t0f))
-    elif kind is StatKind.GENERALIZED:
-        scale = max(4.0**-k, abs(t0f), 1e-300)
-    else:
-        scale = max(k * k / 16.0, abs(t0f))
-    return NEAR_TIE_REL * scale
-
-
-def null_statistic(stat: StatKind, m: int, k: int, rng: np.random.Generator) -> float:
-    """Draw one replicate from the null and return its statistic."""
-    s1, s2 = _bit_counts(_draw_bits(rng.bit_generator, 1, m, k), m)
-    return float(_float_stats(stat, _count_num(s1, s2, m) / float(m * m))[0])
+    return NEAR_TIE_REL * max(4.0**-k, abs(t0f), 1e-300)
 
 
 def sample_null_statistics(stat: StatKind, m: int, k: int, count: int, seed: int) -> np.ndarray:
-    """Deterministic batch of null statistics (same stream as mc_pvalue)."""
+    """The first ``count`` null statistics of the :func:`mc_pvalues` stream.
+
+    Total and Frobenius are their exact integer forms divided by the scale,
+    i.e. the correctly rounded replicate values while both are below 2^53,
+    so ``stats >= observed_statistic`` agrees with the tally; generalized
+    is a float determinant.
+    """
     chunk = _chunk_size(m, k)
     parts = []
     produced = 0
     for c in range((count + chunk - 1) // chunk):
         n = min(chunk, count - produced)
         s1, s2 = _draw_counts(seed, c, n, m, k)
-        parts.append(_float_stats(stat, _count_num(s1, s2, m) / float(m * m)))
+        num = _count_num(s1, s2, m)
+        if stat is StatKind.GENERALIZED:
+            parts.append(_float_generalized(num / float(m * m)))
+        else:
+            scaled = _replicate_scaled(stat, num, m)
+            parts.append((scaled / _scale(stat, k, m * m)).astype(np.float64))
         produced += n
     return np.concatenate(parts)
 
@@ -281,7 +264,7 @@ class _Cut:
 def _make_cut(kind: StatKind, sigma: CovMatrix, m: int) -> _Cut:
     k = sigma.k
     if kind is StatKind.GENERALIZED and k > EXACT_TIE_MAX_K:
-        return _Cut(kind, float(_float_stats(kind, sigma.entries[None])[0]))
+        return _Cut(kind, float(_float_generalized(sigma.entries[None])[0]))
     t0, scale0 = _observed_scaled(kind, sigma)
     # replicate value s / scale >= t0 / scale0  <=>  s >= ceil(t0 scale / scale0);
     # replicate values are >= 0, so clamping at 0 keeps every count
@@ -295,16 +278,17 @@ def _chunk_tally(seed, chunk_index, n, m, k, cuts):
     num, den = _count_num(s1, s2, m), m * m
     counts = []
     for cut in cuts:
-        if cut.threshold is not None and _int_stats_fit(cut.kind, m, k):
+        if cut.kind is not StatKind.GENERALIZED:
+            scaled = _replicate_scaled(cut.kind, num, m)
             # int64 values stay below INT64_MAX, so clamping keeps every count
-            scaled = _scaled_stat(cut.kind, num, den)
-            counts.append(int((scaled >= min(cut.threshold, INT64_MAX)).sum()))
+            threshold = cut.threshold if scaled.dtype == object else min(cut.threshold, INT64_MAX)
+            counts.append(int((scaled >= threshold).sum()))
             continue
-        stats = _float_stats(cut.kind, num / float(den))
+        stats = _float_generalized(num / float(den))
         if cut.threshold is None:
             counts.append(int((stats >= cut.observed).sum()))
             continue
-        margin = _near_margin(cut.kind, k, cut.observed)
+        margin = _near_margin(k, cut.observed)
         hits = int((stats > cut.observed + margin).sum())
         for r in np.flatnonzero(np.abs(stats - cut.observed) <= margin):
             hits += _scaled_stat(cut.kind, num[r].astype(object), den) >= cut.threshold
@@ -319,16 +303,13 @@ def mc_pvalues(
     m: int,
     seed: int,
     workers: int | None = None,
-    estimator: str = "proportion",
 ) -> list[McEstimate]:
     """Monte Carlo p-values for several statistics over one replicate stream.
 
     All requested statistics are evaluated on the same null draws (the
-    draws depend only on seed, m and k).  ``estimator`` selects the plain
-    proportion (default) or the conventional (count+1)/(R+1) variant.
+    draws depend only on seed, m and k).  Each p-value is the proportion
+    of replicates whose statistic is >= the observed one.
     """
-    if estimator not in ("proportion", "add_one"):
-        raise ValueError(f"estimator must be 'proportion' or 'add_one', got {estimator!r}")
     k = sigma.k
     if replicates < 1:
         raise ValueError(f"replicate count must be >= 1, got {replicates}")
@@ -355,25 +336,7 @@ def mc_pvalues(
 
     out = []
     for pos, cut in enumerate(cuts):
-        count = sum(t[pos] for t in tallies)
-        if estimator == "proportion":
-            p = count / replicates
-        else:
-            p = (count + 1) / (replicates + 1)
+        p = sum(t[pos] for t in tallies) / replicates
         stderr = sqrt(p * (1.0 - p) / replicates)
-        out.append(McEstimate(p, replicates, stderr, seed, cut.observed, cut.kind, estimator))
+        out.append(McEstimate(p, replicates, stderr, seed, cut.observed, cut.kind))
     return out
-
-
-def mc_pvalue(
-    sigma: CovMatrix,
-    cfg: McConfig,
-    workers: int | None = None,
-    estimator: str = "proportion",
-) -> McEstimate:
-    """Monte Carlo p-value of one statistic; see :func:`mc_pvalues`."""
-    if sigma.k != cfg.k:
-        raise ValueError(f"covariance dimension {sigma.k} != configured k {cfg.k}")
-    return mc_pvalues(
-        sigma, (cfg.stat,), cfg.replicates, cfg.m, cfg.seed, workers, estimator
-    )[0]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import SampleSet
-from .moments import CovMatrix, estimate_moments
+from .moments import CovMatrix
 
 NORMALIZE_SLACK = 1e-9
 RANK_EPS = 1e-12
@@ -194,9 +194,3 @@ def classify_entropy(samples: SampleSet) -> EntropySummary:
     )
     tag = "minimum" if len(freq) == 1 else "intermediate"
     return EntropySummary(tag, freq)
-
-
-def describe_samples(samples: SampleSet, rank_policy: str = "reduce",
-                     estimator: str = "plugin") -> tuple[StatValue, ...]:
-    """Convenience wrapper: estimate moments, then describe the covariance."""
-    return describe(estimate_moments(samples, estimator).sigma, rank_policy)

@@ -182,6 +182,34 @@ def test_mc_workers_below_one_is_usage_error(tmp_path, capsys, workers):
     assert "--workers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-2", "1.5"])
+def test_m_below_one_is_usage_error(tmp_path, capsys, value):
+    path = write(tmp_path, "s1.csv", "0.24,0.04\n0.04,0.24\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["test", "--cov", path, "--m", value])
+    assert exc.value.code == 2
+    assert "--m takes an integer >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-5", "1e5"])
+def test_mc_replicates_below_one_is_usage_error(tmp_path, capsys, value):
+    path = write(tmp_path, "s1.csv", "0.24,0.04\n0.04,0.24\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["mc", "--cov", path, "--m", "10", "--replicates", value])
+    assert exc.value.code == 2
+    assert "--replicates takes an integer >= 1" in capsys.readouterr().err
+
+
+def test_m_that_contradicts_the_sample_set_fails(tmp_path, capsys):
+    path = write(tmp_path, "s.txt", SAMPLES_3)
+    code, out, err = run(["mc", "--samples", path, "--m", "50", "--replicates", "10"], capsys)
+    assert code == 1 and out == ""
+    assert "--m 50" in err and "3 graphs" in err
+    # the sample set's own count is accepted
+    code, _, _ = run(["mc", "--samples", path, "--m", "3", "--replicates", "10"], capsys)
+    assert code == 0
+
+
 def test_mc_bad_netvar_threads_is_reported(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("NETVAR_THREADS", "abc")
     path = write(tmp_path, "s1.csv", "0.24,0.04\n0.04,0.24\n")

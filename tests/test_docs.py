@@ -1,0 +1,25 @@
+import re
+from pathlib import Path
+
+import netvar
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## Library\n+```python\n(.*?)```", text, re.S)
+    assert block, "README has no Library code block"
+    (tmp_path / "graphs.txt").write_text("nodes A B C\ngraph\nA B\ngraph\nB C\nA C\ngraph\n")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block.group(1), "README.md", "exec"), {})
+    out = capsys.readouterr().out
+    assert "total" in out and "McEstimate(" in out
+
+
+def test_exports_resolve_sorted_and_unique():
+    names = netvar.__all__
+    missing = [name for name in names if not hasattr(netvar, name)]
+    assert not missing
+    assert names == sorted(names)
+    assert len(names) == len(set(names))

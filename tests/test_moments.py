@@ -8,7 +8,6 @@ from netvar.moments import (
     CovMatrix,
     Violation,
     block_independence,
-    eigenvalues,
     estimate_moments,
     marginal_subvector,
     validate_covariance,
@@ -149,9 +148,9 @@ def test_asymmetric_input_rejected():
 
 
 def test_eigenvalues_examples():
-    assert eigenvalues(CovMatrix(SIGMA1)) == pytest.approx([0.28, 0.20], abs=1e-12)
-    assert eigenvalues(CovMatrix(SIGMA3)) == pytest.approx([0.3069, 0.0003], abs=5e-5)
-    assert eigenvalues(CovMatrix(0.25 * np.eye(2))).tolist() == [0.25, 0.25]
+    assert CovMatrix(SIGMA1).eigenvalues == pytest.approx([0.28, 0.20], abs=1e-12)
+    assert CovMatrix(SIGMA3).eigenvalues == pytest.approx([0.3069, 0.0003], abs=5e-5)
+    assert CovMatrix(0.25 * np.eye(2)).eigenvalues.tolist() == [0.25, 0.25]
 
 
 def test_eigenvalues_match_closed_form_two_by_two():

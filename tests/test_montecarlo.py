@@ -7,14 +7,7 @@ from mc_null_exact import replicate_covariance, statistic
 from netvar import asymptotic, montecarlo
 from netvar.graphs import SampleSet
 from netvar.moments import CovMatrix, estimate_moments
-from netvar.montecarlo import (
-    McConfig,
-    mc_pvalue,
-    mc_pvalues,
-    null_statistic,
-    observed_statistic_exact,
-    sample_null_statistics,
-)
+from netvar.montecarlo import mc_pvalues, observed_statistic_exact, sample_null_statistics
 from netvar.variability import StatKind
 
 S1 = CovMatrix.from_csv_text("0.24,0.04\n0.04,0.24\n")
@@ -34,11 +27,10 @@ def test_observed_statistic_exact_rationals():
 
 
 def test_same_seed_reproduces_and_seeds_differ():
-    cfg = McConfig(5000, 10, 2, 42, StatKind.TOTAL)
-    a = mc_pvalue(S1, cfg)
-    b = mc_pvalue(S1, cfg)
+    a = mc_pvalues(S1, (StatKind.TOTAL,), 5000, 10, seed=42)[0]
+    b = mc_pvalues(S1, (StatKind.TOTAL,), 5000, 10, seed=42)[0]
     assert a.p_value == b.p_value
-    c = mc_pvalue(S1, McConfig(5000, 10, 2, 43, StatKind.TOTAL))
+    c = mc_pvalues(S1, (StatKind.TOTAL,), 5000, 10, seed=43)[0]
     assert c.p_value != a.p_value
 
 
@@ -53,10 +45,8 @@ def test_thread_count_invariance():
 
 
 def test_single_sample_replicate_has_zero_covariance():
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        assert null_statistic(StatKind.TOTAL, 1, 3, rng) == 3 / 4.0
-        assert null_statistic(StatKind.FROBENIUS, 1, 2, rng) == pytest.approx(0.125)
+    assert (sample_null_statistics(StatKind.TOTAL, 1, 3, 5, seed=0) == 3 / 4.0).all()
+    assert (sample_null_statistics(StatKind.FROBENIUS, 1, 2, 5, seed=0) == 0.125).all()
 
 
 def test_null_statistic_consistency_large_m():
@@ -109,15 +99,6 @@ def test_pvalue_times_r_is_integer():
         )
 
 
-def test_add_one_estimator_option():
-    plain = mc_pvalue(S1, McConfig(999, 10, 2, 4, StatKind.TOTAL))
-    add1 = mc_pvalue(S1, McConfig(999, 10, 2, 4, StatKind.TOTAL), estimator="add_one")
-    count = round(plain.p_value * 999)
-    assert add1.p_value == pytest.approx((count + 1) / 1000)
-    with pytest.raises(ValueError, match="estimator"):
-        mc_pvalue(S1, McConfig(99, 10, 2, 4, StatKind.TOTAL), estimator="midp")
-
-
 def test_below_resolution_annotation():
     # observed statistic far beyond anything m=50 nulls can reach
     est = mc_pvalues(S2, (StatKind.TOTAL,), 2000, 50, seed=2)[0]
@@ -125,15 +106,15 @@ def test_below_resolution_annotation():
     assert est.below_resolution
 
 
-def test_dimension_mismatch_and_config_validation():
-    with pytest.raises(ValueError, match="dimension"):
-        mc_pvalue(S1, McConfig(10, 5, 3, 0, StatKind.TOTAL))
+def test_mc_pvalues_rejects_bad_arguments():
     with pytest.raises(ValueError, match="replicate count"):
-        McConfig(0, 5, 2, 0, StatKind.TOTAL)
-    with pytest.raises(ValueError, match="m >= 1"):
-        McConfig(10, 0, 2, 0, StatKind.TOTAL)
+        mc_pvalues(S1, (StatKind.TOTAL,), 0, 5, seed=0)
+    with pytest.raises(ValueError, match="sample count"):
+        mc_pvalues(S1, (StatKind.TOTAL,), 10, 0, seed=0)
     with pytest.raises(ValueError, match="seed"):
-        McConfig(10, 5, 2, -1, StatKind.TOTAL)
+        mc_pvalues(S1, (StatKind.TOTAL,), 10, 5, seed=-1)
+    with pytest.raises(ValueError, match="seed"):
+        mc_pvalues(S1, (StatKind.TOTAL,), 10, 5, seed=2**64)
 
 
 def test_netvar_threads_env_caps_workers(monkeypatch):
@@ -178,13 +159,19 @@ def test_k3_pvalue_matches_exhaustive_enumeration():
         assert abs(est.p_value - alpha) <= band, (kind, est.p_value, alpha)
 
 
-@pytest.mark.parametrize("k", [2, 3])
-def test_pvalue_counts_equal_oracle_counts_on_the_same_draws(k):
+@pytest.mark.parametrize("k, m", [(2, 10), (3, 10), (1, 56_000)])
+def test_pvalue_counts_equal_oracle_counts_on_the_same_draws(k, m):
     # an on-grid observed covariance (estimated at the replicates' m) has
     # ties with positive probability; p * R must be exactly the oracle's
     # count of replicates at or above it, over the very same draws
-    m, replicates, seed = 10, 2000, 5
-    rows = np.random.default_rng(k).integers(0, 2, size=(m, k), dtype=np.uint8)
+    replicates, seed = 2000, 5
+    if m > 10:
+        # half ones gives sigma = 1/4 exactly; Frobenius is past int64 here,
+        # so it is compared in Python ints
+        assert not montecarlo._int_stats_fit(StatKind.FROBENIUS, m, k)
+        rows = (np.arange(m) % 2).astype(np.uint8).reshape(m, k)
+    else:
+        rows = np.random.default_rng(k).integers(0, 2, size=(m, k), dtype=np.uint8)
     sigma = estimate_moments(SampleSet(None, rows)).sigma
     ests = mc_pvalues(sigma, ALL_KINDS, replicates, m, seed)
     chunk = montecarlo._chunk_size(m, k)
@@ -214,11 +201,11 @@ def test_null_pvalues_roughly_uniform():
     # statistics drawn under the null, each scored against a held-out
     # replicate set: the p-values land close to uniform on [0, 1]
     held = sample_null_statistics(StatKind.FROBENIUS, 30, 2, 2000, seed=200)
-    rng = np.random.default_rng(201)
-    pvals = []
-    for _ in range(200):
-        t = null_statistic(StatKind.FROBENIUS, 30, 2, rng)
-        pvals.append((held >= t).mean())
+    bits = montecarlo._draw_bits(np.random.default_rng(201).bit_generator, 200, 30, 2)
+    s1, s2 = montecarlo._bit_counts(bits, 30)
+    scaled = montecarlo._scaled_stat(StatKind.FROBENIUS, montecarlo._count_num(s1, s2, 30), 900)
+    stats = scaled / montecarlo._scale(StatKind.FROBENIUS, 2, 900)
+    pvals = [(held >= t).mean() for t in stats]
     freq, _ = np.histogram(pvals, bins=10, range=(0.0, 1.0))
     assert freq.min() / 200 >= 0.04
     assert freq.max() / 200 <= 0.16
@@ -324,7 +311,6 @@ def test_null_draws_share_the_mc_stream():
     for est in ests:
         stats = sample_null_statistics(est.stat, 7, 2, 5000, seed=12)
         assert int((stats >= est.observed_statistic).sum()) == round(est.p_value * 5000)
-    # null_statistic draws through the same helper: chunk 0's first replicate
-    rng = np.random.Generator(np.random.Philox(key=np.array([12, 0], dtype=np.uint64)))
-    first = sample_null_statistics(StatKind.FROBENIUS, 7, 2, 1, seed=12)[0]
-    assert null_statistic(StatKind.FROBENIUS, 7, 2, rng) == first
+    # replicate r's statistic depends only on (seed, r): a shorter batch is a prefix
+    first = sample_null_statistics(StatKind.FROBENIUS, 7, 2, 3, seed=12)
+    assert (first == sample_null_statistics(StatKind.FROBENIUS, 7, 2, 5000, seed=12)[:3]).all()
