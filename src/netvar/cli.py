@@ -85,8 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--m", type=_positive_int("--m"),
                            help="sample count behind a covariance CSV"
                            + (" (required with --cov)" if need_m else ""))
-        p.add_argument("--estimator", choices=("plugin", "unbiased"), default="plugin",
-                       help="covariance estimator for sample-set input")
+        p.add_argument("--estimator", choices=("plugin", "unbiased"),
+                       help="covariance estimator for sample-set input (default plugin)")
         p.add_argument("--format", choices=("json", "table"), default="table")
         p.add_argument("--force", action="store_true",
                        help="proceed when the covariance violates its bounds")
@@ -126,10 +126,13 @@ def _load(args, need_m: bool) -> Inputs:
         m = getattr(args, "m", None)
         if m is not None and m != samples.m:
             raise ValueError(f"--m {m} differs from the {samples.m} graphs in {args.samples}")
-        est = estimate_moments(samples, args.estimator)
+        estimator = args.estimator or "plugin"
+        est = estimate_moments(samples, estimator)
         return Inputs("samples", args.samples, est.sigma, samples.m, samples.k,
-                      samples.nodes, samples, est, args.estimator, warnings)
+                      samples.nodes, samples, est, estimator, warnings)
 
+    if args.estimator is not None:
+        raise ValueError("--estimator applies to --samples input only, not to --cov")
     if need_m and args.m is None:
         raise ValueError("--m is required with --cov for this command")
     with open(args.cov, "r", encoding="utf-8") as fh:

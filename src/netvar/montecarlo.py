@@ -15,7 +15,10 @@ observed one.  Two implementation guarantees matter here:
    whose size depends only on (m, k); chunk c draws from a counter-based
    generator keyed by (seed, c), so every replicate's randomness is a
    pure function of (seed, replicate index) and the tally is identical
-   for any number of workers.
+   for any number of workers.  One argument check and chunk plan
+   (:func:`_chunk_sizes`) and one loop over the chunks
+   (:func:`_map_chunks`) serve both :func:`mc_pvalues` and
+   :func:`sample_null_statistics`.
 
 2. Exact ties.  Replicate statistics are rationals with denominator a
    power of m, and an observed covariance can sit exactly on one of them
@@ -27,11 +30,14 @@ observed one.  Two implementation guarantees matter here:
    integer threshold, ``ceil(t0 * scale)`` by integer division.  Total
    and Frobenius are always decided in integers: in int64 while the
    scaled statistic fits (``k m^2 < 2^63`` and ``k^2 m^4 < 2^63``), in
-   Python ints past that.  Only the generalized statistic uses floats:
+   Python ints past that.  Generalized at m <= k is decided by rank:
+   every replicate covariance is singular, so all replicates sit at the
+   maximum 4^-k.  Otherwise it is the only statistic that uses floats:
    they decide outside a narrow band around the observed value, and
    replicates inside it are re-checked in Python ints; above k = 64
-   floats decide alone.  ``p_value * R`` is thus exactly the number of
-   replicates with statistic >= observed.
+   floats decide alone.  Each statistic's comparison is chosen once per
+   call (:func:`_counter`).  ``p_value * R`` is thus exactly the number
+   of replicates with statistic >= observed.
 
 Replicates draw their edge bits straight from the generator's raw 64-bit
 output: each column is ``ceil(m/64)`` words, bits past m are cleared, and
@@ -74,6 +80,18 @@ class McEstimate:
 
 def _chunk_size(m: int, k: int) -> int:
     return max(1, min(4096, CHUNK_TARGET // max(1, m * k)))
+
+
+def _chunk_sizes(replicates: int, m: int, k: int, seed: int) -> list[int]:
+    """Replicates per chunk for a run of the stream; rejects bad arguments."""
+    if replicates < 1:
+        raise ValueError(f"replicate count must be >= 1, got {replicates}")
+    if m < 1:
+        raise ValueError(f"sample count must be >= 1, got {m}")
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
+    chunk = _chunk_size(m, k)
+    return [min(chunk, replicates - start) for start in range(0, replicates, chunk)]
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -131,6 +149,16 @@ def _count_num(s1, s2, m: int) -> np.ndarray:
     return m * s2 - s1[:, :, None] * s1[:, None, :]
 
 
+def _map_chunks(fn, seed: int, sizes: list[int], m: int, k: int, workers: int | None) -> list:
+    """``fn(num)`` of each chunk's replicate numerators (:func:`_count_num`), in chunk order."""
+
+    def task(c):
+        return fn(_count_num(*_draw_counts(seed, c, sizes[c], m, k), m))
+
+    with ThreadPoolExecutor(max_workers=_resolve_workers(workers, len(sizes))) as pool:
+        return list(pool.map(task, range(len(sizes))))
+
+
 def _scale(kind: StatKind, k: int, den: int) -> int:
     """Factor that makes the statistic of a covariance ``num / den`` an integer."""
     if kind is StatKind.TOTAL:
@@ -167,16 +195,17 @@ def _scaled_stat(kind: StatKind, num: np.ndarray, den: int):
     return den**k - 4**k * _int_det(num.tolist())
 
 
-def _replicate_scaled(kind: StatKind, num: np.ndarray, m: int):
-    """Total or Frobenius :func:`_scaled_stat` of replicates ``num / m^2``:
-    int64 within :func:`_int_stats_fit`, Python ints past it."""
-    k = num.shape[-1]
-    return _scaled_stat(kind, num if _int_stats_fit(kind, m, k) else num.astype(object), m * m)
+def _replicate_values(kind: StatKind, num: np.ndarray, m: int) -> np.ndarray:
+    """Statistics of a batch of replicates ``num / m^2``.
 
-
-def _float_generalized(cov: np.ndarray) -> np.ndarray:
-    """Generalized statistic ``4^-k - det(cov)`` of a batch (n, k, k), in floats."""
-    return 4.0 ** -cov.shape[-1] - np.linalg.det(cov)
+    Total and Frobenius are their :func:`_scaled_stat` (int64 within
+    :func:`_int_stats_fit`, Python ints past it); generalized is the float
+    statistic ``4^-k - det``.
+    """
+    if kind is StatKind.GENERALIZED:
+        return 4.0 ** -num.shape[-1] - np.linalg.det(num / float(m * m))
+    fits = _int_stats_fit(kind, m, num.shape[-1])
+    return _scaled_stat(kind, num if fits else num.astype(object), m * m)
 
 
 def _int_det(mat: list[list[int]]) -> int:
@@ -223,77 +252,61 @@ def _near_margin(k: int, t0f: float) -> float:
     return NEAR_TIE_REL * max(4.0**-k, abs(t0f), 1e-300)
 
 
+def _counter(kind: StatKind, sigma: CovMatrix, m: int):
+    """The observed statistic as a float, and a function that counts the
+    replicates of one chunk (``num`` of :func:`_count_num`) at or above it.
+
+    The comparison is chosen once per call: total and Frobenius against the
+    integer threshold; generalized by rank when m <= k, by floats alone
+    above EXACT_TIE_MAX_K, and otherwise by floats outside the near-tie
+    band with a Bareiss re-check inside it.
+    """
+    k, den = sigma.k, m * m
+    if kind is StatKind.GENERALIZED and k > EXACT_TIE_MAX_K:
+        t0f = cut = float(4.0**-k - np.linalg.det(sigma.entries))
+    else:
+        t0, scale0 = _observed_scaled(kind, sigma)
+        t0f = t0 / scale0
+        # replicate value s / scale >= t0 / scale0  <=>  s >= ceil(t0 scale / scale0);
+        # replicate values are >= 0, so clamping at 0 keeps every count
+        cut = max(-(-t0 * _scale(kind, k, den) // scale0), 0)
+        if _int_stats_fit(kind, m, k):
+            cut = min(cut, INT64_MAX)  # int64 values stay below it
+
+    if kind is StatKind.GENERALIZED and m <= k:
+        # num = X^T (m I - 1 1^T) X has rank <= m - 1 < k: every replicate
+        # has det 0 and sits at the maximum 4^-k (scaled: den^k)
+        at_max = (4.0**-k if k > EXACT_TIE_MAX_K else den**k) >= cut
+        return t0f, lambda num: len(num) * at_max
+    if kind is not StatKind.GENERALIZED or k > EXACT_TIE_MAX_K:
+        return t0f, lambda num: int((_replicate_values(kind, num, m) >= cut).sum())
+    margin = _near_margin(k, t0f)
+
+    def count(num):
+        stats = _replicate_values(kind, num, m)
+        hits = int((stats > t0f + margin).sum())
+        for r in np.flatnonzero(np.abs(stats - t0f) <= margin):
+            hits += _scaled_stat(kind, num[r].astype(object), den) >= cut
+        return hits
+
+    return t0f, count
+
+
 def sample_null_statistics(stat: StatKind, m: int, k: int, count: int, seed: int) -> np.ndarray:
     """The first ``count`` null statistics of the :func:`mc_pvalues` stream.
 
     Total and Frobenius are their exact integer forms divided by the scale,
     i.e. the correctly rounded replicate values while both are below 2^53,
     so ``stats >= observed_statistic`` agrees with the tally; generalized
-    is a float determinant.
+    is a float determinant.  Arguments are checked as in :func:`mc_pvalues`.
     """
-    chunk = _chunk_size(m, k)
-    parts = []
-    produced = 0
-    for c in range((count + chunk - 1) // chunk):
-        n = min(chunk, count - produced)
-        s1, s2 = _draw_counts(seed, c, n, m, k)
-        num = _count_num(s1, s2, m)
-        if stat is StatKind.GENERALIZED:
-            parts.append(_float_generalized(num / float(m * m)))
-        else:
-            scaled = _replicate_scaled(stat, num, m)
-            parts.append((scaled / _scale(stat, k, m * m)).astype(np.float64))
-        produced += n
-    return np.concatenate(parts)
+    sizes = _chunk_sizes(count, m, k, seed)
+    scale = 1 if stat is StatKind.GENERALIZED else _scale(stat, k, m * m)
 
+    def values(num):
+        return (_replicate_values(stat, num, m) / scale).astype(np.float64)
 
-@dataclass(frozen=True)
-class _Cut:
-    """How one statistic's replicates are compared with the observed value.
-
-    ``threshold`` is the least replicate ``_scaled_stat`` at ``den = m^2``
-    that counts as >= observed; None (generalized above EXACT_TIE_MAX_K)
-    leaves the comparison to floats.
-    """
-
-    kind: StatKind
-    observed: float
-    threshold: int | None = None
-
-
-def _make_cut(kind: StatKind, sigma: CovMatrix, m: int) -> _Cut:
-    k = sigma.k
-    if kind is StatKind.GENERALIZED and k > EXACT_TIE_MAX_K:
-        return _Cut(kind, float(_float_generalized(sigma.entries[None])[0]))
-    t0, scale0 = _observed_scaled(kind, sigma)
-    # replicate value s / scale >= t0 / scale0  <=>  s >= ceil(t0 scale / scale0);
-    # replicate values are >= 0, so clamping at 0 keeps every count
-    threshold = max(-(-t0 * _scale(kind, k, m * m) // scale0), 0)
-    return _Cut(kind, t0 / scale0, threshold)
-
-
-def _chunk_tally(seed, chunk_index, n, m, k, cuts):
-    """Count replicates with statistic >= observed, exactly, for one chunk."""
-    s1, s2 = _draw_counts(seed, chunk_index, n, m, k)
-    num, den = _count_num(s1, s2, m), m * m
-    counts = []
-    for cut in cuts:
-        if cut.kind is not StatKind.GENERALIZED:
-            scaled = _replicate_scaled(cut.kind, num, m)
-            # int64 values stay below INT64_MAX, so clamping keeps every count
-            threshold = cut.threshold if scaled.dtype == object else min(cut.threshold, INT64_MAX)
-            counts.append(int((scaled >= threshold).sum()))
-            continue
-        stats = _float_generalized(num / float(den))
-        if cut.threshold is None:
-            counts.append(int((stats >= cut.observed).sum()))
-            continue
-        margin = _near_margin(k, cut.observed)
-        hits = int((stats > cut.observed + margin).sum())
-        for r in np.flatnonzero(np.abs(stats - cut.observed) <= margin):
-            hits += _scaled_stat(cut.kind, num[r].astype(object), den) >= cut.threshold
-        counts.append(hits)
-    return counts
+    return np.concatenate(_map_chunks(values, seed, sizes, m, k, workers=1))
 
 
 def mc_pvalues(
@@ -311,32 +324,13 @@ def mc_pvalues(
     of replicates whose statistic is >= the observed one.
     """
     k = sigma.k
-    if replicates < 1:
-        raise ValueError(f"replicate count must be >= 1, got {replicates}")
-    if m < 1:
-        raise ValueError(f"sample count must be >= 1, got {m}")
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
-
-    cuts = [_make_cut(kind, sigma, m) for kind in kinds]
-
-    chunk = _chunk_size(m, k)
-    n_chunks = (replicates + chunk - 1) // chunk
-    sizes = [min(chunk, replicates - c * chunk) for c in range(n_chunks)]
-    n_workers = _resolve_workers(workers, n_chunks)
-
-    def task(c):
-        return _chunk_tally(seed, c, sizes[c], m, k, cuts)
-
-    if n_workers == 1:
-        tallies = [task(c) for c in range(n_chunks)]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            tallies = list(pool.map(task, range(n_chunks)))
-
+    sizes = _chunk_sizes(replicates, m, k, seed)
+    counters = [_counter(kind, sigma, m) for kind in kinds]
+    tallies = _map_chunks(lambda num: [count(num) for _, count in counters],
+                          seed, sizes, m, k, workers)
     out = []
-    for pos, cut in enumerate(cuts):
-        p = sum(t[pos] for t in tallies) / replicates
+    for kind, (observed, _), hits in zip(kinds, counters, zip(*tallies)):
+        p = sum(hits) / replicates
         stderr = sqrt(p * (1.0 - p) / replicates)
-        out.append(McEstimate(p, replicates, stderr, seed, cut.observed, cut.kind))
+        out.append(McEstimate(p, replicates, stderr, seed, observed, kind))
     return out

@@ -106,7 +106,7 @@ def _bounds(kind: StatKind, k: int) -> tuple[float, float]:
     if kind is StatKind.TOTAL:
         return 0.0, k / 4.0
     if kind is StatKind.GENERALIZED:
-        return 0.0, 4.0 ** (-k) if k < 512 else math.exp(-k * math.log(4.0))
+        return 0.0, math.ldexp(1.0, -2 * k)
     return frobenius_bounds(k)
 
 
@@ -123,11 +123,7 @@ def normalize(kind: StatKind, raw: float, k: int) -> float:
     if kind is StatKind.TOTAL:
         return 4.0 * raw / k
     if kind is StatKind.GENERALIZED:
-        if raw == 0.0:
-            return 0.0
-        if k < 512:
-            return raw * 4.0**k  # 4^k is a power of two, exact below overflow
-        return math.exp(math.log(raw) + k * math.log(4.0))
+        return math.ldexp(raw, 2 * k) if raw != 0.0 else 0.0  # exact; no -0.0
     return (k**3 - 16.0 * raw) / (k * (2.0 * k - 1.0))
 
 
@@ -162,10 +158,7 @@ def describe(sigma: CovMatrix, rank_policy: str = "reduce") -> tuple[StatValue, 
     out.append(StatValue(StatKind.TOTAL, raw_t, norm_t, 1.0 - norm_t, False, k))
 
     gen = var_generalized(sigma, rank_policy)
-    if gen.k_effective == 0:
-        norm_g = 0.0
-    else:
-        norm_g = _normalize_saturated(StatKind.GENERALIZED, gen.value, gen.k_effective)
+    norm_g = _normalize_saturated(StatKind.GENERALIZED, gen.value, gen.k_effective)
     out.append(
         StatValue(StatKind.GENERALIZED, gen.value, norm_g, 1.0 - norm_g,
                   gen.rank_deficient, gen.k_effective)

@@ -288,6 +288,15 @@ def test_estimator_flag(tmp_path, capsys, schema):
     assert raw_u == pytest.approx(raw_p * 3 / 2)
 
 
+def test_estimator_with_cov_is_rejected(tmp_path, capsys):
+    path = write(tmp_path, "s1.csv", "0.24,0.04\n0.04,0.24\n")
+    code, out, err = run(["stats", "--cov", path, "--estimator", "unbiased"], capsys)
+    assert code == 1 and out == ""
+    assert "--estimator" in err
+    code, _, _ = run(["stats", "--cov", path], capsys)
+    assert code == 0
+
+
 def test_table_output_is_seven_digits(tmp_path, capsys):
     path = write(tmp_path, "s1.csv", "0.24,0.04\n0.04,0.24\n")
     _, out, _ = run(["test", "--cov", path, "--m", "10"], capsys)

@@ -1,7 +1,9 @@
 import re
+import shlex
 from pathlib import Path
 
 import netvar
+from netvar import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -23,3 +25,15 @@ def test_exports_resolve_sorted_and_unique():
     assert not missing
     assert names == sorted(names)
     assert len(names) == len(set(names))
+
+
+def test_readme_command_lines_parse():
+    # parsing only: every documented invocation names existing flags
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", text, re.S)
+    assert block, "README has no Command line code block"
+    lines = [line for line in block.group(1).splitlines() if line.startswith("netvar ")]
+    assert len(lines) >= 5
+    parser = cli.build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])

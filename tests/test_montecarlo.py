@@ -107,14 +107,38 @@ def test_below_resolution_annotation():
 
 
 def test_mc_pvalues_rejects_bad_arguments():
-    with pytest.raises(ValueError, match="replicate count"):
-        mc_pvalues(S1, (StatKind.TOTAL,), 0, 5, seed=0)
-    with pytest.raises(ValueError, match="sample count"):
-        mc_pvalues(S1, (StatKind.TOTAL,), 10, 0, seed=0)
-    with pytest.raises(ValueError, match="seed"):
-        mc_pvalues(S1, (StatKind.TOTAL,), 10, 5, seed=-1)
-    with pytest.raises(ValueError, match="seed"):
-        mc_pvalues(S1, (StatKind.TOTAL,), 10, 5, seed=2**64)
+    # mc_pvalues and sample_null_statistics share one argument check
+    for draw in (
+        lambda count, m, seed: mc_pvalues(S1, (StatKind.TOTAL,), count, m, seed=seed),
+        lambda count, m, seed: sample_null_statistics(StatKind.TOTAL, m, 2, count, seed=seed),
+    ):
+        with pytest.raises(ValueError, match="replicate count"):
+            draw(0, 5, 0)
+        with pytest.raises(ValueError, match="sample count"):
+            draw(10, 0, 0)
+        with pytest.raises(ValueError, match="seed"):
+            draw(10, 5, -1)
+        with pytest.raises(ValueError, match="seed"):
+            draw(10, 5, 2**64)
+
+
+def test_generalized_at_m_not_above_k_is_decided_by_rank():
+    # every replicate covariance has rank <= m - 1 < k, so det = 0 and all
+    # replicates sit at the maximum 4^-k; no determinant is evaluated
+    import time
+
+    m, k = 20, 28
+    rows = np.random.default_rng(28).integers(0, 2, size=(m, k), dtype=np.uint8)
+    sigma = estimate_moments(SampleSet(None, rows)).sigma
+    started = time.perf_counter()
+    est = mc_pvalues(sigma, (StatKind.GENERALIZED,), 2000, m, seed=3, workers=1)[0]
+    assert time.perf_counter() - started < 1.0
+    assert est.p_value == 1.0
+    # an indefinite observed matrix (det < 0) lies beyond the maximum: p = 0
+    indefinite = CovMatrix.from_csv_text("0.25,0.25,0.25\n0.25,0.25,-0.25\n0.25,-0.25,0.25\n")
+    g0 = Fraction(1, 64) + Fraction(1, 16)  # 4^-3 - det, det = -1/16
+    assert observed_statistic_exact(StatKind.GENERALIZED, indefinite) == g0
+    assert mc_pvalues(indefinite, (StatKind.GENERALIZED,), 500, 3, seed=3)[0].p_value == 0.0
 
 
 def test_netvar_threads_env_caps_workers(monkeypatch):
@@ -240,6 +264,8 @@ def test_bad_netvar_threads_is_rejected(monkeypatch, value):
         montecarlo._resolve_workers(2, 10)
     with pytest.raises(ValueError, match="NETVAR_THREADS"):
         mc_pvalues(S1, (StatKind.TOTAL,), 100, 10, seed=1)
+    with pytest.raises(ValueError, match="NETVAR_THREADS"):
+        sample_null_statistics(StatKind.TOTAL, 10, 2, 100, seed=1)
 
 
 def test_worker_count_below_one_is_rejected():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,14 @@ def test_normalize_examples():
     assert normalize(StatKind.FROBENIUS, 0.1384, 2) == pytest.approx(
         0.96426667, abs=5e-9
     )
+
+
+def test_normalize_generalized_is_exact_past_k512():
+    # 4^k scaling by exponent only: no exp/log rounding at large k
+    raw = math.ldexp(0.5, -1040)
+    assert normalize(StatKind.GENERALIZED, raw, 520) == 0.5
+    assert normalize(StatKind.GENERALIZED, math.ldexp(1.0, -1040), 520) == 1.0
+    assert math.copysign(1.0, normalize(StatKind.GENERALIZED, -0.0, 520)) == 1.0
 
 
 def test_normalize_clamps_and_rejects():
