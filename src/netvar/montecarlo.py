@@ -40,9 +40,15 @@ observed one.  Two implementation guarantees matter here:
    of replicates with statistic >= observed.
 
 Replicates draw their edge bits straight from the generator's raw 64-bit
-output: each column is ``ceil(m/64)`` words, bits past m are cleared, and
-one batched float32 matmul of the unpacked bits gives the cross sums
-(exact, since every partial sum is an integer <= m < 2^24).
+output: each column is ``ceil(m/64)`` words and bits past m are cleared.
+The cross sums ``s2[i, j] = x_i . x_j`` are integer counts, found one of
+two ways, chosen by k alone.  For k <= 64 they are popcounts of the ANDed
+packed words, summed in int64 over the ``ceil(m/64)`` words: no bits are
+unpacked, and at small k this avoids thousands of tiny BLAS calls per
+chunk.  The popcount work grows as k^2 per word, so above k = 64 one
+batched float32 matmul of the unpacked bits is faster (exact, since every
+partial sum is an integer <= m < 2^24).  Both give the same integers, so
+the choice never changes a tally.
 """
 
 import os
@@ -60,7 +66,9 @@ CHUNK_TARGET = 1 << 22  # edge bits per chunk, caps worker memory
 NEAR_TIE_REL = 1e-11  # well above kernel float error, well below grid spacing
 EXACT_TIE_MAX_K = 64  # generalized: beyond this, tie atoms are unreachable
 INT64_MAX = 2**63 - 1
-FLOAT32_EXACT_M = 1 << 24  # float32 sums of 0/1 values are exact below this
+POPCOUNT_MAX_K = 64  # cross sums by popcount up to here, by matmul above
+POPCOUNT_BLOCK = 1 << 16  # elements of one k x k popcount temporary (cache-sized)
+FLOAT32_EXACT_M = 1 << 24  # matmul path: float32 sums of 0/1 values are exact below this
 
 
 @dataclass(frozen=True)
@@ -88,6 +96,8 @@ def _chunk_sizes(replicates: int, m: int, k: int, seed: int) -> list[int]:
         raise ValueError(f"replicate count must be >= 1, got {replicates}")
     if m < 1:
         raise ValueError(f"sample count must be >= 1, got {m}")
+    if k < 1:
+        raise ValueError(f"dimension k must be >= 1, got {k}")
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
     chunk = _chunk_size(m, k)
@@ -129,11 +139,26 @@ def _draw_bits(bitgen: np.random.BitGenerator, n: int, m: int, k: int) -> np.nda
 
 
 def _bit_counts(words: np.ndarray, m: int):
-    """Column sums s1 (n, k) and cross sums s2 (n, k, k), int64, from packed bits."""
-    octets = words.astype("<u8", copy=False).view(np.uint8)
-    x = np.unpackbits(octets, axis=-1, count=m, bitorder="little")
-    x = x.astype(np.float32 if m < FLOAT32_EXACT_M else np.float64)
-    s2 = np.matmul(x, x.transpose(0, 2, 1)).astype(np.int64)  # exact: sums <= m
+    """Column sums s1 (n, k) and cross sums s2 (n, k, k), int64, from packed bits.
+
+    Popcounts of the packed words for k <= POPCOUNT_MAX_K, in replicate
+    blocks of about POPCOUNT_BLOCK elements; a matmul of the unpacked bits
+    above it.  Both are exact.
+    """
+    n, k, n_words = words.shape
+    if k <= POPCOUNT_MAX_K:
+        s2 = np.zeros((n, k, k), dtype=np.int64)
+        step = max(1, POPCOUNT_BLOCK // (k * k))
+        for lo in range(0, n, step):
+            block, out = words[lo:lo + step], s2[lo:lo + step]
+            for w in range(n_words):
+                col = block[:, :, w]
+                out += np.bitwise_count(col[:, :, None] & col[:, None, :])
+    else:
+        octets = words.astype("<u8", copy=False).view(np.uint8)
+        x = np.unpackbits(octets, axis=-1, count=m, bitorder="little")
+        x = x.astype(np.float32 if m < FLOAT32_EXACT_M else np.float64)
+        s2 = np.matmul(x, x.transpose(0, 2, 1)).astype(np.int64)  # exact: sums <= m
     s1 = s2.diagonal(axis1=1, axis2=2).copy()  # binary data: x_i . x_i = sum(x_i)
     return s1, s2
 

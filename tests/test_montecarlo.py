@@ -122,6 +122,12 @@ def test_mc_pvalues_rejects_bad_arguments():
             draw(10, 5, 2**64)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_dimension_below_one_is_rejected(k):
+    with pytest.raises(ValueError, match="dimension k must be >= 1"):
+        sample_null_statistics(StatKind.TOTAL, 5, k, 3, seed=1)
+
+
 def test_generalized_at_m_not_above_k_is_decided_by_rank():
     # every replicate covariance has rank <= m - 1 < k, so det = 0 and all
     # replicates sit at the maximum 4^-k; no determinant is evaluated
@@ -275,22 +281,27 @@ def test_worker_count_below_one_is_rejected():
         mc_pvalues(S1, (StatKind.TOTAL,), 100, 10, seed=1, workers=-2)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 28])
+@pytest.mark.parametrize("k", [1, 2, 3, 28, 64, 65])
 @pytest.mark.parametrize("m", [1, 63, 64, 65, 200])
 def test_integer_statistics_match_exact_oracle(k, m):
+    # k <= 64 counts by popcount, k = 65 by matmul; at k >= 28 the batch
+    # spans more than one popcount block of replicates
+    n = 4 if k < 28 else montecarlo.POPCOUNT_BLOCK // (k * k) + 4
     bitgen = np.random.Philox(key=np.array([k, m], dtype=np.uint64))
-    words = montecarlo._draw_bits(bitgen, 4, m, k)
-    assert words.shape == (4, k, (m + 63) // 64)
+    words = montecarlo._draw_bits(bitgen, n, m, k)
+    assert words.shape == (n, k, (m + 63) // 64)
     # no bit at or past position m is set in any column
     positions = np.arange(64 * words.shape[2]).reshape(words.shape[2], 64)
     bits = (words[..., :, None] >> (positions % 64).astype(np.uint64)) & np.uint64(1)
-    assert not bits.reshape(4, k, -1)[:, :, m:].any()
+    assert not bits.reshape(n, k, -1)[:, :, m:].any()
     # counts agree with an integer recomputation from the shifted-out bits
-    x = bits.reshape(4, k, -1)[:, :, :m].astype(np.int64)
+    x = bits.reshape(n, k, -1)[:, :, :m].astype(np.int64)
     s1, s2 = montecarlo._bit_counts(words, m)
     assert s1.dtype == s2.dtype == np.int64
     assert (s1 == x.sum(axis=2)).all() and (s1 <= m).all()
     assert (s2 == x @ x.transpose(0, 2, 1)).all()
+    if k > 28:
+        return  # the Fraction determinant oracle is slow past here
     # each statistic's integer form is scale x the independent Fraction oracle
     num, den = montecarlo._count_num(s1, s2, m), m * m
     for kind in ALL_KINDS:
@@ -340,3 +351,18 @@ def test_null_draws_share_the_mc_stream():
     # replicate r's statistic depends only on (seed, r): a shorter batch is a prefix
     first = sample_null_statistics(StatKind.FROBENIUS, 7, 2, 3, seed=12)
     assert (first == sample_null_statistics(StatKind.FROBENIUS, 7, 2, 5000, seed=12)[:3]).all()
+
+
+@pytest.mark.parametrize("k, m, tallies", [
+    (2, 200, (128, 281, 1756)),
+    (28, 200, (447, 765, 889)),
+    (70, 100, (756, 846, 1579)),
+])
+def test_stream_pin(k, m, tallies):
+    # exact tallies of a fixed seed, recorded before the popcount kernel:
+    # a change to the draws or the counting kernels that moves the random
+    # stream fails here (k = 70 runs the matmul path)
+    rows = np.random.default_rng(1000 + k).integers(0, 2, size=(m, k), dtype=np.uint8)
+    sigma = estimate_moments(SampleSet(None, rows)).sigma
+    ests = mc_pvalues(sigma, ALL_KINDS, 2000, m, seed=20090607, workers=1)
+    assert tuple(round(e.p_value * e.replicates) for e in ests) == tallies
