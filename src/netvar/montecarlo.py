@@ -41,14 +41,12 @@ observed one.  Two implementation guarantees matter here:
 
 Replicates draw their edge bits straight from the generator's raw 64-bit
 output: each column is ``ceil(m/64)`` words and bits past m are cleared.
-The cross sums ``s2[i, j] = x_i . x_j`` are integer counts, found one of
-two ways, chosen by k alone.  For k <= 64 they are popcounts of the ANDed
-packed words, summed in int64 over the ``ceil(m/64)`` words: no bits are
-unpacked, and at small k this avoids thousands of tiny BLAS calls per
-chunk.  The popcount work grows as k^2 per word, so above k = 64 one
-batched float32 matmul of the unpacked bits is faster (exact, since every
-partial sum is an integer <= m < 2^24).  Both give the same integers, so
-the choice never changes a tally.
+The cross sums ``s2[i, j] = x_i . x_j`` are integer counts, found as
+popcounts of the ANDed packed words summed in int64 over the words: no
+bit is unpacked, no float is formed, and at small k no BLAS call is made
+per replicate.  The popcount temporaries are taken in blocks of about
+``POPCOUNT_BLOCK`` words (several replicates, or part of one replicate's
+words), which keeps them in cache and bounds their memory at any m.
 """
 
 import os
@@ -66,9 +64,7 @@ CHUNK_TARGET = 1 << 22  # edge bits per chunk, caps worker memory
 NEAR_TIE_REL = 1e-11  # well above kernel float error, well below grid spacing
 EXACT_TIE_MAX_K = 64  # generalized: beyond this, tie atoms are unreachable
 INT64_MAX = 2**63 - 1
-POPCOUNT_MAX_K = 64  # cross sums by popcount up to here, by matmul above
-POPCOUNT_BLOCK = 1 << 16  # elements of one k x k popcount temporary (cache-sized)
-FLOAT32_EXACT_M = 1 << 24  # matmul path: float32 sums of 0/1 values are exact below this
+POPCOUNT_BLOCK = 1 << 16  # words ANDed and popcounted at once (cache-sized)
 
 
 @dataclass(frozen=True)
@@ -138,27 +134,23 @@ def _draw_bits(bitgen: np.random.BitGenerator, n: int, m: int, k: int) -> np.nda
     return words
 
 
-def _bit_counts(words: np.ndarray, m: int):
+def _bit_counts(words: np.ndarray):
     """Column sums s1 (n, k) and cross sums s2 (n, k, k), int64, from packed bits.
 
-    Popcounts of the packed words for k <= POPCOUNT_MAX_K, in replicate
-    blocks of about POPCOUNT_BLOCK elements; a matmul of the unpacked bits
-    above it.  Both are exact.
+    ``s2[r, i, j]`` is the popcount of column i AND column j of replicate
+    r, summed over its words; blocks of ``reps`` replicates times ``span``
+    words keep each temporary near POPCOUNT_BLOCK words.
     """
     n, k, n_words = words.shape
-    if k <= POPCOUNT_MAX_K:
-        s2 = np.zeros((n, k, k), dtype=np.int64)
-        step = max(1, POPCOUNT_BLOCK // (k * k))
-        for lo in range(0, n, step):
-            block, out = words[lo:lo + step], s2[lo:lo + step]
-            for w in range(n_words):
-                col = block[:, :, w]
-                out += np.bitwise_count(col[:, :, None] & col[:, None, :])
-    else:
-        octets = words.astype("<u8", copy=False).view(np.uint8)
-        x = np.unpackbits(octets, axis=-1, count=m, bitorder="little")
-        x = x.astype(np.float32 if m < FLOAT32_EXACT_M else np.float64)
-        s2 = np.matmul(x, x.transpose(0, 2, 1)).astype(np.int64)  # exact: sums <= m
+    by_word = np.ascontiguousarray(words.transpose(2, 0, 1))  # (words, n, k): sums add whole slabs
+    reps = max(1, POPCOUNT_BLOCK // (k * k * n_words))
+    span = max(1, POPCOUNT_BLOCK // (k * k * reps))  # all words unless reps == 1
+    s2 = np.zeros((n, k, k), dtype=np.int64)
+    for lo in range(0, n, reps):
+        for w in range(0, n_words, span):
+            b = by_word[w:w + span, lo:lo + reps]
+            pairs = np.bitwise_count(b[..., :, None] & b[..., None, :])
+            s2[lo:lo + reps] += pairs.sum(axis=0, dtype=np.int64)
     s1 = s2.diagonal(axis1=1, axis2=2).copy()  # binary data: x_i . x_i = sum(x_i)
     return s1, s2
 
@@ -166,7 +158,7 @@ def _bit_counts(words: np.ndarray, m: int):
 def _draw_counts(seed: int, chunk_index: int, n: int, m: int, k: int):
     """Count arrays (s1, s2) for the n replicates of one chunk."""
     bitgen = _chunk_rng(seed, chunk_index).bit_generator
-    return _bit_counts(_draw_bits(bitgen, n, m, k), m)
+    return _bit_counts(_draw_bits(bitgen, n, m, k))
 
 
 def _count_num(s1, s2, m: int) -> np.ndarray:
