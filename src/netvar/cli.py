@@ -56,17 +56,21 @@ def _csv_list(valid, flag):
     return convert
 
 
-def _positive_int(flag):
+def _int_in(flag, valid, expected):
     def convert(text):
         try:
             value = int(text)
         except ValueError:
-            value = 0
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"{flag} takes an integer >= 1, got {text!r}")
+            value = None
+        if value is None or not valid(value):
+            raise argparse.ArgumentTypeError(f"{flag} takes {expected}, got {text!r}")
         return value
 
     return convert
+
+
+def _positive_int(flag):
+    return _int_in(flag, lambda v: v >= 1, "an integer >= 1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,7 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mc-stat", type=_csv_list(tuple(MC_STATS), "--mc-stat"),
                    default=list(MC_STATS), metavar="vart,varg,varn")
     p.add_argument("--replicates", type=_positive_int("--replicates"), default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_in("--seed", lambda v: 0 <= v < 2**64,
+                                          "an integer in [0, 2^64)"), default=0)
     p.add_argument("--workers", type=_positive_int("--workers"), default=None,
                    help="Monte Carlo worker threads (NETVAR_THREADS caps this)")
 

@@ -32,12 +32,15 @@ observed one.  Two implementation guarantees matter here:
    scaled statistic fits (``k m^2 < 2^63`` and ``k^2 m^4 < 2^63``), in
    Python ints past that.  Generalized at m <= k is decided by rank:
    every replicate covariance is singular, so all replicates sit at the
-   maximum 4^-k.  Otherwise it is the only statistic that uses floats:
-   they decide outside a narrow band around the observed value, and
-   replicates inside it are re-checked in Python ints; above k = 64
-   floats decide alone.  Each statistic's comparison is chosen once per
-   call (:func:`_counter`).  ``p_value * R`` is thus exactly the number
-   of replicates with statistic >= observed.
+   maximum 4^-k.  Otherwise generalized is decided in int64 by a batched
+   Bareiss determinant (:func:`_int_det`) while its intermediates provably
+   fit (:func:`_int_stats_fit`: k = 2 up to m = 55108, k = 3 up to 362,
+   k = 4 up to 54).  Only past that bound are floats used: they decide
+   outside a narrow band around the observed value, replicates inside it
+   are re-checked in Python ints, and above k = 64 floats decide alone.
+   Each statistic's comparison is chosen once per call (:func:`_counter`).
+   ``p_value * R`` is thus exactly the number of replicates with
+   statistic >= observed.
 
 Replicates draw their edge bits straight from the generator's raw 64-bit
 output: each column is ``ceil(m/64)`` words and bits past m are cleared.
@@ -65,6 +68,7 @@ NEAR_TIE_REL = 1e-11  # well above kernel float error, well below grid spacing
 EXACT_TIE_MAX_K = 64  # generalized: beyond this, tie atoms are unreachable
 INT64_MAX = 2**63 - 1
 POPCOUNT_BLOCK = 1 << 16  # words ANDed and popcounted at once (cache-sized)
+BAND_BLOCK = 64  # near-tie replicates per Python-int determinant (bounds its memory)
 
 
 @dataclass(frozen=True)
@@ -186,21 +190,76 @@ def _scale(kind: StatKind, k: int, den: int) -> int:
 
 
 def _int_stats_fit(kind: StatKind, m: int, k: int) -> bool:
-    """True when the scaled statistic of every replicate fits in int64."""
+    """True when every replicate's scaled statistic is computed in int64
+    without overflow.
+
+    A replicate's ``num = m s2 - s1 s1^T`` is m^2 times a covariance of
+    binary columns, so ``|num_ij| <= B = m^2/4``.  Total is k terms
+    ``(2S - m)^2 <= m^2``; Frobenius k^2 terms ``<= m^4``.  Generalized is
+    ``m^2k - 4^k det(num)``: num is positive semidefinite, so
+    ``0 <= 4^k det(num) <= 4^k prod(diag) <= m^2k``.  Its Bareiss
+    elimination (:func:`_int_det`) holds only minors of num; a j x j minor
+    is at most ``H_j = j^(j/2) B^j`` by Hadamard's inequality, and the
+    largest intermediate is the last step's ``a d - b c`` of (k-1)-order
+    minors, at most ``2 H_{k-1}^2 = 2 (k-1)^(k-1) m^(4(k-1)) / 16^(k-1)``.
+    Both bounds fit for k = 2 up to m = 55108, k = 3 up to m = 362 and
+    k = 4 up to m = 54.  (``4^k`` itself fits whenever ``m^2k`` does,
+    except at m = 1.)
+    """
     if kind is StatKind.TOTAL:
-        return k * m * m <= INT64_MAX  # k terms (2S - m)^2, each <= m^2
+        return k * m * m <= INT64_MAX
     if kind is StatKind.FROBENIUS:
-        return k * k * m**4 <= INT64_MAX  # k^2 terms, each <= m^4
-    return False
+        return k * k * m**4 <= INT64_MAX
+    return (4**k <= INT64_MAX and m ** (2 * k) <= INT64_MAX
+            and 2 * (k - 1) ** (k - 1) * m ** (4 * (k - 1)) <= INT64_MAX * 16 ** (k - 1))
+
+
+def _int_det(num: np.ndarray):
+    """Exact determinants of a batch ``(..., k, k)`` of integer matrices.
+
+    Fraction-free Bareiss elimination (Math. Comp. 22, 1968), vectorized
+    over the batch: after step i every live entry is an (i+2)-order minor
+    of the input, and the division by the previous pivot is exact.  A zero
+    pivot takes the first row below it with a nonzero entry in its column;
+    a matrix with none is singular, and is replaced by the identity so the
+    later steps stay exact.  int64 input is computed in int64 (overflow-free
+    within :func:`_int_stats_fit`); object arrays of Python ints never
+    overflow.  A single matrix ``(k, k)`` gives a scalar.
+    """
+    *batch, k, _ = num.shape
+    a = num.reshape(-1, k, k).transpose(1, 2, 0).copy()  # (k, k, n): long inner loops
+    singular = np.zeros(a.shape[-1], dtype=bool)
+    prev = np.ones(a.shape[-1], dtype=a.dtype)
+    for i in range(k - 1):
+        stuck = np.flatnonzero(a[i, i] == 0)
+        if stuck.size:
+            rows = i + np.argmax(a[i:, i, stuck] != 0, axis=0)
+            # swap rows and negate one: the determinant is unchanged
+            a[i, :, stuck], a[rows, :, stuck] = a[rows, :, stuck], -a[i, :, stuck]
+            dead = stuck[a[i, i, stuck] == 0]
+            if dead.size:
+                singular[dead] = True
+                a[:, :, dead] = np.identity(k, dtype=a.dtype)[:, :, None]
+                prev[dead] = 1
+        pivot = a[i, i].copy()
+        rest = a[i + 1:, i + 1:]
+        rest *= pivot
+        rest -= a[i + 1:, i, None] * a[i, None, i + 1:]
+        if i:
+            rest //= prev
+        prev = pivot
+    det = a[-1, -1]
+    det[singular] = 0
+    return det.reshape(batch)[()]
 
 
 def _scaled_stat(kind: StatKind, num: np.ndarray, den: int):
     """``_scale(kind, k, den)`` times the statistic of the covariance ``num / den``.
 
-    total: ``k den - 4 tr(num)``; frobenius: ``sum_ij (4 num_ij - den delta_ij)^2``
-    (both also on a batch (n, k, k), int64 within :func:`_int_stats_fit`);
-    generalized: ``den^k - 4^k det(num)``, one matrix.  Object arrays of
-    Python ints never overflow.
+    total: ``k den - 4 tr(num)``; frobenius: ``sum_ij (4 num_ij - den delta_ij)^2``;
+    generalized: ``den^k - 4^k det(num)``.  On one matrix (k, k) or a batch
+    (n, k, k); int64 for replicates within :func:`_int_stats_fit`, and
+    object arrays of Python ints, which never overflow, otherwise.
     """
     k = num.shape[-1]
     if kind is StatKind.TOTAL:
@@ -209,42 +268,21 @@ def _scaled_stat(kind: StatKind, num: np.ndarray, den: int):
         d = 4 * num
         d[..., range(k), range(k)] -= den
         return (d * d).sum(axis=(-2, -1))
-    return den**k - 4**k * _int_det(num.tolist())
+    return den**k - 4**k * _int_det(num)
 
 
 def _replicate_values(kind: StatKind, num: np.ndarray, m: int) -> np.ndarray:
     """Statistics of a batch of replicates ``num / m^2``.
 
-    Total and Frobenius are their :func:`_scaled_stat` (int64 within
-    :func:`_int_stats_fit`, Python ints past it); generalized is the float
-    statistic ``4^-k - det``.
+    Their :func:`_scaled_stat`, in int64 within :func:`_int_stats_fit`;
+    past it total and Frobenius in Python ints, and generalized as the
+    float statistic ``4^-k - det``.
     """
+    if _int_stats_fit(kind, m, num.shape[-1]):
+        return _scaled_stat(kind, num, m * m)
     if kind is StatKind.GENERALIZED:
         return 4.0 ** -num.shape[-1] - np.linalg.det(num / float(m * m))
-    fits = _int_stats_fit(kind, m, num.shape[-1])
-    return _scaled_stat(kind, num if fits else num.astype(object), m * m)
-
-
-def _int_det(mat: list[list[int]]) -> int:
-    """Fraction-free Bareiss determinant of an integer matrix."""
-    n = len(mat)
-    m = [row[:] for row in mat]
-    sign, prev = 1, 1
-    for i in range(n - 1):
-        if m[i][i] == 0:
-            for r in range(i + 1, n):
-                if m[r][i] != 0:
-                    m[i], m[r] = m[r], m[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                m[r][c] = (m[r][c] * m[i][i] - m[r][i] * m[i][c]) // prev
-            m[r][i] = 0
-        prev = m[i][i]
-    return sign * m[-1][-1]
+    return _scaled_stat(kind, num.astype(object), m * m)
 
 
 def _observed_scaled(kind: StatKind, sigma: CovMatrix) -> tuple[int, int]:
@@ -260,7 +298,7 @@ def observed_statistic_exact(kind: StatKind, sigma: CovMatrix) -> Fraction:
 
 def _near_margin(k: int, t0f: float) -> float:
     """Width of the band around the observed generalized statistic that
-    goes to exact checks.
+    goes to exact checks when it is decided in floats.
 
     Scaled to the statistic's magnitude: kernel float error is at most a
     few 1e-14 of it, while distinct rational outcomes differ by at least
@@ -273,13 +311,16 @@ def _counter(kind: StatKind, sigma: CovMatrix, m: int):
     """The observed statistic as a float, and a function that counts the
     replicates of one chunk (``num`` of :func:`_count_num`) at or above it.
 
-    The comparison is chosen once per call: total and Frobenius against the
-    integer threshold; generalized by rank when m <= k, by floats alone
-    above EXACT_TIE_MAX_K, and otherwise by floats outside the near-tie
-    band with a Bareiss re-check inside it.
+    The comparison is chosen once per call.  Generalized at m <= k is
+    decided by rank.  Otherwise, within :func:`_int_stats_fit` (always for
+    total and Frobenius), the scaled replicate statistics are compared
+    with the integer threshold.  Past it, generalized is decided by floats
+    outside the near-tie band, with the band re-checked in Python ints,
+    and by floats alone above EXACT_TIE_MAX_K.
     """
     k, den = sigma.k, m * m
-    if kind is StatKind.GENERALIZED and k > EXACT_TIE_MAX_K:
+    exact = kind is not StatKind.GENERALIZED or _int_stats_fit(kind, m, k)
+    if not exact and k > EXACT_TIE_MAX_K:
         t0f = cut = float(4.0**-k - np.linalg.det(sigma.entries))
     else:
         t0, scale0 = _observed_scaled(kind, sigma)
@@ -295,15 +336,17 @@ def _counter(kind: StatKind, sigma: CovMatrix, m: int):
         # has det 0 and sits at the maximum 4^-k (scaled: den^k)
         at_max = (4.0**-k if k > EXACT_TIE_MAX_K else den**k) >= cut
         return t0f, lambda num: len(num) * at_max
-    if kind is not StatKind.GENERALIZED or k > EXACT_TIE_MAX_K:
+    if exact or k > EXACT_TIE_MAX_K:
         return t0f, lambda num: int((_replicate_values(kind, num, m) >= cut).sum())
     margin = _near_margin(k, t0f)
 
     def count(num):
         stats = _replicate_values(kind, num, m)
+        band = num[np.abs(stats - t0f) <= margin]
         hits = int((stats > t0f + margin).sum())
-        for r in np.flatnonzero(np.abs(stats - t0f) <= margin):
-            hits += _scaled_stat(kind, num[r].astype(object), den) >= cut
+        for lo in range(0, len(band), BAND_BLOCK):
+            scaled = _scaled_stat(kind, band[lo:lo + BAND_BLOCK].astype(object), den)
+            hits += int((scaled >= cut).sum())
         return hits
 
     return t0f, count
@@ -312,13 +355,17 @@ def _counter(kind: StatKind, sigma: CovMatrix, m: int):
 def sample_null_statistics(stat: StatKind, m: int, k: int, count: int, seed: int) -> np.ndarray:
     """The first ``count`` null statistics of the :func:`mc_pvalues` stream.
 
-    Total and Frobenius are their exact integer forms divided by the scale,
-    i.e. the correctly rounded replicate values while both are below 2^53,
-    so ``stats >= observed_statistic`` agrees with the tally; generalized
-    is a float determinant.  Arguments are checked as in :func:`mc_pvalues`.
+    Where a statistic is decided in integers (total and Frobenius always,
+    generalized within :func:`_int_stats_fit`) the values are its exact
+    integer forms divided by the scale, i.e. the correctly rounded
+    replicate values while both are below 2^53, so
+    ``stats >= observed_statistic`` agrees with the tally; past the bound
+    generalized is a float determinant.  Arguments are checked as in
+    :func:`mc_pvalues`.
     """
     sizes = _chunk_sizes(count, m, k, seed)
-    scale = 1 if stat is StatKind.GENERALIZED else _scale(stat, k, m * m)
+    exact = stat is not StatKind.GENERALIZED or _int_stats_fit(stat, m, k)
+    scale = _scale(stat, k, m * m) if exact else 1
 
     def values(num):
         return (_replicate_values(stat, num, m) / scale).astype(np.float64)

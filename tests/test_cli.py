@@ -200,6 +200,19 @@ def test_mc_replicates_below_one_is_usage_error(tmp_path, capsys, value):
     assert "--replicates takes an integer >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["-1", str(2**64), "abc", "1.5"])
+def test_mc_seed_out_of_range_is_usage_error(tmp_path, capsys, value):
+    # rejected while parsing the arguments: the missing input is never opened
+    path = str(tmp_path / "missing.csv")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["mc", "--cov", path, "--m", "10", "--seed", value])
+    assert exc.value.code == 2
+    assert "--seed takes an integer in [0, 2^64)" in capsys.readouterr().err
+    for edge in (0, 2**64 - 1):
+        args = cli.build_parser().parse_args(["mc", "--cov", path, "--m", "10", "--seed", str(edge)])
+        assert args.seed == edge
+
+
 def test_m_that_contradicts_the_sample_set_fails(tmp_path, capsys):
     path = write(tmp_path, "s.txt", SAMPLES_3)
     code, out, err = run(["mc", "--samples", path, "--m", "50", "--replicates", "10"], capsys)

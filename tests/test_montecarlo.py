@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mc_null_exact import replicate_covariance, statistic
+from mc_null_exact import determinant, replicate_covariance, statistic
 from netvar import asymptotic, montecarlo
 from netvar.graphs import SampleSet
 from netvar.moments import CovMatrix, estimate_moments
@@ -186,13 +186,15 @@ def test_k3_pvalue_matches_exhaustive_enumeration():
         assert abs(est.p_value - alpha) <= band, (kind, est.p_value, alpha)
 
 
-@pytest.mark.parametrize("k, m", [(2, 10), (3, 10), (1, 56_000)])
+@pytest.mark.parametrize("k, m", [(2, 10), (3, 10), (3, 300), (4, 40), (1, 56_000)])
 def test_pvalue_counts_equal_oracle_counts_on_the_same_draws(k, m):
     # an on-grid observed covariance (estimated at the replicates' m) has
     # ties with positive probability; p * R must be exactly the oracle's
     # count of replicates at or above it, over the very same draws
     replicates, seed = 2000, 5
-    if m > 10:
+    # generalized is decided by the int64 Bareiss determinant in every case
+    assert montecarlo._int_stats_fit(StatKind.GENERALIZED, m, k)
+    if k == 1:
         # half ones gives sigma = 1/4 exactly; Frobenius is past int64 here,
         # so it is compared in Python ints
         assert not montecarlo._int_stats_fit(StatKind.FROBENIUS, m, k)
@@ -319,7 +321,93 @@ def test_integer_path_bounds():
     assert montecarlo._int_stats_fit(StatKind.FROBENIUS, 10_000, 28)
     assert not montecarlo._int_stats_fit(StatKind.FROBENIUS, 11_000, 28)
     assert montecarlo._int_stats_fit(StatKind.TOTAL, 11_000, 28)
-    assert not montecarlo._int_stats_fit(StatKind.GENERALIZED, 2, 2)
+    # generalized: m^2k and the Bareiss intermediates (Hadamard-bounded
+    # minors of entries <= m^2/4) fit in int64 up to these m
+    for k, m in ((2, 55_108), (3, 362), (4, 54)):
+        assert montecarlo._int_stats_fit(StatKind.GENERALIZED, m, k)
+        assert not montecarlo._int_stats_fit(StatKind.GENERALIZED, m + 1, k)
+        b = m * m // 4
+        # worst-case replicate numerators: all columns equal with S = m/2
+        # (every entry m^2/4), and the diagonal m^2/4 I (scaled statistic 0)
+        s1 = np.full((1, k), m // 2)
+        equal = montecarlo._count_num(s1, np.full((1, k, k), m // 2), m)
+        assert (equal == b).all()
+        diagonal = np.diag(np.full(k, b))[None]
+        # +-b in the leading block of the 4 x 4 Hadamard matrix: the largest
+        # determinant (2 b^2, 4 b^3, 16 b^4) that entries <= b allow
+        hadamard = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
+        signs = hadamard[:k, :k] * b
+        for num in (equal, diagonal, signs[None]):
+            assert montecarlo._int_det(num)[0] == montecarlo._int_det(num.astype(object))[0]
+            exact = determinant([[Fraction(x) for x in row] for row in num[0].tolist()])
+            assert montecarlo._int_det(num.astype(object))[0] == exact
+        for num in (equal, diagonal):
+            got = montecarlo._scaled_stat(StatKind.GENERALIZED, num, m * m)
+            assert got.dtype == np.int64
+            assert got[0] == montecarlo._scaled_stat(StatKind.GENERALIZED, num.astype(object), m * m)[0]
+        assert montecarlo._scaled_stat(StatKind.GENERALIZED, diagonal, m * m)[0] == 0
+    assert not montecarlo._int_stats_fit(StatKind.GENERALIZED, 200, 28)
+
+
+def _det_cases(rng, k):
+    """Random integer matrices with the shapes Bareiss has to handle."""
+    cases = [rng.integers(-9, 10, size=(k, k)) for _ in range(20)]
+    for a in cases[:5]:
+        a[0, 0] = 0  # zero leading pivot: needs a row swap (or is singular)
+    if k > 1:
+        for a in cases[5:10]:
+            a[:, -1] = a[:, 0] - 2 * a[:, k // 2]  # singular by a column dependence
+        for a in cases[10:12]:
+            a[:, 0] = 0  # zero column: no row swap can help
+        b = rng.integers(-5, 6, size=(k, k))
+        cases.append(b @ np.diag([1] + [-1] * (k - 1)) @ b.T)  # indefinite symmetric
+        cases.append(np.eye(k, dtype=np.int64)[::-1] * 3)  # every pivot needs a swap
+    return cases
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_int_det_matches_fraction_elimination(k):
+    # the batched Bareiss determinant against Fraction Gaussian elimination,
+    # matrix by matrix and as one batch, in int64 and in Python ints
+    cases = _det_cases(np.random.default_rng(k), k)
+    exact = [determinant([[Fraction(int(x)) for x in row] for row in a]) for a in cases]
+    assert any(d == 0 for d in exact) and any(d < 0 for d in exact)
+    batch = np.stack(cases).astype(np.int64)
+    for dtype in (np.int64, object):
+        got = montecarlo._int_det(batch.astype(dtype))
+        assert got.shape == (len(cases),)
+        assert [int(d) for d in got] == exact
+        for a, d in zip(cases, exact):
+            one = montecarlo._int_det(a.astype(dtype))
+            assert one == d and np.ndim(one) == 0
+        # a batch with two leading axes keeps them
+        assert montecarlo._int_det(batch[:12].reshape(3, 4, k, k).astype(dtype)).shape == (3, 4)
+    assert type(montecarlo._int_det(cases[0].astype(object))) is int
+
+
+def test_generalized_band_recheck_past_the_int64_bound(monkeypatch):
+    # k = 5, m = 21 is past the int64 bound: floats decide outside the
+    # near-tie band and the band is re-checked in Python ints.  The observed
+    # covariance is one replicate's own, so there is at least one exact tie,
+    # and p * R must equal the Fraction oracle's count on the same draws
+    k, m, replicates, seed = 5, 21, 3000, 11
+    assert not montecarlo._int_stats_fit(StatKind.GENERALIZED, m, k)
+    assert replicates <= montecarlo._chunk_size(m, k)  # one chunk holds every replicate
+    s1, s2 = montecarlo._draw_counts(seed, 0, replicates, m, k)
+    num = montecarlo._count_num(s1, s2, m)
+    sigma = CovMatrix(num[3] / (m * m), exact=(num[3].copy(), m * m))
+    est = mc_pvalues(sigma, (StatKind.GENERALIZED,), replicates, m, seed)[0]
+    t0 = statistic("generalized", replicate_covariance(s1[3], s2[3], m))
+    values = [statistic("generalized", replicate_covariance(s1[r], s2[r], m))
+              for r in range(replicates)]
+    assert sum(v == t0 for v in values) >= 1
+    assert round(est.p_value * replicates) == sum(v >= t0 for v in values)
+    # a band wide enough to span several re-check blocks decides the same
+    monkeypatch.setattr(montecarlo, "NEAR_TIE_REL", 0.2)
+    t0f = float(t0)
+    in_band = sum(abs(float(v) - t0f) <= montecarlo._near_margin(k, t0f) for v in values)
+    assert in_band > 3 * montecarlo.BAND_BLOCK
+    assert mc_pvalues(sigma, (StatKind.GENERALIZED,), replicates, m, seed)[0] == est
 
 
 def test_exact_ties_above_k64():
