@@ -30,17 +30,16 @@ observed one.  Two implementation guarantees matter here:
    integer threshold, ``ceil(t0 * scale)`` by integer division.  Total
    and Frobenius are always decided in integers: in int64 while the
    scaled statistic fits (``k m^2 < 2^63`` and ``k^2 m^4 < 2^63``), in
-   Python ints past that.  Generalized at m <= k is decided by rank:
-   every replicate covariance is singular, so all replicates sit at the
-   maximum 4^-k.  Otherwise generalized is decided in int64 by a batched
-   Bareiss determinant (:func:`_int_det`) while its intermediates provably
-   fit (:func:`_int_stats_fit`: k = 2 up to m = 55108, k = 3 up to 362,
-   k = 4 up to 54).  Only past that bound are floats used: they decide
-   outside a narrow band around the observed value, replicates inside it
-   are re-checked in Python ints, and above k = 64 floats decide alone.
-   Each statistic's comparison is chosen once per call (:func:`_counter`).
-   ``p_value * R`` is thus exactly the number of replicates with
-   statistic >= observed.
+   Python ints past that.  Generalized is one integer threshold on the
+   determinant, ``det(num) <= limit``.  At m <= k every replicate is
+   singular and it is decided by rank; otherwise by a batched Bareiss
+   determinant (:func:`_int_det`), in int64 while its intermediates
+   provably fit (:func:`_int_stats_fit`: k = 2 up to m = 55108, k = 3 up
+   to 362, k = 4 up to 54).  Past that bound float log-determinants and
+   eigenvalue brackets decide what their error bounds prove, and Python
+   ints the rest; above k = 64 floats decide alone.  Each statistic's
+   comparison is chosen once per call (:func:`_counter`).  ``p_value * R``
+   is thus exactly the number of replicates with statistic >= observed.
 
 Replicates draw their edge bits straight from the generator's raw 64-bit
 output: each column is ``ceil(m/64)`` words and bits past m are cleared.
@@ -56,7 +55,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
+from math import log, sqrt
 
 import numpy as np
 
@@ -64,11 +63,11 @@ from .moments import CovMatrix
 from .variability import StatKind
 
 CHUNK_TARGET = 1 << 22  # edge bits per chunk, caps worker memory
-NEAR_TIE_REL = 1e-11  # well above kernel float error, well below grid spacing
+LOG_DET_TOL = 1e-3  # float log-dets decide only with an error bound below this
 EXACT_TIE_MAX_K = 64  # generalized: beyond this, tie atoms are unreachable
 INT64_MAX = 2**63 - 1
 POPCOUNT_BLOCK = 1 << 16  # words ANDed and popcounted at once (cache-sized)
-BAND_BLOCK = 64  # near-tie replicates per Python-int determinant (bounds its memory)
+BAND_BLOCK = 64  # undecided replicates per Python-int determinant (bounds its memory)
 
 
 @dataclass(frozen=True)
@@ -296,60 +295,93 @@ def observed_statistic_exact(kind: StatKind, sigma: CovMatrix) -> Fraction:
     return Fraction(*_observed_scaled(kind, sigma))
 
 
-def _near_margin(k: int, t0f: float) -> float:
-    """Width of the band around the observed generalized statistic that
-    goes to exact checks when it is decided in floats.
+def _count_det_at_most(num: np.ndarray, limit: int) -> int:
+    """How many integer matrices ``num`` (n, k, k) have ``det <= limit``.
 
-    Scaled to the statistic's magnitude: kernel float error is at most a
-    few 1e-14 of it, while distinct rational outcomes differ by at least
-    ~scale/(4 m^2), so for any workable m the band isolates true ties.
+    Three stages, each deciding only what it can prove (``tol = k^3 eps``
+    is a generous backward-error constant):
+
+    1. ``slogdet`` (LU) decides where ``log(limit)`` is more than ``err``
+       from it and ``err < LOG_DET_TOL``.  Its error was measured below
+       ``eps (1 / lambda_min(H) + log prod(diag) + |log det|)`` (k = 3 to
+       64), with ``H = D^-1 num D^-1`` of unit diagonal (D^2 = diag);
+       AM-GM over ``tr H = k`` gives ``lambda_min(H) >= det(H) / e``, so
+       ``err = tol (e / det(H) + log prod(diag) + |log det|)``.  A
+       singular num has a float det of rounding noise, ``det(H) <~ eps``,
+       so its err is >= 1.
+    2. ``eigvalsh``: each eigenvalue is within ``eta = tol |num|_F`` of the
+       computed one (Weyl's inequality and the eigensolver's backward
+       error), so ``prod(lam - eta) <= det <= prod(lam + eta)``.  A
+       nonzero integer det is >= 1, so at ``limit <= 0`` only brackets
+       reaching 0 are left.
+    3. Python-int Bareiss decides the rest, in BAND_BLOCK blocks.
     """
-    return NEAR_TIE_REL * max(4.0**-k, abs(t0f), 1e-300)
+    k = num.shape[-1]
+    tol = k**3 * np.finfo(np.float64).eps
+    log_limit = log(limit) if limit > 0 else -np.inf
+    sign, logdet = np.linalg.slogdet(num)
+    log_diag = np.log(num.diagonal(axis1=1, axis2=2).clip(1)).sum(axis=1)
+    deficit = np.minimum(log_diag - logdet, 50.0)  # -log det(H), capped where err is 1 anyway
+    err = np.minimum(tol * (np.exp(deficit + 1) + log_diag + np.abs(logdet)), 1.0)
+    trusted = (sign > 0) & (err < LOG_DET_TOL)
+    hit = trusted & (logdet < log_limit - err)
+    miss = trusted & (logdet > log_limit + err)
+    unsure = np.flatnonzero(~(hit | miss))
+    lam = np.linalg.eigvalsh(num[unsure])
+    eta = tol * np.linalg.norm(num[unsure], axis=(1, 2))[:, None]
+    upper = np.log((lam + eta).clip(np.finfo(np.float64).tiny))
+    lower = np.log((lam - eta).clip(np.finfo(np.float64).tiny))
+    slack = tol * (np.abs(upper) + np.abs(lower)).sum(axis=1)  # rounding of the sums
+    hit[unsure] = upper.sum(axis=1) + slack < log_limit
+    miss[unsure] = (lam[:, 0] > eta[:, 0]) & (lower.sum(axis=1) - slack > log_limit)
+    hits = int(hit.sum())
+    rest = num[~(hit | miss)]
+    for lo in range(0, len(rest), BAND_BLOCK):
+        hits += int((_int_det(rest[lo:lo + BAND_BLOCK].astype(object)) <= limit).sum())
+    return hits
 
 
 def _counter(kind: StatKind, sigma: CovMatrix, m: int):
     """The observed statistic as a float, and a function that counts the
     replicates of one chunk (``num`` of :func:`_count_num`) at or above it.
 
-    The comparison is chosen once per call.  Generalized at m <= k is
-    decided by rank.  Otherwise, within :func:`_int_stats_fit` (always for
-    total and Frobenius), the scaled replicate statistics are compared
-    with the integer threshold.  Past it, generalized is decided by floats
-    outside the near-tie band, with the band re-checked in Python ints,
-    and by floats alone above EXACT_TIE_MAX_K.
+    The comparison is chosen once per call: the integer threshold ``cut``
+    on the scaled statistic, which for generalized is ``det(num) <= limit``
+    (by rank at m <= k, in int64 within :func:`_int_stats_fit`, and by
+    :func:`_count_det_at_most` past it).  Above EXACT_TIE_MAX_K floats
+    decide alone: ``det(num) <= m^2k det(sigma)`` in log-determinants.
     """
     k, den = sigma.k, m * m
-    exact = kind is not StatKind.GENERALIZED or _int_stats_fit(kind, m, k)
-    if not exact and k > EXACT_TIE_MAX_K:
-        t0f = cut = float(4.0**-k - np.linalg.det(sigma.entries))
-    else:
-        t0, scale0 = _observed_scaled(kind, sigma)
-        t0f = t0 / scale0
-        # replicate value s / scale >= t0 / scale0  <=>  s >= ceil(t0 scale / scale0);
-        # replicate values are >= 0, so clamping at 0 keeps every count
-        cut = max(-(-t0 * _scale(kind, k, den) // scale0), 0)
+    if kind is StatKind.GENERALIZED and k > EXACT_TIE_MAX_K:
+        sign0, log0 = np.linalg.slogdet(sigma.entries)
+        t0f = float(4.0**-k - np.linalg.det(sigma.entries))
+        if m <= k or sign0 < 0:  # replicate dets are >= 0, and all 0 at m <= k (see below)
+            return t0f, lambda num: len(num) * (sign0 >= 0)
+
+        def count_float(num):
+            sign, logdet = np.linalg.slogdet(num)  # a float sign <= 0 stands for det 0
+            return int(((sign <= 0) | (logdet <= log0 + 2 * k * log(m))).sum())
+
+        return t0f, count_float
+
+    t0, scale0 = _observed_scaled(kind, sigma)
+    t0f = t0 / scale0
+    # replicate value s / scale >= t0 / scale0  <=>  s >= ceil(t0 scale / scale0);
+    # replicate values are >= 0, so clamping at 0 keeps every count
+    cut = max(-(-t0 * _scale(kind, k, den) // scale0), 0)
+    if kind is not StatKind.GENERALIZED:
         if _int_stats_fit(kind, m, k):
             cut = min(cut, INT64_MAX)  # int64 values stay below it
-
-    if kind is StatKind.GENERALIZED and m <= k:
-        # num = X^T (m I - 1 1^T) X has rank <= m - 1 < k: every replicate
-        # has det 0 and sits at the maximum 4^-k (scaled: den^k)
-        at_max = (4.0**-k if k > EXACT_TIE_MAX_K else den**k) >= cut
-        return t0f, lambda num: len(num) * at_max
-    if exact or k > EXACT_TIE_MAX_K:
         return t0f, lambda num: int((_replicate_values(kind, num, m) >= cut).sum())
-    margin = _near_margin(k, t0f)
-
-    def count(num):
-        stats = _replicate_values(kind, num, m)
-        band = num[np.abs(stats - t0f) <= margin]
-        hits = int((stats > t0f + margin).sum())
-        for lo in range(0, len(band), BAND_BLOCK):
-            scaled = _scaled_stat(kind, band[lo:lo + BAND_BLOCK].astype(object), den)
-            hits += int((scaled >= cut).sum())
-        return hits
-
-    return t0f, count
+    # den^k - 4^k det >= cut  <=>  det <= (den^k - cut) / 4^k, floored as det is an
+    # integer; det >= 0, so -1 stands for every negative limit
+    limit = max((den**k - cut) // 4**k, -1)
+    if m <= k:
+        # num = X^T (m I - 1 1^T) X has rank <= m - 1 < k: every replicate has det 0
+        return t0f, lambda num: len(num) * (limit >= 0)
+    if _int_stats_fit(kind, m, k):
+        return t0f, lambda num: int((_int_det(num) <= limit).sum())
+    return t0f, lambda num: _count_det_at_most(num, limit)
 
 
 def sample_null_statistics(stat: StatKind, m: int, k: int, count: int, seed: int) -> np.ndarray:
@@ -359,9 +391,10 @@ def sample_null_statistics(stat: StatKind, m: int, k: int, count: int, seed: int
     generalized within :func:`_int_stats_fit`) the values are its exact
     integer forms divided by the scale, i.e. the correctly rounded
     replicate values while both are below 2^53, so
-    ``stats >= observed_statistic`` agrees with the tally; past the bound
-    generalized is a float determinant.  Arguments are checked as in
-    :func:`mc_pvalues`.
+    ``stats >= observed_statistic`` agrees with the tally.  Past the bound
+    generalized is the float ``4^-k - det``, which has no resolution once
+    ``det << 4^-k eps`` (the tally compares determinants instead).
+    Arguments are checked as in :func:`mc_pvalues`.
     """
     sizes = _chunk_sizes(count, m, k, seed)
     exact = stat is not StatKind.GENERALIZED or _int_stats_fit(stat, m, k)

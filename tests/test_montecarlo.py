@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import log
 
 import numpy as np
 import pytest
@@ -386,10 +387,11 @@ def test_int_det_matches_fraction_elimination(k):
 
 
 def test_generalized_band_recheck_past_the_int64_bound(monkeypatch):
-    # k = 5, m = 21 is past the int64 bound: floats decide outside the
-    # near-tie band and the band is re-checked in Python ints.  The observed
-    # covariance is one replicate's own, so there is at least one exact tie,
-    # and p * R must equal the Fraction oracle's count on the same draws
+    # k = 5, m = 21 is past the int64 bound: float log-determinants decide
+    # where their error bound allows, eigenvalue brackets and Python-int
+    # Bareiss the rest.  The observed covariance is one replicate's own, so
+    # there is at least one exact tie, and p * R must equal the Fraction
+    # oracle's count on the same draws
     k, m, replicates, seed = 5, 21, 3000, 11
     assert not montecarlo._int_stats_fit(StatKind.GENERALIZED, m, k)
     assert replicates <= montecarlo._chunk_size(m, k)  # one chunk holds every replicate
@@ -402,12 +404,86 @@ def test_generalized_band_recheck_past_the_int64_bound(monkeypatch):
               for r in range(replicates)]
     assert sum(v == t0 for v in values) >= 1
     assert round(est.p_value * replicates) == sum(v >= t0 for v in values)
-    # a band wide enough to span several re-check blocks decides the same
-    monkeypatch.setattr(montecarlo, "NEAR_TIE_REL", 0.2)
-    t0f = float(t0)
-    in_band = sum(abs(float(v) - t0f) <= montecarlo._near_margin(k, t0f) for v in values)
-    assert in_band > 3 * montecarlo.BAND_BLOCK
+    # with no float log-determinant trusted, the eigenvalue brackets decide the same
+    monkeypatch.setattr(montecarlo, "LOG_DET_TOL", 0.0)
     assert mc_pvalues(sigma, (StatKind.GENERALIZED,), replicates, m, seed)[0] == est
+    # a singular observed matrix (a duplicated variable: limit 0) leaves the
+    # bracket of every singular replicate reaching 0; at k = 7, m = 8 there
+    # are several re-check blocks of them, and only they hit
+    k, m, replicates = 7, 8, 600
+    num = montecarlo._count_num(*montecarlo._draw_counts(seed, 0, replicates, m, k), m)
+    dup = np.r_[0, 0, 2:k]
+    sigma = CovMatrix(num[3][np.ix_(dup, dup)] / (m * m), exact=(num[3][np.ix_(dup, dup)], m * m))
+    est = mc_pvalues(sigma, (StatKind.GENERALIZED,), replicates, m, seed)[0]
+    singular = sum(determinant([[Fraction(int(x)) for x in row] for row in a]) == 0
+                   for a in num.tolist())
+    assert singular > 3 * montecarlo.BAND_BLOCK
+    assert round(est.p_value * replicates) == singular
+
+
+@pytest.mark.parametrize("k, m, n", [
+    (3, 4, 2000), (3, 5, 2000), (3, 6, 2000), (3, 400, 2000),
+    (14, 15, 600),  # float LU gives some singular replicates log-dets > 0
+    (28, 29, 60), (28, 30, 60), (28, 56, 60),
+    (45, 46, 16), (45, 47, 16), (45, 90, 16),
+])
+def test_generalized_float_count_equals_bareiss(k, m, n):
+    # on every replicate of one chunk, the count of det(num) <= limit equals
+    # the Python-int Bareiss count, at a limit in the bulk (a replicate's
+    # own det, a tie), just below it, and at the singular limit 0, where
+    # only det = 0 hits
+    num = montecarlo._count_num(*montecarlo._draw_counts(8, 0, n, m, k), m)
+    exact = montecarlo._int_det(num.astype(object))
+    nonzero = np.sort(exact[exact != 0])
+    median = int(nonzero[len(nonzero) // 2])
+    for limit in (median, median - 1, 0):
+        assert montecarlo._count_det_at_most(num, limit) == (exact <= limit).sum(), limit
+    # the float log-determinant error sits 10 times inside the bound the
+    # count trusts, k^3 eps (1 / lambda_min(H) + log prod(diag) + |log det|),
+    # and 100 times below LOG_DET_TOL
+    sign, logdet = np.linalg.slogdet(num)
+    d = np.sqrt(num.diagonal(axis1=1, axis2=2).clip(1))
+    lam_min = np.linalg.eigvalsh(num / d[:, :, None] / d[:, None, :])[:, 0]
+    tol = k**3 * np.finfo(np.float64).eps
+    worst = 0.0
+    for ld, det, lm, scale in zip(logdet, exact, lam_min, np.log(d * d).sum(axis=1)):
+        if det:
+            error = abs(ld - log(det))
+            assert 10 * error <= tol * (1 / lm + scale + abs(ld))
+            worst = max(worst, error)
+    assert 100 * worst <= montecarlo.LOG_DET_TOL
+    if k == 14:
+        singular = exact == 0
+        assert (singular & (sign > 0) & (logdet > 0)).any()
+
+
+def test_generalized_just_above_m_equal_k_is_fast():
+    # past the int64 bound, just above m = k, every replicate determinant is
+    # far below 4^-k; its log-determinant still decides, with no Bareiss
+    # re-check of the bulk
+    import time
+
+    m, k = 55, 45
+    rows = np.random.default_rng(45).integers(0, 2, size=(m, k), dtype=np.uint8)
+    sigma = estimate_moments(SampleSet(None, rows)).sigma
+    started = time.perf_counter()
+    est = mc_pvalues(sigma, (StatKind.GENERALIZED,), 400, m, seed=3, workers=1)[0]
+    assert time.perf_counter() - started < 1.0
+    assert round(est.p_value * 400) == 317
+
+
+def test_generalized_large_k_compares_log_determinants():
+    # above k = 64 floats decide alone, on log-determinants: a singular
+    # (duplicated-column) and a sparse observed matrix lie below every
+    # replicate's determinant, so far from the null that p = 0
+    m, k = 320, 300
+    rng = np.random.default_rng(300)
+    duplicated = rng.integers(0, 2, size=(m, k), dtype=np.uint8)
+    duplicated[:, 1] = duplicated[:, 0]
+    sparse = (rng.random((m, k)) < 0.05).astype(np.uint8)
+    for rows in (duplicated, sparse):
+        sigma = estimate_moments(SampleSet(None, rows)).sigma
+        assert mc_pvalues(sigma, (StatKind.GENERALIZED,), 20, m, seed=3)[0].p_value == 0.0
 
 
 def test_exact_ties_above_k64():
@@ -441,7 +517,7 @@ def test_null_draws_share_the_mc_stream():
 @pytest.mark.parametrize("k, m, tallies", [
     (2, 200, (128, 281, 1756)),
     (28, 200, (447, 765, 889)),
-    (70, 100, (756, 846, 1579)),
+    (70, 100, (756, 735, 1579)),
 ])
 def test_stream_pin(k, m, tallies):
     # exact tallies of a fixed seed, recorded before the popcount kernel:
