@@ -9,19 +9,25 @@ Subcommands::
     netvar classify  --samples F                 entropy classification
 
 Input is selected explicitly by flag (``--samples`` for the sample-set
-text format, ``--cov`` for a covariance CSV), never sniffed.  JSON output
-carries full float precision; the table view prints 7 significant digits.
-Exit code is 0 only when no errors occurred; warnings do not affect it.
+text format, ``--cov`` for a covariance CSV), never sniffed.  Every
+subcommand begins with one input step (:func:`_start`): load the input,
+check its covariance bounds, and start the report with the part all
+reports share (schema, command, input, warnings).  Statistics, bounds
+diagnostics and test results are the library's dataclasses, written with
+their fields in declaration order.  JSON output carries full float
+precision; the table view prints 7 significant digits.  Exit code is 0
+only when no errors occurred; warnings do not affect it.
 """
 
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from enum import Enum
 
 from . import asymptotic, montecarlo
-from .graphs import NodeSet, SampleSet, SampleSetError, parse_sample_set
-from .moments import CovMatrix, MomentEstimate, estimate_moments, validate_covariance
+from .graphs import SampleSet, SampleSetError, parse_sample_set
+from .moments import CovMatrix, Diagnostic, MomentEstimate, estimate_moments, validate_covariance
 from .variability import StatKind, classify_entropy, describe, frobenius_bounds
 
 SCHEMA_VERSION = "1"
@@ -31,25 +37,20 @@ MC_STATS = {"vart": StatKind.TOTAL, "varg": StatKind.GENERALIZED, "varn": StatKi
 
 @dataclass
 class Inputs:
-    source: str
     path: str
     sigma: CovMatrix
     m: int | None
-    k: int
-    nodes: NodeSet | None
-    samples: SampleSet | None
-    estimate: MomentEstimate | None
-    estimator: str | None
-    warnings: list
+    samples: SampleSet | None  # None for covariance input
+    estimate: MomentEstimate | None  # None for covariance input
 
 
 def _csv_list(valid, flag):
     def convert(text):
         items = [t.strip() for t in text.split(",") if t.strip()]
-        bad = [t for t in items if t not in valid]
-        if bad or not items:
+        if not items or not set(items) <= set(valid) or len(set(items)) < len(items):
             raise argparse.ArgumentTypeError(
-                f"{flag} takes a comma-separated subset of {','.join(valid)}"
+                f"{flag} takes a comma-separated subset of {','.join(valid)}, "
+                "each name at most once"
             )
         return items
 
@@ -123,100 +124,85 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args, need_m: bool) -> Inputs:
-    warnings: list = []
+def _start(command: str, args) -> tuple[Inputs, dict, Diagnostic | None]:
+    """Load the input, check its covariance bounds and begin the report.
+
+    Returns the inputs, the report's common part and the bounds diagnostic
+    (None for ``classify``, which checks no bounds).
+    """
+    samples = est = None
     if args.samples:
         with open(args.samples, "r", encoding="utf-8") as fh:
             samples = parse_sample_set(fh)
         m = getattr(args, "m", None)
         if m is not None and m != samples.m:
             raise ValueError(f"--m {m} differs from the {samples.m} graphs in {args.samples}")
-        estimator = args.estimator or "plugin"
-        est = estimate_moments(samples, estimator)
-        return Inputs("samples", args.samples, est.sigma, samples.m, samples.k,
-                      samples.nodes, samples, est, estimator, warnings)
-
-    if args.estimator is not None:
-        raise ValueError("--estimator applies to --samples input only, not to --cov")
-    if need_m and args.m is None:
-        raise ValueError("--m is required with --cov for this command")
-    with open(args.cov, "r", encoding="utf-8") as fh:
-        sigma = CovMatrix.from_csv_text(fh.read())
-    return Inputs("covariance", args.cov, sigma, args.m, sigma.k,
-                  None, None, None, None, warnings)
-
-
-def _check_bounds(inputs: Inputs, force: bool):
-    diag = validate_covariance(inputs.sigma)
-    if not diag.valid:
-        lines = "; ".join(
-            f"{v.kind}{list(v.where)}: {v.value:.7g} vs bound {v.bound:.7g}"
-            for v in diag.violations
-        )
-        if inputs.source == "samples":
-            # estimated covariances only breach the bounds through the
-            # bias-corrected estimator; report, do not refuse
-            inputs.warnings.append(f"estimated covariance outside the bounds: {lines}")
-        elif not force:
-            raise ValueError(f"covariance violates its bounds ({lines}); use --force to proceed")
-        else:
-            inputs.warnings.append(f"covariance bounds violated, continuing under --force: {lines}")
-    if inputs.sigma.clamped:
-        inputs.warnings.append(
-            f"eigenvalues within {abs(inputs.sigma.min_raw_eigenvalue):.3g} below 0 clamped to 0"
-        )
-    return diag
-
-
-def _base_report(command: str, inputs: Inputs) -> dict:
-    return {
+        est = estimate_moments(samples, args.estimator or "plugin")
+        inputs = Inputs(args.samples, est.sigma, samples.m, samples, est)
+    else:
+        if args.estimator is not None:
+            raise ValueError("--estimator applies to --samples input only, not to --cov")
+        if command in ("test", "mc") and args.m is None:
+            raise ValueError("--m is required with --cov for this command")
+        with open(args.cov, "r", encoding="utf-8") as fh:
+            inputs = Inputs(args.cov, CovMatrix.from_csv_text(fh.read()), args.m, None, None)
+    warnings = []
+    report = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "input": {
-            "source": inputs.source,
+            "source": "samples" if samples else "covariance",
             "path": inputs.path,
             "m": inputs.m,
-            "k": inputs.k,
-            "nodes": list(inputs.nodes.labels) if inputs.nodes else None,
-            "estimator": inputs.estimator,
+            "k": inputs.sigma.k,
+            "nodes": list(samples.nodes.labels) if samples else None,
+            "estimator": est.estimator if est else None,
         },
-        "warnings": inputs.warnings,
+        "warnings": warnings,
     }
+    if command == "classify":
+        return inputs, report, None
+    diag = validate_covariance(inputs.sigma)
+    if not diag.valid:
+        lines = "; ".join(f"{v.kind}{list(v.where)}: {v.value:.7g} vs bound {v.bound:.7g}"
+                          for v in diag.violations)
+        if samples:
+            # estimated covariances only breach the bounds through the
+            # bias-corrected estimator; report, do not refuse
+            warnings.append(f"estimated covariance outside the bounds: {lines}")
+        elif not args.force:
+            raise ValueError(f"covariance violates its bounds ({lines}); use --force to proceed")
+        else:
+            warnings.append(f"covariance bounds violated, continuing under --force: {lines}")
+    if inputs.sigma.clamped:
+        warnings.append(
+            f"eigenvalues within {abs(inputs.sigma.min_raw_eigenvalue):.3g} below 0 clamped to 0"
+        )
+    return inputs, report, diag
 
 
-def _diag_json(diag) -> dict:
-    return {
-        "valid": diag.valid,
-        "violations": [
-            {"kind": v.kind, "where": list(v.where), "value": v.value, "bound": v.bound}
-            for v in diag.violations
-        ],
-    }
+def _record(result) -> dict:
+    """A result dataclass as a report record: its fields in declaration
+    order, enums by value and tuples as lists."""
 
+    def plain(value):
+        if isinstance(value, Enum):
+            return value.value
+        return list(value) if isinstance(value, tuple) else value
 
-def _stat_json(sv) -> dict:
-    return {
-        "kind": sv.kind.value,
-        "raw": sv.raw,
-        "normalized": sv.normalized,
-        "complemented": sv.complemented,
-        "rank_deficient": sv.rank_deficient,
-        "k_effective": sv.k_effective,
-    }
+    return asdict(result, dict_factory=lambda items: {key: plain(v) for key, v in items})
 
 
 def cmd_moments(args) -> dict:
-    inputs = _load(args, need_m=False)
+    inputs, report, diag = _start("moments", args)
     est = inputs.estimate
-    diag = _check_bounds(inputs, force=True)  # estimated covariances cannot fail
-    report = _base_report("moments", inputs)
     report["moments"] = {
         "p_hat": est.p_hat.tolist(),
         "p_hat2": est.p_hat2.tolist(),
         "sigma": est.sigma.entries.tolist(),
         "eigenvalues": est.sigma.eigenvalues.tolist(),
     }
-    report["diagnostics"] = _diag_json(diag)
+    report["diagnostics"] = _record(diag)
     summary = classify_entropy(inputs.samples)
     report["entropy"] = {
         "classification": summary.classification,
@@ -226,85 +212,58 @@ def cmd_moments(args) -> dict:
 
 
 def cmd_stats(args) -> dict:
-    inputs = _load(args, need_m=False)
-    diag = _check_bounds(inputs, args.force)
+    inputs, report, diag = _start("stats", args)
     values = describe(inputs.sigma, args.rank_policy)
-    for sv in values:
-        if sv.rank_deficient:
-            inputs.warnings.append(
-                f"generalized variance rank-reduced to k_effective={sv.k_effective}"
-            )
-    lo, hi = frobenius_bounds(inputs.k)
-    report = _base_report("stats", inputs)
+    report["warnings"].extend(f"generalized variance rank-reduced to k_effective={sv.k_effective}"
+                              for sv in values if sv.rank_deficient)
+    lo, hi = frobenius_bounds(inputs.sigma.k)
     report["covariance"] = {
         "matrix": inputs.sigma.entries.tolist(),
         "eigenvalues": inputs.sigma.eigenvalues.tolist(),
     }
-    report["diagnostics"] = _diag_json(diag)
-    report["statistics"] = [_stat_json(sv) for sv in values]
+    report["diagnostics"] = _record(diag)
+    report["statistics"] = [_record(sv) for sv in values]
     report["frobenius_bounds"] = {"min": lo, "max": hi}
     return report
 
 
 def cmd_test(args) -> dict:
-    inputs = _load(args, need_m=True)
-    _check_bounds(inputs, args.force)
-    report = _base_report("test", inputs)
+    inputs, report, _ = _start("test", args)
     labels = {"tt": "t_T", "tg1": "t_G1", "tg2": "t_G2", "tn": "t_N"}
-    results = []
+    report["tests"] = []
     for name in args.methods:
-        fn = asymptotic.METHODS[name]
         try:
-            r = fn(inputs.sigma, inputs.m)
+            report["tests"].append(_record(asymptotic.METHODS[name](inputs.sigma, inputs.m)))
         except ValueError as exc:
-            results.append({"method": labels[name], "error": str(exc)})
-            continue
-        results.append({
-            "method": r.method,
-            "statistic": r.statistic,
-            "params": r.params,
-            "p_raw": r.p_raw,
-            "p_adjusted": r.p_adjusted,
-            "m": r.m,
-            "k": r.k,
-        })
-    report["tests"] = results
+            report["tests"].append({"method": labels[name], "error": str(exc)})
     return report
 
 
 def cmd_mc(args) -> dict:
-    inputs = _load(args, need_m=True)
-    _check_bounds(inputs, args.force)
+    inputs, report, _ = _start("mc", args)
     kinds = tuple(MC_STATS[name] for name in args.mc_stat)
     estimates = montecarlo.mc_pvalues(
         inputs.sigma, kinds, args.replicates, inputs.m, args.seed, workers=args.workers
     )
-    report = _base_report("mc", inputs)
-    entries = []
-    for est in estimates:
-        entry = {
-            "stat": est.stat.value,
-            "p_value": est.p_value,
-            "replicates": est.replicates,
-            "stderr": est.stderr,
-            "seed": est.seed,
-            "observed_statistic": est.observed_statistic,
-            "estimator": "proportion",
-            "p_value_upper_bound": 1.0 / est.replicates if est.below_resolution else None,
-        }
-        if est.below_resolution:
-            inputs.warnings.append(
-                f"{est.stat.value}: no replicate reached the observed statistic; "
-                f"p < {1.0 / est.replicates:.7g}"
-            )
-        entries.append(entry)
-    report["mc"] = entries
+    report["mc"] = [{
+        "stat": est.stat.value,
+        "p_value": est.p_value,
+        "replicates": est.replicates,
+        "stderr": est.stderr,
+        "seed": est.seed,
+        "observed_statistic": est.observed_statistic,
+        "estimator": "proportion",
+        "p_value_upper_bound": 1.0 / est.replicates if est.below_resolution else None,
+    } for est in estimates]
+    report["warnings"].extend(
+        f"{est.stat.value}: no replicate reached the observed statistic; "
+        f"p < {1.0 / est.replicates:.7g}" for est in estimates if est.below_resolution
+    )
     return report
 
 
 def cmd_classify(args) -> dict:
-    inputs = _load(args, need_m=False)
-    report = _base_report("classify", inputs)
+    inputs, report, _ = _start("classify", args)
     summary = classify_entropy(inputs.samples)
     values = describe(inputs.sigma, "reduce")
     report["entropy"] = {
@@ -313,9 +272,7 @@ def cmd_classify(args) -> dict:
             {"edges": bits, "count": n, "frequency": n / inputs.m}
             for bits, n in summary.frequencies
         ],
-        "distance_from_max_entropy": {
-            sv.kind.value: sv.complemented for sv in values
-        },
+        "distance_from_max_entropy": {sv.kind.value: sv.complemented for sv in values},
     }
     return report
 

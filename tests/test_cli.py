@@ -200,6 +200,24 @@ def test_mc_replicates_below_one_is_usage_error(tmp_path, capsys, value):
     assert "--replicates takes an integer >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["test", "--methods", "tt,tt"],
+    ["test", "--methods", "tg1,tn,tg1"],
+    ["test", "--methods", "tt,tx"],
+    ["test", "--methods", ","],
+    ["mc", "--mc-stat", "vart,vart"],
+    ["mc", "--mc-stat", "varg,varn,varg"],
+    ["mc", "--mc-stat", "var"],
+])
+def test_bad_or_repeated_name_list_is_usage_error(tmp_path, capsys, argv):
+    # rejected while parsing the arguments: the missing input is never opened
+    path = str(tmp_path / "missing.csv")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv[:1] + ["--cov", path, "--m", "10"] + argv[1:])
+    assert exc.value.code == 2
+    assert f"{argv[1]} takes a comma-separated subset of" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["-1", str(2**64), "abc", "1.5"])
 def test_mc_seed_out_of_range_is_usage_error(tmp_path, capsys, value):
     # rejected while parsing the arguments: the missing input is never opened
@@ -322,3 +340,82 @@ def test_json_full_precision(tmp_path, capsys, schema):
     _, report, _ = json_report(["moments", "--samples", path], capsys, schema)
     # shortest round-trip repr: parsing back gives the identical double
     assert report["moments"]["sigma"][0][1] == 1 / 3 - 2 / 3 * 1 / 3
+
+
+def test_moments_table(tmp_path, capsys):
+    path = write(tmp_path, "s.txt", SAMPLES_3)
+    code, out, _ = run(["moments", "--samples", path], capsys)
+    assert code == 0
+    assert out == (
+        f"netvar moments: samples {path} (m=3, k=3)\n"
+        "p_hat: 0.6666667 0.3333333 0\n"
+        "sigma:\n"
+        "     0.2222222    0.1111111            0\n"
+        "     0.1111111    0.2222222            0\n"
+        "             0            0            0\n"
+        "eigenvalues: 0.3333333 0.1111111 0\n"
+        "covariance bounds: ok\n"
+        "entropy: intermediate\n"
+        "  000 x1\n"
+        "  100 x1\n"
+        "  110 x1\n"
+    )
+
+
+def test_moments_table_reports_estimated_breach_as_warning(tmp_path, capsys):
+    path = write(tmp_path, "s.txt", SAMPLES_3)
+    code, out, _ = run(["moments", "--samples", path, "--estimator", "unbiased"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[lines.index("covariance bounds: VIOLATED") + 1:][:2] == [
+        "  diagonal_range[0]: 0.3333333 vs 0.25",
+        "  diagonal_range[1]: 0.3333333 vs 0.25",
+    ]
+    assert lines[-1] == (
+        "warning: estimated covariance outside the bounds: "
+        "diagonal_range[0]: 0.3333333 vs bound 0.25; diagonal_range[1]: 0.3333333 vs bound 0.25"
+    )
+
+
+def test_classify_table(tmp_path, capsys):
+    path = write(tmp_path, "s.txt", SAMPLES_3)
+    code, out, _ = run(["classify", "--samples", path], capsys)
+    assert code == 0
+    assert out == (
+        f"netvar classify: samples {path} (m=3, k=3)\n"
+        "entropy: intermediate\n"
+        "  000 x1 (0.3333333)\n"
+        "  100 x1 (0.3333333)\n"
+        "  110 x1 (0.3333333)\n"
+        "distance from maximum entropy: total=0.4074074 generalized=0.4074074 "
+        "frobenius=0.4205761\n"
+    )
+
+
+def test_stats_table_lists_violations_under_force(tmp_path, capsys):
+    path = write(tmp_path, "bad.csv", "0.3,0\n0,0.1\n")
+    code, out, _ = run(["stats", "--cov", path, "--force"], capsys)
+    assert code == 0
+    assert out == (
+        f"netvar stats: covariance {path} (m=None, k=2)\n"
+        "eigenvalues: 0.3 0.1\n"
+        "covariance bounds: VIOLATED\n"
+        "  diagonal_range[0]: 0.3 vs 0.25\n"
+        "statistic               raw     normalized   complemented\n"
+        "total                   0.4            0.8            0.2\n"
+        "generalized            0.03           0.48           0.52\n"
+        "frobenius               0.2            0.8            0.2\n"
+        "warning: covariance bounds violated, continuing under --force: "
+        "diagonal_range[0]: 0.3 vs bound 0.25\n"
+    )
+
+
+def test_test_table_per_method_error_row(tmp_path, capsys):
+    path = write(tmp_path, "s1.csv", "0.24,0.04\n0.04,0.24\n")
+    code, out, _ = run(["test", "--cov", path, "--m", "1", "--methods", "tg2,tt"], capsys)
+    assert code == 1
+    assert out.splitlines()[1:] == [
+        "method        statistic          p_raw     p_adjusted",
+        "t_G2     error: gamma shape non-positive: need m + 1 > k, got m=1, k=2",
+        "t_T                1.92      0.6171071      0.9762491",
+    ]

@@ -501,6 +501,39 @@ def test_exact_ties_above_k64():
     assert abs(est.p_value - alpha) <= band, (est.p_value, alpha)
 
 
+def test_generalized_null_values_past_the_int64_bound():
+    # k=5, m=30 is past _int_stats_fit: sample_null_statistics gives the
+    # float 4^-k - det(num / m^2), which must equal the exact integer form
+    # over its scale to the rounding of a float determinant (measured 1e-14)
+    m, k, count, seed = 30, 5, 5000, 11
+    kind = StatKind.GENERALIZED
+    assert not montecarlo._int_stats_fit(kind, m, k)
+    values = sample_null_statistics(kind, m, k, count, seed)
+    sizes = montecarlo._chunk_sizes(count, m, k, seed)
+    assert len(sizes) == 2  # the chunk boundary is crossed
+    num = np.concatenate(montecarlo._map_chunks(lambda num: num, seed, sizes, m, k, workers=1))
+    scale = montecarlo._scale(kind, k, m * m)
+    exact = [float(Fraction(int(s), scale))
+             for s in montecarlo._scaled_stat(kind, num.astype(object), m * m)]
+    np.testing.assert_allclose(values, exact, rtol=1e-13, atol=0)
+
+
+def test_generalized_above_k64_decided_without_determinants():
+    # above EXACT_TIE_MAX_K no determinant is needed at m <= k (every
+    # replicate det is 0, the null's maximum) or for a negative observed det
+    # (beyond every replicate): p = 1 for 0.25 I and p = 0 for an indefinite
+    # matrix
+    k = 66
+    assert k > montecarlo.EXACT_TIE_MAX_K
+    quarter = np.identity(k) / 4
+    indefinite = quarter.copy()
+    indefinite[0, 1] = indefinite[1, 0] = 0.3  # eigenvalues 0.55 and -0.05
+    ests = [mc_pvalues(CovMatrix(quarter), (StatKind.GENERALIZED,), 50, 60, seed=5)[0]]
+    ests += [mc_pvalues(CovMatrix(indefinite), (StatKind.GENERALIZED,), 50, m, seed=5)[0]
+             for m in (60, 70)]
+    assert [e.p_value for e in ests] == [1.0, 0.0, 0.0]
+
+
 def test_null_draws_share_the_mc_stream():
     # an observed point off the 1/m^2 grid: float counts over the sampled
     # statistics equal the tallies of mc_pvalues on the same seed
