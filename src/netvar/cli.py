@@ -164,7 +164,7 @@ def _start(command: str, args) -> tuple[Inputs, dict, Diagnostic | None]:
         return inputs, report, None
     diag = validate_covariance(inputs.sigma)
     if not diag.valid:
-        lines = "; ".join(f"{v.kind}{list(v.where)}: {v.value:.7g} vs bound {v.bound:.7g}"
+        lines = "; ".join(f"{_located(v.kind, v.where)}: {v.value:.7g} vs bound {v.bound:.7g}"
                           for v in diag.violations)
         if samples:
             # estimated covariances only breach the bounds through the
@@ -179,6 +179,11 @@ def _start(command: str, args) -> tuple[Inputs, dict, Diagnostic | None]:
             f"eigenvalues within {abs(inputs.sigma.min_raw_eigenvalue):.3g} below 0 clamped to 0"
         )
     return inputs, report, diag
+
+
+def _located(kind: str, where) -> str:
+    """``kind[i, j]``, or the bare kind of a whole-matrix violation (empty index)."""
+    return f"{kind}{list(where)}" if where else kind
 
 
 def _record(result) -> dict:
@@ -246,12 +251,7 @@ def cmd_mc(args) -> dict:
         inputs.sigma, kinds, args.replicates, inputs.m, args.seed, workers=args.workers
     )
     report["mc"] = [{
-        "stat": est.stat.value,
-        "p_value": est.p_value,
-        "replicates": est.replicates,
-        "stderr": est.stderr,
-        "seed": est.seed,
-        "observed_statistic": est.observed_statistic,
+        **_record(est),
         "estimator": "proportion",
         "p_value_upper_bound": 1.0 / est.replicates if est.below_resolution else None,
     } for est in estimates]
@@ -294,8 +294,8 @@ def _fmt(x) -> str:
 
 def _emit_table(report, out):
     inp = report["input"]
-    where = f"{inp['source']} {inp['path']}"
-    print(f"netvar {report['command']}: {where} (m={inp['m']}, k={inp['k']})", file=out)
+    size = ", ".join(f"{key}={inp[key]}" for key in ("m", "k") if inp[key] is not None)
+    print(f"netvar {report['command']}: {inp['source']} {inp['path']} ({size})", file=out)
     if report.get("moments"):
         print("p_hat: " + " ".join(_fmt(v) for v in report["moments"]["p_hat"]), file=out)
         print("sigma:", file=out)
@@ -310,8 +310,8 @@ def _emit_table(report, out):
         d = report["diagnostics"]
         print(f"covariance bounds: {'ok' if d['valid'] else 'VIOLATED'}", file=out)
         for v in d["violations"]:
-            print(f"  {v['kind']}{v['where']}: {_fmt(v['value'])} vs {_fmt(v['bound'])}",
-                  file=out)
+            print(f"  {_located(v['kind'], v['where'])}: {_fmt(v['value'])} vs "
+                  f"{_fmt(v['bound'])}", file=out)
     if report.get("statistics"):
         print(f"{'statistic':12s} {'raw':>14s} {'normalized':>14s} {'complemented':>14s}",
               file=out)

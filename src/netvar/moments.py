@@ -12,9 +12,9 @@ Covariance matrices of binary vectors obey hard bounds (diagonal in
 summing to at most k/4); :func:`validate_covariance` reports every breach.
 """
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import isinf, lcm
 from typing import Sequence
 
@@ -32,7 +32,8 @@ class CovMatrix:
 
     Construction accepts asymmetry up to 1e-12 in absolute value and then
     symmetrizes as (M + M^T)/2, so downstream behaviour is deterministic.
-    Eigenvalues are computed once (thread-safe, idempotent), sorted in
+    Eigenvalues are computed on first use and cached (a pure computation:
+    threads racing on the first use at worst compute it twice), sorted in
     descending order, and clamped to 0 when within -1e-9; the raw minimum
     is kept for diagnostics.
 
@@ -67,8 +68,6 @@ class CovMatrix:
                 exact = (exact[0] + exact[0].T, 2 * exact[1])
             exact[0].setflags(write=False)
         self._exact = exact
-        self._lock = threading.Lock()
-        self._spectrum: tuple[np.ndarray, float] | None = None
 
     @property
     def entries(self) -> np.ndarray:
@@ -78,29 +77,26 @@ class CovMatrix:
     def k(self) -> int:
         return self._entries.shape[0]
 
-    def _compute_spectrum(self) -> tuple[np.ndarray, float]:
-        with self._lock:
-            if self._spectrum is None:
-                raw = np.linalg.eigvalsh(self._entries)[::-1]
-                clamped = np.where((raw < 0) & (raw >= -EIG_CLAMP_TOL), 0.0, raw)
-                clamped.setflags(write=False)
-                self._spectrum = (clamped, float(raw.min()))
-        return self._spectrum
+    @cached_property
+    def _spectrum(self) -> tuple[np.ndarray, float]:
+        raw = np.linalg.eigvalsh(self._entries)[::-1]
+        clamped = np.where((raw < 0) & (raw >= -EIG_CLAMP_TOL), 0.0, raw)
+        clamped.setflags(write=False)
+        return clamped, float(raw.min())
 
     @property
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues in descending order, tiny negatives clamped to 0."""
-        return self._compute_spectrum()[0]
+        return self._spectrum[0]
 
     @property
     def min_raw_eigenvalue(self) -> float:
-        return self._compute_spectrum()[1]
+        return self._spectrum[1]
 
     @property
     def clamped(self) -> bool:
         """True when the eigensolver emitted values in [-1e-9, 0)."""
-        raw_min = self.min_raw_eigenvalue
-        return -EIG_CLAMP_TOL <= raw_min < 0
+        return -EIG_CLAMP_TOL <= self.min_raw_eigenvalue < 0
 
     def trace(self) -> float:
         return float(np.trace(self._entries))
@@ -211,10 +207,13 @@ class Diagnostic:
 def estimate_moments(samples: SampleSet, estimator: str = "plugin") -> MomentEstimate:
     """Estimate moments from an incidence matrix.
 
-    The computation runs on integer counts, so every reported float is the
-    correctly rounded value of a rational with denominator m (first
-    moments), m^2 (plug-in covariance) or m*(m-1) (bias-corrected), and
-    the covariance carries those rationals exactly.
+    The computation runs on integer counts, and the covariance carries its
+    rationals exactly (denominator m^2 plug-in, m*(m-1) bias-corrected).
+    Frequencies (denominator m) and off-diagonal covariance floats are the
+    correctly rounded rationals.  The diagonal is the float product
+    ``p*(1-p)`` (scaled when bias-corrected), which keeps the trace equal to
+    the sum of the marginal variances; in 43% of the plug-in pairs
+    0 <= s <= m <= 1000 it misses the rounded ``num/den``, by up to 255 ulp.
     """
     if estimator not in ("plugin", "unbiased"):
         raise ValueError(f"estimator must be 'plugin' or 'unbiased', got {estimator!r}")

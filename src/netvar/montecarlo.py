@@ -26,20 +26,20 @@ observed one.  Two implementation guarantees matter here:
    decimals, and for any covariance estimated from a sample set).  Each
    statistic has one integer form in a covariance's exact value
    ``num / den`` (:func:`_scaled_stat`); replicates have
-   ``num = m s2 - s1 s1^T`` over ``den = m^2`` and are compared with one
-   integer threshold, ``ceil(t0 * scale)`` by integer division.  Total
-   and Frobenius are always decided in integers: in int64 while the
-   scaled statistic fits (``k m^2 < 2^63`` and ``k^2 m^4 < 2^63``), in
-   Python ints past that.  Generalized is one integer threshold on the
-   determinant, ``det(num) <= limit``.  At m <= k every replicate is
-   singular and it is decided by rank; otherwise by a batched Bareiss
+   ``num = m s2 - s1 s1^T`` over ``den = m^2``.  :func:`_counter` derives
+   each comparison once per call from the exact observed value t0
+   (:func:`observed_statistic_exact`).  Total and Frobenius compare with
+   ``ceil(t0 * scale)``, always in integers: in int64 while the scaled
+   statistic fits (``k m^2 < 2^63`` and ``k^2 m^4 < 2^63``), in Python
+   ints past that.  Generalized compares the determinant,
+   ``det(num) <= floor(den^k (4^-k - t0))``: by rank at m <= k, where
+   every replicate is singular; otherwise by a batched Bareiss
    determinant (:func:`_int_det`), in int64 while its intermediates
    provably fit (:func:`_int_stats_fit`: k = 2 up to m = 55108, k = 3 up
    to 362, k = 4 up to 54).  Past that bound float log-determinants and
    eigenvalue brackets decide what their error bounds prove, and Python
-   ints the rest; above k = 64 floats decide alone.  Each statistic's
-   comparison is chosen once per call (:func:`_counter`).  ``p_value * R``
-   is thus exactly the number of replicates with statistic >= observed.
+   ints the rest; above k = 64 floats decide alone.  ``p_value * R`` is
+   thus exactly the number of replicates with statistic >= observed.
 
 Replicates draw their edge bits straight from the generator's raw 64-bit
 output: each column is ``ceil(m/64)`` words and bits past m are cleared.
@@ -55,7 +55,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import log, sqrt
+from math import ceil, floor, log, sqrt
 
 import numpy as np
 
@@ -72,12 +72,12 @@ BAND_BLOCK = 64  # undecided replicates per Python-int determinant (bounds its m
 
 @dataclass(frozen=True)
 class McEstimate:
+    stat: StatKind
     p_value: float
     replicates: int
     stderr: float
     seed: int
     observed_statistic: float
-    stat: StatKind
 
     @property
     def below_resolution(self) -> bool:
@@ -270,29 +270,29 @@ def _scaled_stat(kind: StatKind, num: np.ndarray, den: int):
     return den**k - 4**k * _int_det(num)
 
 
+def _generalized_float(cov: np.ndarray):
+    """The generalized statistic ``4^-k - det(cov)`` in floats, of (k, k) or (n, k, k)."""
+    return 4.0 ** -cov.shape[-1] - np.linalg.det(cov)
+
+
 def _replicate_values(kind: StatKind, num: np.ndarray, m: int) -> np.ndarray:
     """Statistics of a batch of replicates ``num / m^2``.
 
     Their :func:`_scaled_stat`, in int64 within :func:`_int_stats_fit`;
     past it total and Frobenius in Python ints, and generalized as the
-    float statistic ``4^-k - det``.
+    float statistic (:func:`_generalized_float`).
     """
     if _int_stats_fit(kind, m, num.shape[-1]):
         return _scaled_stat(kind, num, m * m)
     if kind is StatKind.GENERALIZED:
-        return 4.0 ** -num.shape[-1] - np.linalg.det(num / float(m * m))
+        return _generalized_float(num / float(m * m))
     return _scaled_stat(kind, num.astype(object), m * m)
-
-
-def _observed_scaled(kind: StatKind, sigma: CovMatrix) -> tuple[int, int]:
-    """The observed statistic as the integer pair (scaled value, scale)."""
-    num, den = sigma.exact
-    return _scaled_stat(kind, num.astype(object), den), _scale(kind, sigma.k, den)
 
 
 def observed_statistic_exact(kind: StatKind, sigma: CovMatrix) -> Fraction:
     """Observed statistic as an exact rational (same form as the replicates)."""
-    return Fraction(*_observed_scaled(kind, sigma))
+    num, den = sigma.exact
+    return Fraction(_scaled_stat(kind, num.astype(object), den), _scale(kind, sigma.k, den))
 
 
 def _count_det_at_most(num: np.ndarray, limit: int) -> int:
@@ -345,16 +345,17 @@ def _counter(kind: StatKind, sigma: CovMatrix, m: int):
     """The observed statistic as a float, and a function that counts the
     replicates of one chunk (``num`` of :func:`_count_num`) at or above it.
 
-    The comparison is chosen once per call: the integer threshold ``cut``
-    on the scaled statistic, which for generalized is ``det(num) <= limit``
-    (by rank at m <= k, in int64 within :func:`_int_stats_fit`, and by
-    :func:`_count_det_at_most` past it).  Above EXACT_TIE_MAX_K floats
-    decide alone: ``det(num) <= m^2k det(sigma)`` in log-determinants.
+    The comparison is chosen once per call from the exact observed t0:
+    ``cut = ceil(t0 scale)`` on the scaled statistic; for generalized
+    ``det(num) <= limit = floor(den^k (4^-k - t0))`` (by rank at m <= k, in
+    int64 within :func:`_int_stats_fit`, by :func:`_count_det_at_most` past
+    it).  Above EXACT_TIE_MAX_K floats decide alone, on log-determinants:
+    ``det(num) <= m^2k det(sigma)``.
     """
     k, den = sigma.k, m * m
     if kind is StatKind.GENERALIZED and k > EXACT_TIE_MAX_K:
         sign0, log0 = np.linalg.slogdet(sigma.entries)
-        t0f = float(4.0**-k - np.linalg.det(sigma.entries))
+        t0f = float(_generalized_float(sigma.entries))
         if m <= k or sign0 < 0:  # replicate dets are >= 0, and all 0 at m <= k (see below)
             return t0f, lambda num: len(num) * (sign0 >= 0)
 
@@ -364,24 +365,24 @@ def _counter(kind: StatKind, sigma: CovMatrix, m: int):
 
         return t0f, count_float
 
-    t0, scale0 = _observed_scaled(kind, sigma)
-    t0f = t0 / scale0
-    # replicate value s / scale >= t0 / scale0  <=>  s >= ceil(t0 scale / scale0);
-    # replicate values are >= 0, so clamping at 0 keeps every count
-    cut = max(-(-t0 * _scale(kind, k, den) // scale0), 0)
+    t0 = observed_statistic_exact(kind, sigma)
     if kind is not StatKind.GENERALIZED:
+        # replicate value s / scale >= t0  <=>  s >= ceil(t0 scale); replicate
+        # values are >= 0, so clamping at 0 keeps every count
+        cut = max(ceil(t0 * _scale(kind, k, den)), 0)
         if _int_stats_fit(kind, m, k):
             cut = min(cut, INT64_MAX)  # int64 values stay below it
-        return t0f, lambda num: int((_replicate_values(kind, num, m) >= cut).sum())
-    # den^k - 4^k det >= cut  <=>  det <= (den^k - cut) / 4^k, floored as det is an
-    # integer; det >= 0, so -1 stands for every negative limit
-    limit = max((den**k - cut) // 4**k, -1)
+        return float(t0), lambda num: int((_replicate_values(kind, num, m) >= cut).sum())
+    # replicate value 4^-k - det / den^k >= t0  <=>  det <= den^k (4^-k - t0),
+    # floored as det is an integer; det >= 0, so -1 stands for every negative limit
+    limit = max(floor(den**k * (Fraction(1, 4**k) - t0)), -1)
     if m <= k:
         # num = X^T (m I - 1 1^T) X has rank <= m - 1 < k: every replicate has det 0
-        return t0f, lambda num: len(num) * (limit >= 0)
+        return float(t0), lambda num: len(num) * (limit >= 0)
     if _int_stats_fit(kind, m, k):
-        return t0f, lambda num: int((_int_det(num) <= limit).sum())
-    return t0f, lambda num: _count_det_at_most(num, limit)
+        limit = min(limit, INT64_MAX)  # int64 determinants stay below it
+        return float(t0), lambda num: int((_int_det(num) <= limit).sum())
+    return float(t0), lambda num: _count_det_at_most(num, limit)
 
 
 def sample_null_statistics(stat: StatKind, m: int, k: int, count: int, seed: int) -> np.ndarray:
@@ -429,5 +430,5 @@ def mc_pvalues(
     for kind, (observed, _), hits in zip(kinds, counters, zip(*tallies)):
         p = sum(hits) / replicates
         stderr = sqrt(p * (1.0 - p) / replicates)
-        out.append(McEstimate(p, replicates, stderr, seed, observed, kind))
+        out.append(McEstimate(kind, p, replicates, stderr, seed, observed))
     return out

@@ -179,11 +179,10 @@ def classify_entropy(samples: SampleSet) -> EntropySummary:
     population statement and is never asserted from a finite sample; the
     complemented statistics serve as the distance from it.
     """
+    # np.unique returns the rows in lexicographic order of their bit patterns
     structures, counts = np.unique(samples.incidence, axis=0, return_counts=True)
-    order = np.lexsort(structures.T[::-1])  # stable, lexicographic by bit pattern
     freq = tuple(
-        ("".join("1" if b else "0" for b in structures[i]), int(counts[i]))
-        for i in order
+        ("".join("1" if b else "0" for b in row), int(n)) for row, n in zip(structures, counts)
     )
     tag = "minimum" if len(freq) == 1 else "intermediate"
     return EntropySummary(tag, freq)

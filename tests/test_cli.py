@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -7,6 +8,7 @@ from netvar import cli
 
 MAX_ENT = "nodes A B\ngraph\nA B\ngraph\n"  # hand-built below where k=2 needed
 SAMPLES_3 = "nodes A B C\ngraph\nA B\nA C\ngraph\nA B\ngraph\n"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture()
@@ -262,6 +264,22 @@ def test_mc_below_resolution_annotation(tmp_path, capsys, schema):
     assert any("p <" in w for w in report["warnings"])
 
 
+@pytest.mark.parametrize("fmt, ext", [("json", "json"), ("table", "txt")])
+@pytest.mark.parametrize("name, argv", [
+    ("mc_s1_m10", ["--cov", "s1.csv", "--m", "10"]),
+    # frobenius reaches no replicate: covers the warning and p_value_upper_bound
+    ("mc_k6", ["--samples", "k6.txt", "--mc-stat", "vart,varg,varn"]),
+])
+def test_mc_golden_report(name, argv, fmt, ext, capsys, monkeypatch):
+    # every float in these reports is exact or correctly rounded (no
+    # eigensolver output), so the bytes are the same on every platform
+    monkeypatch.chdir(GOLDEN)  # the report records the input path as given
+    code, out, err = run(["mc", *argv, "--replicates", "2000", "--seed", "20090607",
+                          "--format", fmt], capsys)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"{name}.{ext}").read_text()
+
+
 def test_classify_command(tmp_path, capsys, schema):
     path = write(tmp_path, "s.txt", "nodes A B\ngraph\nA B\ngraph\nA B\n")
     code, report, _ = json_report(["classify", "--samples", path], capsys, schema)
@@ -397,7 +415,7 @@ def test_stats_table_lists_violations_under_force(tmp_path, capsys):
     code, out, _ = run(["stats", "--cov", path, "--force"], capsys)
     assert code == 0
     assert out == (
-        f"netvar stats: covariance {path} (m=None, k=2)\n"
+        f"netvar stats: covariance {path} (k=2)\n"  # no --m: the header omits m
         "eigenvalues: 0.3 0.1\n"
         "covariance bounds: VIOLATED\n"
         "  diagonal_range[0]: 0.3 vs 0.25\n"
@@ -408,6 +426,35 @@ def test_stats_table_lists_violations_under_force(tmp_path, capsys):
         "warning: covariance bounds violated, continuing under --force: "
         "diagonal_range[0]: 0.3 vs bound 0.25\n"
     )
+
+
+def test_whole_matrix_violations_print_without_index(tmp_path, capsys, schema):
+    path = write(tmp_path, "neg.csv", "0.25,0.25\n0.25,0.2\n")
+    code, out, _ = run(["stats", "--cov", path, "--force"], capsys)
+    assert code == 0
+    assert out == (
+        f"netvar stats: covariance {path} (k=2)\n"
+        "eigenvalues: 0.4762469 -0.02624689\n"
+        "covariance bounds: VIOLATED\n"
+        "  cauchy_schwarz[0, 1]: 0.25 vs 0.2236068\n"
+        "  negative_eigenvalue: -0.02624689 vs 0\n"
+        "statistic               raw     normalized   complemented\n"
+        "total                  0.45            0.9            0.1\n"
+        "generalized       0.4762469              1              0 (rank-reduced, k_eff=1)\n"
+        "frobenius            0.2775      0.5933333      0.4066667\n"
+        "warning: covariance bounds violated, continuing under --force: "
+        "cauchy_schwarz[0, 1]: 0.25 vs bound 0.2236068; "
+        "negative_eigenvalue: -0.02624689 vs bound 0\n"
+        "warning: generalized variance rank-reduced to k_effective=1\n"
+    )
+    hot = write(tmp_path, "hot.csv", "0.3,0\n0,0.3\n")
+    _, report, _ = json_report(["test", "--cov", hot, "--m", "10", "--force",
+                                "--methods", "tt"], capsys, schema)
+    assert report["warnings"] == [
+        "covariance bounds violated, continuing under --force: "
+        "diagonal_range[0]: 0.3 vs bound 0.25; diagonal_range[1]: 0.3 vs bound 0.25; "
+        "trace_bound: 0.6 vs bound 0.5"
+    ]
 
 
 def test_test_table_per_method_error_row(tmp_path, capsys):

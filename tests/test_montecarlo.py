@@ -145,6 +145,19 @@ def test_generalized_at_m_not_above_k_is_decided_by_rank():
     assert mc_pvalues(indefinite, (StatKind.GENERALIZED,), 500, 3, seed=3)[0].p_value == 0.0
 
 
+@pytest.mark.parametrize("k, m", [(2, 1), (2, 10), (2, 55108), (3, 400), (6, 20)])
+def test_observed_beyond_every_replicate(k, m):
+    # a forced covariance with trace above k/4 and determinant above 4^-k has
+    # negative total and generalized statistics: every replicate reaches them.
+    # Generalized goes through the rank rule (m <= k), int64 Bareiss with a
+    # limit past int64 (k = 2, m = 55108) and the float stages (k = 3, 6);
+    # its Frobenius distance is beyond every replicate's
+    sigma = CovMatrix(np.diag([100.0] * k))
+    total, generalized, frobenius = mc_pvalues(sigma, tuple(StatKind), 64, m, seed=1, workers=1)
+    assert total.observed_statistic < 0 and generalized.observed_statistic < 0
+    assert (total.p_value, generalized.p_value, frobenius.p_value) == (1.0, 1.0, 0.0)
+
+
 def test_netvar_threads_env_caps_workers(monkeypatch):
     monkeypatch.setenv("NETVAR_THREADS", "1")
     capped = mc_pvalues(S1, (StatKind.TOTAL,), 9000, 10, seed=6, workers=8)[0]
