@@ -32,10 +32,10 @@ class CovMatrix:
 
     Construction accepts asymmetry up to 1e-12 in absolute value and then
     symmetrizes as (M + M^T)/2, so downstream behaviour is deterministic.
-    Eigenvalues are computed on first use and cached (a pure computation:
-    threads racing on the first use at worst compute it twice), sorted in
-    descending order, and clamped to 0 when within -1e-9; the raw minimum
-    is kept for diagnostics.
+    Eigenvalues are computed on first use and cached (threads racing on the
+    first use may each compute them, but all get the first value stored),
+    sorted in descending order, and clamped to 0 when within -1e-9; the raw
+    minimum is kept for diagnostics.
 
     The exact value of the matrix is ``num / den``: a read-only integer
     numerator array over one positive integer denominator, supplied by
@@ -82,7 +82,8 @@ class CovMatrix:
         raw = np.linalg.eigvalsh(self._entries)[::-1]
         clamped = np.where((raw < 0) & (raw >= -EIG_CLAMP_TOL), 0.0, raw)
         clamped.setflags(write=False)
-        return clamped, float(raw.min())
+        # cached_property has no lock from Python 3.12 on: the first value stored wins
+        return self.__dict__.setdefault("_spectrum", (clamped, float(raw.min())))
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -305,9 +306,9 @@ def block_independence(
 ) -> tuple[bool, float]:
     """Zero cross-covariance check between two disjoint index blocks.
 
-    For binary vectors a zero cross-covariance block is equivalent to
-    independence of the two subvectors.  Returns the verdict and the
-    largest cross-entry magnitude.
+    For binary variables zero covariance makes each pair (i in a, j in b)
+    independent, not the two subvectors: XOR rows 000, 011, 101, 110 pass
+    for [0, 1] and [2].  Returns the verdict and the largest |cross entry|.
     """
     a, b = list(part_a), list(part_b)
     if not a or not b:

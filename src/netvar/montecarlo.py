@@ -22,24 +22,21 @@ observed one.  Two implementation guarantees matter here:
 
 2. Exact ties.  Replicate statistics are rationals with denominator a
    power of m, and an observed covariance can sit exactly on one of them
-   with positive probability (it does for covariance matrices entered as
-   decimals, and for any covariance estimated from a sample set).  Each
-   statistic has one integer form in a covariance's exact value
-   ``num / den`` (:func:`_scaled_stat`); replicates have
-   ``num = m s2 - s1 s1^T`` over ``den = m^2``.  :func:`_counter` derives
-   each comparison once per call from the exact observed value t0
-   (:func:`observed_statistic_exact`).  Total and Frobenius compare with
-   ``ceil(t0 * scale)``, always in integers: in int64 while the scaled
-   statistic fits (``k m^2 < 2^63`` and ``k^2 m^4 < 2^63``), in Python
-   ints past that.  Generalized compares the determinant,
-   ``det(num) <= floor(den^k (4^-k - t0))``: by rank at m <= k, where
-   every replicate is singular; otherwise by a batched Bareiss
-   determinant (:func:`_int_det`), in int64 while its intermediates
-   provably fit (:func:`_int_stats_fit`: k = 2 up to m = 55108, k = 3 up
-   to 362, k = 4 up to 54).  Past that bound float log-determinants and
-   eigenvalue brackets decide what their error bounds prove, and Python
-   ints the rest; above k = 64 floats decide alone.  ``p_value * R`` is
-   thus exactly the number of replicates with statistic >= observed.
+   with positive probability (it does for decimal CSV input and for any
+   covariance estimated from a sample set).  Each statistic has one
+   integer form in a covariance's exact value ``num / den``
+   (:func:`_scaled_stat`); replicates have ``num = m s2 - s1 s1^T`` over
+   ``den = m^2``.  :func:`_counter` derives each comparison once per call
+   from the exact observed value t0 (:func:`observed_statistic_exact`).
+   Total and Frobenius compare with ``ceil(t0 * scale)``: in int64 while
+   ``k m^2`` and ``k^2 m^4 < 2^63``, in Python ints past that.
+   Generalized compares ``det(num) <= floor(den^k (4^-k - t0))``: by rank
+   at m <= k, where every replicate is singular; else by Bareiss
+   (:func:`_int_det`) in int64 while it provably fits
+   (:func:`_int_stats_fit`: k = 2 up to m = 55108, k = 3 up to 362, k = 4
+   up to 54); past that by proven log-determinant brackets and Python ints
+   for the rest, t0 computed only where no bracket decides.  At every k,
+   ``p_value * R`` is exactly the number of replicates >= observed.
 
 Replicates draw their edge bits straight from the generator's raw 64-bit
 output: each column is ``ceil(m/64)`` words and bits past m are cleared.
@@ -52,6 +49,7 @@ words), which keeps them in cache and bounds their memory at any m.
 """
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,7 +62,6 @@ from .variability import StatKind
 
 CHUNK_TARGET = 1 << 22  # edge bits per chunk, caps worker memory
 LOG_DET_TOL = 1e-3  # float log-dets decide only with an error bound below this
-EXACT_TIE_MAX_K = 64  # generalized: beyond this, tie atoms are unreachable
 INT64_MAX = 2**63 - 1
 POPCOUNT_BLOCK = 1 << 16  # words ANDed and popcounted at once (cache-sized)
 BAND_BLOCK = 64  # undecided replicates per Python-int determinant (bounds its memory)
@@ -270,22 +267,15 @@ def _scaled_stat(kind: StatKind, num: np.ndarray, den: int):
     return den**k - 4**k * _int_det(num)
 
 
-def _generalized_float(cov: np.ndarray):
-    """The generalized statistic ``4^-k - det(cov)`` in floats, of (k, k) or (n, k, k)."""
-    return 4.0 ** -cov.shape[-1] - np.linalg.det(cov)
-
-
 def _replicate_values(kind: StatKind, num: np.ndarray, m: int) -> np.ndarray:
-    """Statistics of a batch of replicates ``num / m^2``.
-
-    Their :func:`_scaled_stat`, in int64 within :func:`_int_stats_fit`;
-    past it total and Frobenius in Python ints, and generalized as the
-    float statistic (:func:`_generalized_float`).
+    """Statistics of a batch of replicates ``num / m^2``: their :func:`_scaled_stat`
+    in int64 within :func:`_int_stats_fit`; past it in Python ints, but
+    generalized as the float statistic ``4^-k - det``.
     """
     if _int_stats_fit(kind, m, num.shape[-1]):
         return _scaled_stat(kind, num, m * m)
     if kind is StatKind.GENERALIZED:
-        return _generalized_float(num / float(m * m))
+        return 4.0 ** -num.shape[-1] - np.linalg.det(num / float(m * m))
     return _scaled_stat(kind, num.astype(object), m * m)
 
 
@@ -295,49 +285,61 @@ def observed_statistic_exact(kind: StatKind, sigma: CovMatrix) -> Fraction:
     return Fraction(_scaled_stat(kind, num.astype(object), den), _scale(kind, sigma.k, den))
 
 
-def _count_det_at_most(num: np.ndarray, limit: int) -> int:
-    """How many integer matrices ``num`` (n, k, k) have ``det <= limit``.
+def _log_det_bracket(a: np.ndarray, semidefinite: bool = True):
+    """Proven ``(sign, lo, hi)``, ``lo <= log|det a| <= hi``, for symmetric
+    float matrices a (n, k, k); sign 0 and ``lo = -inf`` where det a is not
+    proven nonzero.  ``tol = k^3 eps`` is a generous backward-error constant.
 
-    Three stages, each deciding only what it can prove (``tol = k^3 eps``
-    is a generous backward-error constant):
-
-    1. ``slogdet`` (LU) decides where ``log(limit)`` is more than ``err``
-       from it and ``err < LOG_DET_TOL``.  Its error was measured below
-       ``eps (1 / lambda_min(H) + log prod(diag) + |log det|)`` (k = 3 to
-       64), with ``H = D^-1 num D^-1`` of unit diagonal (D^2 = diag);
-       AM-GM over ``tr H = k`` gives ``lambda_min(H) >= det(H) / e``, so
-       ``err = tol (e / det(H) + log prod(diag) + |log det|)``.  A
-       singular num has a float det of rounding noise, ``det(H) <~ eps``,
-       so its err is >= 1.
-    2. ``eigvalsh``: each eigenvalue is within ``eta = tol |num|_F`` of the
-       computed one (Weyl's inequality and the eigensolver's backward
-       error), so ``prod(lam - eta) <= det <= prod(lam + eta)``.  A
-       nonzero integer det is >= 1, so at ``limit <= 0`` only brackets
-       reaching 0 are left.
-    3. Python-int Bareiss decides the rest, in BAND_BLOCK blocks.
+    1. Semidefinite a (integer replicates): ``slogdet`` (LU) where its bound
+       ``err < LOG_DET_TOL``.  Its error was measured below ``eps (1 /
+       lambda_min(H) + log prod(diag) + |log det|)`` (k = 3 to 64) for the
+       unit-diagonal ``H = D^-1 a D^-1``, and ``lambda_min(H) >= det(H) / e``
+       (AM-GM, ``tr H = k``); a singular a gets ``det(H) <~ eps``, err >= 1.
+    2. ``eigvalsh`` for the rest: each eigenvalue is within ``eta = tol
+       |a|_F`` of the computed one (Weyl; solver backward error; an eps/2
+       rounding of each input entry): ``prod(|lam| -+ eta)`` bound |det|.
     """
-    k = num.shape[-1]
+    n, k = len(a), a.shape[-1]
     tol = k**3 * np.finfo(np.float64).eps
-    log_limit = log(limit) if limit > 0 else -np.inf
-    sign, logdet = np.linalg.slogdet(num)
-    log_diag = np.log(num.diagonal(axis1=1, axis2=2).clip(1)).sum(axis=1)
-    deficit = np.minimum(log_diag - logdet, 50.0)  # -log det(H), capped where err is 1 anyway
-    err = np.minimum(tol * (np.exp(deficit + 1) + log_diag + np.abs(logdet)), 1.0)
-    trusted = (sign > 0) & (err < LOG_DET_TOL)
-    hit = trusted & (logdet < log_limit - err)
-    miss = trusted & (logdet > log_limit + err)
-    unsure = np.flatnonzero(~(hit | miss))
-    lam = np.linalg.eigvalsh(num[unsure])
-    eta = tol * np.linalg.norm(num[unsure], axis=(1, 2))[:, None]
-    upper = np.log((lam + eta).clip(np.finfo(np.float64).tiny))
-    lower = np.log((lam - eta).clip(np.finfo(np.float64).tiny))
-    slack = tol * (np.abs(upper) + np.abs(lower)).sum(axis=1)  # rounding of the sums
-    hit[unsure] = upper.sum(axis=1) + slack < log_limit
-    miss[unsure] = (lam[:, 0] > eta[:, 0]) & (lower.sum(axis=1) - slack > log_limit)
-    hits = int(hit.sum())
-    rest = num[~(hit | miss)]
-    for lo in range(0, len(rest), BAND_BLOCK):
-        hits += int((_int_det(rest[lo:lo + BAND_BLOCK].astype(object)) <= limit).sum())
+    sign, lo, hi = np.zeros(n), np.full(n, -np.inf), np.full(n, np.inf)
+    if semidefinite:
+        s, logdet = np.linalg.slogdet(a)
+        log_diag = np.log(a.diagonal(axis1=1, axis2=2).clip(1)).sum(axis=1)
+        deficit = np.minimum(log_diag - logdet, 50.0)  # -log det(H), capped where err is 1 anyway
+        err = np.minimum(tol * (np.exp(deficit + 1) + log_diag + np.abs(logdet)), 1.0)
+        trust = (s > 0) & (err < LOG_DET_TOL)
+        sign[trust], lo[trust], hi[trust] = 1, (logdet - err)[trust], (logdet + err)[trust]
+    rest = np.flatnonzero(sign == 0)
+    if rest.size:
+        lam = np.linalg.eigvalsh(a[rest])
+        with np.errstate(over="ignore"):  # entries past ~1e154: eta = inf, an open bracket
+            mag, eta = np.abs(lam), tol * np.linalg.norm(a[rest], axis=(1, 2))[:, None]
+        upper = np.log((mag + eta).clip(np.finfo(np.float64).tiny))
+        lower = np.log((mag - eta).clip(np.finfo(np.float64).tiny))
+        slack = tol * (np.abs(upper) + np.abs(lower)).sum(axis=1)  # rounding of the sums
+        proven = (mag > eta).all(axis=1)
+        sign[rest] = np.where(proven, np.sign(lam).prod(axis=1), 0)
+        lo[rest] = np.where(proven, lower.sum(axis=1) - slack, -np.inf)
+        hi[rest] = upper.sum(axis=1) + slack
+    return sign, lo, hi
+
+
+def _count_det_at_most(num: np.ndarray, lo0: float, hi0: float, limit) -> int:
+    """How many integer matrices ``num`` (n, k, k) have ``det <= limit() = floor(X)``,
+    for ``|X| <= e^hi0`` and ``X >= e^lo0`` (lo0 = -inf if X > 0 is unproven):
+    a :func:`_log_det_bracket` below lo0 hits and one above hi0 misses.
+    Only if one overlaps is ``limit()`` called; its log then decides the
+    same way, and Python-int Bareiss the rest.
+    """
+    _, lo, hi = _log_det_bracket(num)
+    hits, unsure = int((hi < lo0).sum()), (hi >= lo0) & (lo <= hi0)
+    if unsure.any():
+        exact = limit()
+        log_limit = log(exact) if exact > 0 else -np.inf
+        hits += int((unsure & (hi < log_limit)).sum())
+        rest = num[unsure & (hi >= log_limit) & (lo <= log_limit)]
+        for start in range(0, len(rest), BAND_BLOCK):
+            hits += int((_int_det(rest[start:start + BAND_BLOCK].astype(object)) <= exact).sum())
     return hits
 
 
@@ -345,44 +347,41 @@ def _counter(kind: StatKind, sigma: CovMatrix, m: int):
     """The observed statistic as a float, and a function that counts the
     replicates of one chunk (``num`` of :func:`_count_num`) at or above it.
 
-    The comparison is chosen once per call from the exact observed t0:
-    ``cut = ceil(t0 scale)`` on the scaled statistic; for generalized
-    ``det(num) <= limit = floor(den^k (4^-k - t0))`` (by rank at m <= k, in
-    int64 within :func:`_int_stats_fit`, by :func:`_count_det_at_most` past
-    it).  Above EXACT_TIE_MAX_K floats decide alone, on log-determinants:
-    ``det(num) <= m^2k det(sigma)``.
+    Generalized counts ``det(num) <= floor(X)``, ``X = det(m^2 sigma)``.  A
+    bracket of X decides its sign and, where ``|det sigma| 4^k < 2^-54``,
+    the reported t0 (4^-k); t0 is computed at most once, where none decides.
     """
     k, den = sigma.k, m * m
-    if kind is StatKind.GENERALIZED and k > EXACT_TIE_MAX_K:
-        sign0, log0 = np.linalg.slogdet(sigma.entries)
-        t0f = float(_generalized_float(sigma.entries))
-        if m <= k or sign0 < 0:  # replicate dets are >= 0, and all 0 at m <= k (see below)
-            return t0f, lambda num: len(num) * (sign0 >= 0)
-
-        def count_float(num):
-            sign, logdet = np.linalg.slogdet(num)  # a float sign <= 0 stands for det 0
-            return int(((sign <= 0) | (logdet <= log0 + 2 * k * log(m))).sum())
-
-        return t0f, count_float
-
-    t0 = observed_statistic_exact(kind, sigma)
     if kind is not StatKind.GENERALIZED:
+        t0 = observed_statistic_exact(kind, sigma)
         # replicate value s / scale >= t0  <=>  s >= ceil(t0 scale); replicate
         # values are >= 0, so clamping at 0 keeps every count
         cut = max(ceil(t0 * _scale(kind, k, den)), 0)
         if _int_stats_fit(kind, m, k):
             cut = min(cut, INT64_MAX)  # int64 values stay below it
         return float(t0), lambda num: int((_replicate_values(kind, num, m) >= cut).sum())
-    # replicate value 4^-k - det / den^k >= t0  <=>  det <= den^k (4^-k - t0),
-    # floored as det is an integer; det >= 0, so -1 stands for every negative limit
-    limit = max(floor(den**k * (Fraction(1, 4**k) - t0)), -1)
-    if m <= k:
+    lock, box = threading.Lock(), []
+
+    def exact():  # (t0, limit), computed once by the first caller on any thread
+        with lock:
+            if not box:  # det <= den^k (4^-k - t0), floored; det >= 0, so -1 for any limit < 0
+                t0 = observed_statistic_exact(kind, sigma)
+                box.extend((t0, max(floor(den**k * (Fraction(1, 4**k) - t0)), -1)))
+        return box
+
+    num0, den0 = sigma.exact  # the bracket's input is m^2 sigma, correctly rounded
+    scaled = (num0.astype(object) * den / den0).astype(np.float64)
+    sign0, lo0, hi0 = (v[0] for v in _log_det_bracket(scaled[None], semidefinite=False))
+    # t0 rounds to 4^-k where |det sigma| 4^k < 2^-54 (a margin of 2 for these sums' rounding)
+    observed = 4.0**-k if hi0 + 2 * k * log(2 / m) < -55 * log(2) else float(exact()[0])
+    if m <= k or sign0 < 0:  # X < 0 is below every replicate det >= 0; at m <= k
         # num = X^T (m I - 1 1^T) X has rank <= m - 1 < k: every replicate has det 0
-        return float(t0), lambda num: len(num) * (limit >= 0)
+        hit = sign0 > 0 or (sign0 == 0 and exact()[1] >= 0)
+        return observed, lambda num: len(num) * hit
     if _int_stats_fit(kind, m, k):
-        limit = min(limit, INT64_MAX)  # int64 determinants stay below it
-        return float(t0), lambda num: int((_int_det(num) <= limit).sum())
-    return float(t0), lambda num: _count_det_at_most(num, limit)
+        limit = min(exact()[1], INT64_MAX)  # int64 determinants stay below it
+        return observed, lambda num: int((_int_det(num) <= limit).sum())
+    return observed, lambda num: _count_det_at_most(num, lo0, hi0, lambda: exact()[1])
 
 
 def sample_null_statistics(stat: StatKind, m: int, k: int, count: int, seed: int) -> np.ndarray:

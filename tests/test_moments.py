@@ -169,7 +169,9 @@ def test_eigenvalues_match_closed_form_two_by_two():
 def test_eigenvalue_cache_is_race_free():
     import threading
 
-    m = CovMatrix(SIGMA2)
+    # large enough that racing threads overlap inside eigvalsh
+    rng = np.random.default_rng(400)
+    m = CovMatrix(np.cov(rng.integers(0, 2, (500, 400)), rowvar=False))
     results = []
     barrier = threading.Barrier(8)
 
@@ -223,6 +225,10 @@ def test_block_independence():
     blockdiag[2:, 2:] = SIGMA2
     ok, mx = block_independence(CovMatrix(blockdiag), [0, 1], [2, 3])
     assert ok and mx == 0.0
+    # pairwise independence only: in the XOR rows the third edge is a
+    # function of the first two, yet every cross-covariance is 0
+    xor = estimate_moments(make_samples([[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]])).sigma
+    assert block_independence(xor, [0, 1], [2]) == (True, 0.0)
     with pytest.raises(ValueError, match="overlap"):
         block_independence(CovMatrix(0.25 * np.eye(3)), [0, 1], [1, 2])
     with pytest.raises(ValueError, match="non-empty"):

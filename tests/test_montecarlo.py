@@ -450,7 +450,12 @@ def test_generalized_float_count_equals_bareiss(k, m, n):
     nonzero = np.sort(exact[exact != 0])
     median = int(nonzero[len(nonzero) // 2])
     for limit in (median, median - 1, 0):
-        assert montecarlo._count_det_at_most(num, limit) == (exact <= limit).sum(), limit
+        # an open observed bracket defers every decision to the exact limit;
+        # the point bracket of log(limit) lets the replicate brackets decide
+        point = log(limit) if limit > 0 else -np.inf
+        for lo0, hi0 in ((-np.inf, np.inf), (point, point)):
+            count = montecarlo._count_det_at_most(num, lo0, hi0, lambda: limit)
+            assert count == (exact <= limit).sum(), limit
     # the float log-determinant error sits 10 times inside the bound the
     # count trusts, k^3 eps (1 / lambda_min(H) + log prod(diag) + |log det|),
     # and 100 times below LOG_DET_TOL
@@ -485,10 +490,15 @@ def test_generalized_just_above_m_equal_k_is_fast():
     assert round(est.p_value * 400) == 317
 
 
-def test_generalized_large_k_compares_log_determinants():
-    # above k = 64 floats decide alone, on log-determinants: a singular
-    # (duplicated-column) and a sparse observed matrix lie below every
-    # replicate's determinant, so far from the null that p = 0
+def test_generalized_large_k_compares_log_determinants(monkeypatch):
+    # at k = 300 a singular (duplicated-column) and a sparse observed matrix
+    # lie below every replicate's determinant, so far from the null that
+    # p = 0; log-determinant brackets prove every count and the reported
+    # t0 (which rounds to 4^-k) with no exact observed value
+    def no_exact(kind, sigma):
+        raise AssertionError("exact observed value computed")
+
+    monkeypatch.setattr(montecarlo, "observed_statistic_exact", no_exact)
     m, k = 320, 300
     rng = np.random.default_rng(300)
     duplicated = rng.integers(0, 2, size=(m, k), dtype=np.uint8)
@@ -496,7 +506,95 @@ def test_generalized_large_k_compares_log_determinants():
     sparse = (rng.random((m, k)) < 0.05).astype(np.uint8)
     for rows in (duplicated, sparse):
         sigma = estimate_moments(SampleSet(None, rows)).sigma
-        assert mc_pvalues(sigma, (StatKind.GENERALIZED,), 20, m, seed=3)[0].p_value == 0.0
+        est = mc_pvalues(sigma, (StatKind.GENERALIZED,), 20, m, seed=3)[0]
+        assert (est.p_value, est.observed_statistic) == (0.0, 4.0**-k)
+
+
+def test_generalized_huge_forced_entry_leaves_the_bracket_open():
+    # an entry past ~1e154 overflows the Frobenius norm in the observed
+    # bracket: the bracket stays open, with no warning, and t0 decides
+    sigma = CovMatrix.from_csv_text("1e300\n")
+    est = mc_pvalues(sigma, (StatKind.GENERALIZED,), 10, 10, seed=1)[0]
+    assert (est.p_value, est.observed_statistic) == (1.0, -1e300)
+
+
+@pytest.mark.parametrize("e", [53, 56])
+def test_generalized_reported_t0_is_correctly_rounded_above_k64(e, monkeypatch):
+    # sigma = c I with 4^k det(sigma) ~ 2^-e: at e = 53, t0 ~ 4^-k (1 - 2^-53)
+    # rounds to a float of its own, which must come from the exact value; at
+    # e = 56 the bracket proves that t0 rounds to 4^-k, with no exact value
+    k, m = 66, 70
+    sigma = CovMatrix(np.identity(k) * 2.0 ** (-e / k) / 4)
+    t0 = float(observed_statistic_exact(StatKind.GENERALIZED, sigma))
+    assert (t0 == 4.0**-k) == (e == 56)
+    if e == 56:
+        monkeypatch.setattr(montecarlo, "observed_statistic_exact", None)
+    est = mc_pvalues(sigma, (StatKind.GENERALIZED,), 10, m, seed=1)[0]
+    assert (est.observed_statistic, est.p_value) == (t0, 1.0)
+
+
+@pytest.mark.parametrize("m", [40, 50, 66])
+def test_generalized_singular_observed_above_k64(m):
+    # a covariance estimated from m <= k samples is singular, like every
+    # replicate, so the exact p is 1 and t0 is exactly 4^-k; no float
+    # determinant sign may decide it
+    k = 66
+    for s in range(10):
+        rows = np.random.default_rng(s).integers(0, 2, (m, k), dtype=np.uint8)
+        sigma = estimate_moments(SampleSet(None, rows)).sigma
+        est = mc_pvalues(sigma, (StatKind.GENERALIZED,), 20, m, seed=s, workers=1)[0]
+        assert (est.p_value, est.observed_statistic) == (1.0, 4.0**-k), s
+
+
+def test_generalized_exact_tie_above_k64(monkeypatch):
+    # the observed covariance is one replicate's own, so its bracket overlaps
+    # that replicate's: the exact observed value is computed once, lazily,
+    # from the chunk count, and p * R equals the Python-int Bareiss count
+    # of det <= the observed det, the tie included
+    import sys
+    import threading
+    import time
+
+    k, m, replicates, seed = 66, 70, 10, 4
+    assert replicates <= montecarlo._chunk_size(m, k)  # one chunk holds every replicate
+    num = montecarlo._count_num(*montecarlo._draw_counts(seed, 0, replicates, m, k), m)
+    dets = montecarlo._int_det(num.astype(object))
+    calls = []
+    exact = montecarlo.observed_statistic_exact
+
+    def counted(kind, sigma):
+        calls.append(kind)
+        time.sleep(0.01)  # widens the window for racing callers
+        return exact(kind, sigma)
+
+    monkeypatch.setattr(montecarlo, "observed_statistic_exact", counted)
+    for r in (0, 1):
+        sigma = CovMatrix(num[r] / (m * m), exact=(num[r].copy(), m * m))
+        est = mc_pvalues(sigma, (StatKind.GENERALIZED,), replicates, m, seed, workers=2)[0]
+        assert round(est.p_value * replicates) == sum(d <= dets[r] for d in dets)
+        assert est.observed_statistic == float(Fraction(1, 4**k) - Fraction(dets[r], m ** (2 * k)))
+    assert len(calls) == 2
+    # chunk counts racing on more threads than cores compute t0 once, and agree
+    calls.clear()
+    _, count = montecarlo._counter(StatKind.GENERALIZED, sigma, m)
+    barrier, results = threading.Barrier(8), []
+
+    def race():
+        barrier.wait(timeout=30)
+        results.append(count(num))
+
+    threads = [threading.Thread(target=race) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [sum(d <= dets[1] for d in dets)] * 8 and len(calls) == 1
 
 
 def test_exact_ties_above_k64():
@@ -532,12 +630,11 @@ def test_generalized_null_values_past_the_int64_bound():
 
 
 def test_generalized_above_k64_decided_without_determinants():
-    # above EXACT_TIE_MAX_K no determinant is needed at m <= k (every
+    # above k = 64 no replicate determinant is needed at m <= k (every
     # replicate det is 0, the null's maximum) or for a negative observed det
     # (beyond every replicate): p = 1 for 0.25 I and p = 0 for an indefinite
     # matrix
     k = 66
-    assert k > montecarlo.EXACT_TIE_MAX_K
     quarter = np.identity(k) / 4
     indefinite = quarter.copy()
     indefinite[0, 1] = indefinite[1, 0] = 0.3  # eigenvalues 0.55 and -0.05
