@@ -45,7 +45,10 @@ popcounts of the ANDed packed words summed in int64 over the words: no
 bit is unpacked, no float is formed, and at small k no BLAS call is made
 per replicate.  The popcount temporaries are taken in blocks of about
 ``POPCOUNT_BLOCK`` words (several replicates, or part of one replicate's
-words), which keeps them in cache and bounds their memory at any m.
+words), which keeps them in cache and bounds their memory at any m.  A
+chunk is one pass (draw, popcount into s2, ``num`` in place of s2, the
+counts) through arrays that its worker allocates once (:func:`_scratch`)
+and reuses for every chunk it takes: no fresh pages per chunk.
 """
 
 import os
@@ -100,7 +103,7 @@ def _chunk_sizes(replicates: int, m: int, k: int, seed: int) -> list[int]:
     return [min(chunk, replicates - start) for start in range(0, replicates, chunk)]
 
 
-def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
+def _chunk_rng(seed: int, chunk_index: int) -> "np.random.Generator":
     key = np.array([seed, chunk_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -122,7 +125,7 @@ def _resolve_workers(workers: int | None, n_chunks: int) -> int:
     return min(w, n_chunks)
 
 
-def _draw_bits(bitgen: np.random.BitGenerator, n: int, m: int, k: int) -> np.ndarray:
+def _draw_bits(bitgen: "np.random.BitGenerator", n: int, m: int, k: int) -> np.ndarray:
     """n replicates' k edge columns of m fair bits, packed.
 
     Shape (n, k, ceil(m/64)) of uint64 words: bit j of a column is bit
@@ -134,46 +137,83 @@ def _draw_bits(bitgen: np.random.BitGenerator, n: int, m: int, k: int) -> np.nda
     return words
 
 
-def _bit_counts(words: np.ndarray):
+def _scratch(n: int, k: int, n_words: int):
+    """Arrays that count up to n replicates of n_words-word columns: the words
+    word-axis first, an AND and a popcount block, and s2 (or num in its place)."""
+    block = max(POPCOUNT_BLOCK, k * k)  # bounds every block of _bit_counts
+    return (np.empty((n_words, n, k), np.uint64), np.empty(block, np.uint64),
+            np.empty(block, np.uint8), np.empty((n, k, k), np.int64))
+
+
+def _bit_counts(words: np.ndarray, scratch=None):
     """Column sums s1 (n, k) and cross sums s2 (n, k, k), int64, from packed bits.
 
     ``s2[r, i, j]`` is the popcount of column i AND column j of replicate
     r, summed over its words; blocks of ``reps`` replicates times ``span``
-    words keep each temporary near POPCOUNT_BLOCK words.
+    words keep each temporary near POPCOUNT_BLOCK words.  All arrays, s2
+    too, are views into ``scratch`` (:func:`_scratch` for >= n) if given.
     """
     n, k, n_words = words.shape
-    by_word = np.ascontiguousarray(words.transpose(2, 0, 1))  # (words, n, k): sums add whole slabs
+    by_word, pairs, counts, s2 = scratch or _scratch(n, k, n_words)
+    by_word, s2 = by_word[:, :n], s2[:n]
+    np.copyto(by_word, words.transpose(2, 0, 1))  # (words, n, k): sums add whole slabs
     reps = max(1, POPCOUNT_BLOCK // (k * k * n_words))
     span = max(1, POPCOUNT_BLOCK // (k * k * reps))  # all words unless reps == 1
-    s2 = np.zeros((n, k, k), dtype=np.int64)
     for lo in range(0, n, reps):
         for w in range(0, n_words, span):
             b = by_word[w:w + span, lo:lo + reps]
-            pairs = np.bitwise_count(b[..., :, None] & b[..., None, :])
-            s2[lo:lo + reps] += pairs.sum(axis=0, dtype=np.int64)
+            pair = np.bitwise_and(b[..., :, None], b[..., None, :],
+                                  out=pairs[:b.size * k].reshape(*b.shape, k))
+            count = np.bitwise_count(pair, out=counts[:pair.size].reshape(pair.shape))
+            if w:
+                s2[lo:lo + reps] += count.sum(axis=0, dtype=np.int64)
+            else:
+                count.sum(axis=0, dtype=np.int64, out=s2[lo:lo + reps])
     s1 = s2.diagonal(axis1=1, axis2=2).copy()  # binary data: x_i . x_i = sum(x_i)
     return s1, s2
 
 
-def _draw_counts(seed: int, chunk_index: int, n: int, m: int, k: int):
-    """Count arrays (s1, s2) for the n replicates of one chunk."""
+def _draw_counts(seed: int, chunk_index: int, n: int, m: int, k: int, scratch=None):
+    """Count arrays (s1, s2) for the n replicates of one chunk (see :func:`_bit_counts`)."""
     bitgen = _chunk_rng(seed, chunk_index).bit_generator
-    return _bit_counts(_draw_bits(bitgen, n, m, k))
+    return _bit_counts(_draw_bits(bitgen, n, m, k), scratch)
 
 
-def _count_num(s1, s2, m: int) -> np.ndarray:
-    """``m s2 - s1 s1^T`` per replicate: m^2 times the plug-in covariance, int64."""
-    return m * s2 - s1[:, :, None] * s1[:, None, :]
+def _count_num(s1, s2, m: int, out=None) -> np.ndarray:
+    """``m s2 - s1 s1^T`` per replicate: m^2 times the plug-in covariance, int64, in ``out``."""
+    num = np.multiply(s2, m, out=out)
+    for i in range(s1.shape[1]):  # row by row: no (n, k, k) temporary
+        num[:, i] -= s1[:, i, None] * s1
+    return num
 
 
 def _map_chunks(fn, seed: int, sizes: list[int], m: int, k: int, workers: int | None) -> list:
-    """``fn(num)`` of each chunk's replicate numerators (:func:`_count_num`), in chunk order."""
+    """``fn(num)`` of each chunk's replicate numerators (:func:`_count_num`), in chunk order.
 
-    def task(c):
-        return fn(_count_num(*_draw_counts(seed, c, sizes[c], m, k), m))
+    Each worker takes the next chunk until none is left and passes it
+    through its own :func:`_scratch`, so ``num`` is overwritten by the
+    worker's next chunk: fn must not keep it.
+    """
+    # the scratches, and numpy.random (loaded on first use), are allocated on
+    # the calling thread: on the workers they went to the workers' malloc
+    # arenas and raised the peak RSS of the paper table by ~0.5 MiB
+    import numpy.random  # noqa: F401
+    n_workers = _resolve_workers(workers, len(sizes))
+    scratches = [_scratch(sizes[0], k, (m + 63) // 64) for _ in range(n_workers)]
+    results, chunks, lock = [None] * len(sizes), iter(range(len(sizes))), threading.Lock()
 
-    with ThreadPoolExecutor(max_workers=_resolve_workers(workers, len(sizes))) as pool:
-        return list(pool.map(task, range(len(sizes))))
+    def worker(scratch):
+        while True:
+            with lock:
+                c = next(chunks, None)
+            if c is None:
+                return
+            s1, s2 = _draw_counts(seed, c, sizes[c], m, k, scratch)
+            results[c] = fn(_count_num(s1, s2, m, out=s2))
+
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        list(pool.map(worker, scratches))  # re-raises a worker's exception
+    return results
 
 
 def _scale(kind: StatKind, k: int, den: int) -> int:
@@ -191,7 +231,11 @@ def _int_stats_fit(kind: StatKind, m: int, k: int) -> bool:
 
     A replicate's ``num = m s2 - s1 s1^T`` is m^2 times a covariance of
     binary columns, so ``|num_ij| <= B = m^2/4``.  Total is k terms
-    ``(2S - m)^2 <= m^2``; Frobenius k^2 terms ``<= m^4``.  Generalized is
+    ``(2S - m)^2 <= m^2``.  Frobenius is k^2 terms ``<= m^4``, computed as
+    ``16 sum(num^2) + den (k den - 8 tr num)`` with ``den = m^2``: the sum
+    is ``0 <= 16 sum(num^2) <= k^2 m^4``; ``0 <= tr num <= k m^2/4``, so
+    ``|den (k den - 8 tr num)| <= k m^4``; and the result is ``<= k^2 m^4``,
+    so ``k^2 m^4 <= INT64_MAX`` covers every intermediate.  Generalized is
     ``m^2k - 4^k det(num)``: num is positive semidefinite, so
     ``0 <= 4^k det(num) <= 4^k prod(diag) <= m^2k``.  Its Bareiss
     elimination (:func:`_int_det`) holds only minors of num; a j x j minor
@@ -260,10 +304,9 @@ def _scaled_stat(kind: StatKind, num: np.ndarray, den: int):
     k = num.shape[-1]
     if kind is StatKind.TOTAL:
         return k * den - 4 * num.diagonal(axis1=-2, axis2=-1).sum(axis=-1)
-    if kind is StatKind.FROBENIUS:
-        d = 4 * num
-        d[..., range(k), range(k)] -= den
-        return (d * d).sum(axis=(-2, -1))
+    if kind is StatKind.FROBENIUS:  # expanded: no (n, k, k) temporary
+        trace = num.diagonal(axis1=-2, axis2=-1).sum(axis=-1)
+        return 16 * np.einsum("...ij,...ij->...", num, num) + den * (k * den - 8 * trace)
     return den**k - 4**k * _int_det(num)
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -466,3 +469,12 @@ def test_test_table_per_method_error_row(tmp_path, capsys):
         "t_G2     error: gamma shape non-positive: need m + 1 > k, got m=1, k=2",
         "t_T                1.92      0.6171071      0.9762491",
     ]
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy.random (with secrets, hmac and hashlib) adds start-up time to
+    # every subcommand; only a Monte Carlo draw needs it, and loads it then
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, netvar.cli; sys.exit('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0

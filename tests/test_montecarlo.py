@@ -1,5 +1,6 @@
+import sys
 from fractions import Fraction
-from math import log
+from math import isqrt, log
 
 import numpy as np
 import pytest
@@ -230,6 +231,35 @@ def test_pvalue_counts_equal_oracle_counts_on_the_same_draws(k, m):
     assert ties > 0  # the exact comparison is exercised
 
 
+@pytest.mark.parametrize("last", ["one replicate", "one short of a chunk"])
+def test_short_last_chunk_counts_equal_per_replicate_counts(last):
+    # each worker passes its chunks through one scratch of full chunk size;
+    # a run that ends on a short chunk must tally exactly what each
+    # replicate's own (owned) numerator counts on the same draws, on any
+    # number of workers; the observed covariance is the last replicate's
+    # own, so every statistic has a tie
+    k, m, seed = 28, 200, 3
+    chunk = montecarlo._chunk_size(m, k)
+    replicates = chunk + 1 if last == "one replicate" else 2 * chunk - 1
+    sizes = montecarlo._chunk_sizes(replicates, m, k, seed)
+    assert len(sizes) == 2 and sizes[-1] < chunk
+    nums = [montecarlo._count_num(*montecarlo._draw_counts(seed, c, n, m, k), m)
+            for c, n in enumerate(sizes)]
+    own = nums[-1][-1]
+    sigma = CovMatrix(own / (m * m), exact=(own.copy(), m * m))
+    expected = [sum(count(num[r:r + 1].copy()) for num in nums for r in range(len(num)))
+                for _, count in (montecarlo._counter(kind, sigma, m) for kind in ALL_KINDS)]
+    assert all(expected)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the workers' chunk hand-out often
+    try:
+        for workers in (1, 2, 4):
+            ests = mc_pvalues(sigma, ALL_KINDS, replicates, m, seed, workers=workers)
+            assert [round(est.p_value * replicates) for est in ests] == expected, workers
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_asymmetric_csv_is_symmetrized_exactly():
     # asymmetry within 1e-12 is averaged away in the exact view as well
     skew = CovMatrix.from_csv_text("0.24,0.04\n0.0400000000005,0.24\n")
@@ -361,6 +391,27 @@ def test_integer_path_bounds():
             assert got[0] == montecarlo._scaled_stat(StatKind.GENERALIZED, num.astype(object), m * m)[0]
         assert montecarlo._scaled_stat(StatKind.GENERALIZED, diagonal, m * m)[0] == 0
     assert not montecarlo._int_stats_fit(StatKind.GENERALIZED, 200, 28)
+
+
+@pytest.mark.parametrize("k", [1, 2, 28])
+def test_frobenius_int64_at_the_largest_fitting_m(k):
+    # numpy int64 wraps without a warning, so at the largest m within
+    # _int_stats_fit the replicates that reach the bound must still give the
+    # Python-int value: identical or complementary columns at p = 1/2
+    # (|num_ij| = m^2/4, floored at odd m) make 16 sum(num^2) = k^2 m^4 and
+    # den (k den - 8 tr num) = -k m^4; constant columns (num = 0) give +k m^4
+    m = isqrt(isqrt(montecarlo.INT64_MAX // (k * k)))
+    assert montecarlo._int_stats_fit(StatKind.FROBENIUS, m, k)
+    assert not montecarlo._int_stats_fit(StatKind.FROBENIUS, m + 1, k)
+    den, b = m * m, m * m // 4
+    signs = np.where(np.arange(k) % 2, -1, 1)
+    for num in (np.full((1, k, k), b), b * np.outer(signs, signs)[None], np.zeros((1, k, k), int)):
+        got = montecarlo._scaled_stat(StatKind.FROBENIUS, num.astype(np.int64), den)
+        assert got.dtype == np.int64
+        exact = sum((4 * int(num[0, i, j]) - den * (i == j)) ** 2
+                    for i in range(k) for j in range(k))
+        assert int(got[0]) == exact == montecarlo._scaled_stat(
+            StatKind.FROBENIUS, num.astype(object), den)[0]
 
 
 def _det_cases(rng, k):
@@ -622,7 +673,7 @@ def test_generalized_null_values_past_the_int64_bound():
     values = sample_null_statistics(kind, m, k, count, seed)
     sizes = montecarlo._chunk_sizes(count, m, k, seed)
     assert len(sizes) == 2  # the chunk boundary is crossed
-    num = np.concatenate(montecarlo._map_chunks(lambda num: num, seed, sizes, m, k, workers=1))
+    num = np.concatenate(montecarlo._map_chunks(lambda num: num.copy(), seed, sizes, m, k, workers=1))
     scale = montecarlo._scale(kind, k, m * m)
     exact = [float(Fraction(int(s), scale))
              for s in montecarlo._scaled_stat(kind, num.astype(object), m * m)]
