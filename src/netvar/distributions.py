@@ -53,6 +53,18 @@ def _upper_cf(a: float, x: float) -> float:
     raise ArithmeticError(f"incomplete gamma fraction did not converge (a={a}, x={x})")
 
 
+def _tail(a: float, x: float) -> tuple[bool, float]:
+    """The tail computed directly at (a, x): ``(True, P)`` by series, or
+    ``(False, Q)`` by continued fraction (and at x = inf, where Q = 0)."""
+    if not a > 0:
+        raise ValueError(f"shape must be positive, got {a}")
+    if not x >= 0:  # NaN too
+        raise ValueError(f"argument must be non-negative, got {x}")
+    if x < a + 1.0:  # x = 0 included, where P = 0
+        return True, _lower_series(a, x) if x > 0 else 0.0
+    return False, _upper_cf(a, x) if x < math.inf else 0.0
+
+
 def reg_lower_gamma(a: float, x: float) -> float:
     """Regularized lower incomplete gamma function P(a, x).
 
@@ -60,28 +72,14 @@ def reg_lower_gamma(a: float, x: float) -> float:
     relative accuracy because it is summed directly rather than obtained
     by complementing the upper tail.
     """
-    if not a > 0:
-        raise ValueError(f"shape must be positive, got {a}")
-    if x < 0:
-        raise ValueError(f"argument must be non-negative, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _lower_series(a, x)
-    return 1.0 - _upper_cf(a, x)
+    lower, value = _tail(a, x)
+    return value if lower else 1.0 - value
 
 
 def reg_upper_gamma(a: float, x: float) -> float:
     """Regularized upper incomplete gamma function Q(a, x) = 1 - P(a, x)."""
-    if not a > 0:
-        raise ValueError(f"shape must be positive, got {a}")
-    if x < 0:
-        raise ValueError(f"argument must be non-negative, got {x}")
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _lower_series(a, x)
-    return _upper_cf(a, x)
+    lower, value = _tail(a, x)
+    return 1.0 - value if lower else value
 
 
 def gamma_cdf(x: float, shape: float) -> float:

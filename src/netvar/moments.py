@@ -30,44 +30,50 @@ BOUND_TOL = 1e-9
 class CovMatrix:
     """Symmetric k x k covariance matrix with lazily cached eigenvalues.
 
-    Construction accepts asymmetry up to 1e-12 in absolute value and then
-    symmetrizes as (M + M^T)/2, so downstream behaviour is deterministic.
-    Eigenvalues are computed on first use and cached (threads racing on the
-    first use may each compute them, but all get the first value stored),
-    sorted in descending order, and clamped to 0 when within -1e-9; the raw
-    minimum is kept for diagnostics.
+    A covariance has one value, exact: ``num / den``, a read-only integer
+    numerator array over one positive integer denominator.  Its float
+    ``entries`` are that value correctly rounded.  ``CovMatrix(entries)``
+    takes floats, and their binary values are the exact value (built on
+    first use); :meth:`from_exact` takes ``num`` and ``den`` (from the moment
+    estimator and the decimal CSV parser) and rounds each entry once.
 
-    The exact value of the matrix is ``num / den``: a read-only integer
-    numerator array over one positive integer denominator, supplied by
-    the moment estimator or the decimal CSV parser (the given ``num`` is
-    made read-only, not copied).  A non-symmetric ``num`` is symmetrized
-    like the floats, as ``(num + num^T) / (2 den)``.  When no exact value
-    is given, the binary values of the float entries are taken as exact
-    (numerators over a common power of two).  The Monte Carlo module uses
-    it to resolve ties exactly.
+    Asymmetry up to 1e-12 in absolute value is accepted and symmetrized:
+    floats to the midpoint of each unequal pair, an exact value to
+    ``(num + num^T) / (2 den)``.  Eigenvalues are computed on first use and
+    cached (threads racing on the first use may each compute them, but all
+    get the first value stored), sorted in descending order, and clamped to
+    0 when within -1e-9; the raw minimum is kept for diagnostics.
     """
 
-    def __init__(self, entries, exact: tuple[np.ndarray, int] | None = None):
-        arr = np.asarray(entries, dtype=np.float64)
+    def __init__(self, entries):
+        arr = np.array(entries, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"covariance matrix must be square, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise ValueError("covariance matrix must be at least 1 x 1")
         if not np.isfinite(arr).all():
             raise ValueError("covariance matrix entries must be finite")
-        transposed = arr.T.copy()
-        gap = np.abs(arr - transposed).max()
+        with np.errstate(over="ignore"):  # entries near 1e308 apart: gap inf, rejected
+            gap = np.abs(arr - arr.T).max()
         if gap > SYMMETRY_TOL:
             raise ValueError(f"matrix asymmetric beyond {SYMMETRY_TOL}: max |M - M^T| = {gap}")
-        arr = np.add(arr, transposed, out=transposed)
-        arr /= 2.0
+        odd = arr != arr.T  # within 1e-12 of each other, so their sum cannot overflow
+        arr[odd] = (arr[odd] + arr.T[odd]) / 2
         arr.setflags(write=False)
         self._entries = arr
-        if exact is not None:
-            if not (exact[0] == exact[0].T).all():
-                exact = (exact[0] + exact[0].T, 2 * exact[1])
-            exact[0].setflags(write=False)
-        self._exact = exact
+        self._exact = None
+
+    @classmethod
+    def from_exact(cls, num: np.ndarray, den: int) -> "CovMatrix":
+        """The covariance ``num / den``: int64 or Python-int ``num`` (made read-only), den > 0."""
+        sigma = cls(_rounded(num, den))  # checks the shape and the asymmetry
+        if not (num == num.T).all():
+            obj = num.astype(object)  # Python ints: the sum cannot overflow
+            num, den = obj + obj.T, 2 * den
+            sigma = cls(_rounded(num, den))
+        num.setflags(write=False)
+        sigma._exact = (num, den)
+        return sigma
 
     @property
     def entries(self) -> np.ndarray:
@@ -106,10 +112,8 @@ class CovMatrix:
     def exact(self) -> tuple[np.ndarray, int]:
         """Exact value as ``(num, den)``: integer numerators over one denominator."""
         if self._exact is None:  # float entries are exact binary fractions
-            ratios = [v.as_integer_ratio() for v in self._entries.ravel().tolist()]
-            num, den = _over_common_den(ratios, self.k)
-            num.setflags(write=False)
-            self._exact = (num, den)
+            rows = self._entries.tolist()
+            self._exact = _over_common_den({v: v.as_integer_ratio() for r in rows for v in r}, rows)
         return self._exact
 
     def exact_entries(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -119,10 +123,9 @@ class CovMatrix:
 
     def submatrix(self, idx: Sequence[int]) -> "CovMatrix":
         ix = np.ix_(list(idx), list(idx))
-        exact = None
-        if self._exact is not None:
-            exact = (self._exact[0][ix], self._exact[1])
-        return CovMatrix(self._entries[ix], exact=exact)
+        if self._exact is None:  # floats: the slice's binary values are its exact value
+            return CovMatrix(self._entries[ix])
+        return CovMatrix.from_exact(self._exact[0][ix], self._exact[1])
 
     def __repr__(self):
         return f"CovMatrix(k={self.k})"
@@ -132,22 +135,20 @@ class CovMatrix:
         """Parse k lines of k comma-separated decimals; decimals are exact."""
         from decimal import Decimal, InvalidOperation
 
-        rows, ratios = [], []
+        rows, ratios = [], {}  # ratios: each distinct cell, parsed once, as (n, d)
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            cells = [c.strip() for c in line.split(",")]
-            try:
-                exact = [Decimal(c) for c in cells]
-                row = [float(c) for c in cells]
-            except (InvalidOperation, ValueError):
-                raise ValueError(f"line {lineno}: invalid number in covariance CSV") from None
-            for d, f in zip(exact, row):  # range first, so huge exponents fail fast
+            rows.append(line.split(","))  # cells keep their blanks: both parsers skip them
+            for cell in [c for c in dict.fromkeys(rows[-1]) if c not in ratios]:
+                try:
+                    d, f = Decimal(cell), float(cell)
+                except (InvalidOperation, ValueError):
+                    raise ValueError(f"line {lineno}: invalid number in covariance CSV") from None
                 if not d.is_finite() or isinf(f) or (f == 0.0 and not d.is_zero()):
                     raise ValueError(f"line {lineno}: {d} is outside the finite float64 range")
-            ratios += [d.as_integer_ratio() for d in exact]
-            rows.append(row)
+                ratios[cell] = d.as_integer_ratio()  # range first: huge exponents fail fast
         if not rows:
             raise ValueError("empty covariance CSV")
         if any(len(r) != len(rows) for r in rows):
@@ -155,13 +156,23 @@ class CovMatrix:
                 f"covariance CSV must be square, got {len(rows)} rows of widths "
                 f"{sorted({len(r) for r in rows})}"
             )
-        return cls(np.array(rows), exact=_over_common_den(ratios, len(rows)))
+        return cls.from_exact(*_over_common_den(ratios, rows))
 
 
-def _over_common_den(ratios: list[tuple[int, int]], k: int) -> tuple[np.ndarray, int]:
-    """k*k integer ratios (n, d), row-major, as numerators over their least common d."""
-    den = lcm(*{d for _, d in ratios})
-    return np.array([n * (den // d) for n, d in ratios], dtype=object).reshape(k, k), den
+def _over_common_den(ratios: dict, rows: list) -> tuple[np.ndarray, int]:
+    """``rows`` of keys of exact ``ratios`` (n, d): read-only numerators over the least d."""
+    den = lcm(*{d for _, d in ratios.values()})
+    scaled = {key: n * (den // d) for key, (n, d) in ratios.items()}
+    num = np.array([list(map(scaled.__getitem__, row)) for row in rows], dtype=object)
+    num.setflags(write=False)
+    return num, den
+
+
+def _rounded(num: np.ndarray, den: int) -> np.ndarray:
+    """``num / den`` rounded once: float64 division of exact floats (< 2^53), else int division."""
+    if den < 2**53 and -(2**53) < num.min(initial=0) and num.max(initial=0) < 2**53:
+        return num.astype(np.float64) / den
+    return np.array([n / den for n in num.ravel().tolist()]).reshape(num.shape)
 
 
 @dataclass(frozen=True)
@@ -208,13 +219,10 @@ class Diagnostic:
 def estimate_moments(samples: SampleSet, estimator: str = "plugin") -> MomentEstimate:
     """Estimate moments from an incidence matrix.
 
-    The computation runs on integer counts, and the covariance carries its
-    rationals exactly (denominator m^2 plug-in, m*(m-1) bias-corrected).
-    Frequencies (denominator m) and off-diagonal covariance floats are the
-    correctly rounded rationals.  The diagonal is the float product
-    ``p*(1-p)`` (scaled when bias-corrected), which keeps the trace equal to
-    the sum of the marginal variances; in 43% of the plug-in pairs
-    0 <= s <= m <= 1000 it misses the rounded ``num/den``, by up to 255 ulp.
+    The computation runs on integer counts, and the covariance is the exact
+    rational ``num / den`` (:meth:`CovMatrix.from_exact`; denominator m^2
+    plug-in, m*(m-1) bias-corrected), so its floats are correctly rounded.
+    Frequencies (denominator m) are correctly rounded too.
     """
     if estimator not in ("plugin", "unbiased"):
         raise ValueError(f"estimator must be 'plugin' or 'unbiased', got {estimator!r}")
@@ -224,17 +232,9 @@ def estimate_moments(samples: SampleSet, estimator: str = "plugin") -> MomentEst
     x = samples.incidence.astype(np.float64)
     s2 = (x.T @ x).astype(np.int64)  # exact: integer-valued float matmul
     s1 = s2.diagonal().copy()  # binary data: x_i . x_i = sum(x_i)
-
-    p_hat = s1 / m
-    p_hat2 = s2 / m
     num = m * s2 - np.outer(s1, s1)  # m^2 * plug-in covariance, exact integers
     den = m * m if estimator == "plugin" else m * (m - 1)
-    sigma = num / den
-    # diagonal in the literal p*(1-p) form; floats stay <= 1/4 exactly
-    scale = 1.0 if estimator == "plugin" else m / (m - 1.0)
-    np.fill_diagonal(sigma, scale * p_hat * (1.0 - p_hat))
-
-    return MomentEstimate(p_hat, p_hat2, CovMatrix(sigma, exact=(num, den)), m, estimator)
+    return MomentEstimate(s1 / m, s2 / m, CovMatrix.from_exact(num, den), m, estimator)
 
 
 def validate_covariance(sigma: CovMatrix) -> Diagnostic:

@@ -56,7 +56,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, log, sqrt
+from math import ceil, floor, inf, log, sqrt
 
 import numpy as np
 
@@ -103,14 +103,14 @@ def _chunk_sizes(replicates: int, m: int, k: int, seed: int) -> list[int]:
     return [min(chunk, replicates - start) for start in range(0, replicates, chunk)]
 
 
-def _chunk_rng(seed: int, chunk_index: int) -> "np.random.Generator":
-    key = np.array([seed, chunk_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _chunk_rng(seed: int, chunk_index: int) -> "np.random.Philox":
+    return np.random.Philox(key=np.array([seed, chunk_index], dtype=np.uint64))
 
 
 def _resolve_workers(workers: int | None, n_chunks: int) -> int:
-    """Worker threads for n_chunks chunks: min(requested, n_chunks, NETVAR_THREADS)."""
-    w = workers if workers is not None else (os.cpu_count() or 1)
+    """Worker threads: min(requested or usable CPUs, n_chunks, NETVAR_THREADS)."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    w = workers if workers is not None else cpus or 1
     if w < 1:
         raise ValueError(f"worker count must be >= 1, got {w}")
     cap = os.environ.get("NETVAR_THREADS")
@@ -175,8 +175,7 @@ def _bit_counts(words: np.ndarray, scratch=None):
 
 def _draw_counts(seed: int, chunk_index: int, n: int, m: int, k: int, scratch=None):
     """Count arrays (s1, s2) for the n replicates of one chunk (see :func:`_bit_counts`)."""
-    bitgen = _chunk_rng(seed, chunk_index).bit_generator
-    return _bit_counts(_draw_bits(bitgen, n, m, k), scratch)
+    return _bit_counts(_draw_bits(_chunk_rng(seed, chunk_index), n, m, k), scratch)
 
 
 def _count_num(s1, s2, m: int, out=None) -> np.ndarray:
@@ -339,11 +338,12 @@ def _log_det_bracket(a: np.ndarray, semidefinite: bool = True):
        unit-diagonal ``H = D^-1 a D^-1``, and ``lambda_min(H) >= det(H) / e``
        (AM-GM, ``tr H = k``); a singular a gets ``det(H) <~ eps``, err >= 1.
     2. ``eigvalsh`` for the rest: each eigenvalue is within ``eta = tol
-       |a|_F`` of the computed one (Weyl; solver backward error; an eps/2
-       rounding of each input entry): ``prod(|lam| -+ eta)`` bound |det|.
+       (|a|_F + k tiny)`` of the computed one (Weyl; solver backward error;
+       each input entry rounded within eps/2, or 2^-1075 where subnormal):
+       ``prod(|lam| -+ eta)`` bound |det|.
     """
-    n, k = len(a), a.shape[-1]
-    tol = k**3 * np.finfo(np.float64).eps
+    n, k, fi = len(a), a.shape[-1], np.finfo(np.float64)
+    tol = k**3 * fi.eps
     sign, lo, hi = np.zeros(n), np.full(n, -np.inf), np.full(n, np.inf)
     if semidefinite:
         s, logdet = np.linalg.slogdet(a)
@@ -356,9 +356,10 @@ def _log_det_bracket(a: np.ndarray, semidefinite: bool = True):
     if rest.size:
         lam = np.linalg.eigvalsh(a[rest])
         with np.errstate(over="ignore"):  # entries past ~1e154: eta = inf, an open bracket
-            mag, eta = np.abs(lam), tol * np.linalg.norm(a[rest], axis=(1, 2))[:, None]
-        upper = np.log((mag + eta).clip(np.finfo(np.float64).tiny))
-        lower = np.log((mag - eta).clip(np.finfo(np.float64).tiny))
+            norm = np.linalg.norm(a[rest], axis=(1, 2))[:, None]
+        mag, eta = np.abs(lam), tol * (norm + k * fi.tiny)
+        upper = np.log((mag + eta).clip(fi.tiny))
+        lower = np.log((mag - eta).clip(fi.smallest_subnormal))  # mag - eta > 0 where proven
         slack = tol * (np.abs(upper) + np.abs(lower)).sum(axis=1)  # rounding of the sums
         proven = (mag > eta).all(axis=1)
         sign[rest] = np.where(proven, np.sign(lam).prod(axis=1), 0)
@@ -386,12 +387,17 @@ def _count_det_at_most(num: np.ndarray, lo0: float, hi0: float, limit) -> int:
     return hits
 
 
+def _float(t0: Fraction) -> float:
+    """t0 rounded to nearest; from 2^1024 - 2^970 on that is +-inf (IEEE overflow)."""
+    return float(t0) if abs(t0) < 2**1024 - 2**970 else inf if t0 > 0 else -inf
+
+
 def _counter(kind: StatKind, sigma: CovMatrix, m: int):
     """The observed statistic as a float, and a function that counts the
     replicates of one chunk (``num`` of :func:`_count_num`) at or above it.
 
-    Generalized counts ``det(num) <= floor(X)``, ``X = det(m^2 sigma)``.  A
-    bracket of X decides its sign and, where ``|det sigma| 4^k < 2^-54``,
+    Generalized counts ``det(num) <= floor(X)``, ``X = det(m^2 sigma)``.  A bracket
+    of ``det sigma`` decides the sign of X and, where ``|det sigma| 4^k < 2^-54``,
     the reported t0 (4^-k); t0 is computed at most once, where none decides.
     """
     k, den = sigma.k, m * m
@@ -402,7 +408,7 @@ def _counter(kind: StatKind, sigma: CovMatrix, m: int):
         cut = max(ceil(t0 * _scale(kind, k, den)), 0)
         if _int_stats_fit(kind, m, k):
             cut = min(cut, INT64_MAX)  # int64 values stay below it
-        return float(t0), lambda num: int((_replicate_values(kind, num, m) >= cut).sum())
+        return _float(t0), lambda num: int((_replicate_values(kind, num, m) >= cut).sum())
     lock, box = threading.Lock(), []
 
     def exact():  # (t0, limit), computed once by the first caller on any thread
@@ -412,11 +418,9 @@ def _counter(kind: StatKind, sigma: CovMatrix, m: int):
                 box.extend((t0, max(floor(den**k * (Fraction(1, 4**k) - t0)), -1)))
         return box
 
-    num0, den0 = sigma.exact  # the bracket's input is m^2 sigma, correctly rounded
-    scaled = (num0.astype(object) * den / den0).astype(np.float64)
-    sign0, lo0, hi0 = (v[0] for v in _log_det_bracket(scaled[None], semidefinite=False))
-    # t0 rounds to 4^-k where |det sigma| 4^k < 2^-54 (a margin of 2 for these sums' rounding)
-    observed = 4.0**-k if hi0 + 2 * k * log(2 / m) < -55 * log(2) else float(exact()[0])
+    sign0, lo, hi = (v[0] for v in _log_det_bracket(sigma.entries[None], semidefinite=False))
+    # t0 rounds to 4^-k where |det sigma| 4^k < 2^-54 (a margin of 2 for this sum's rounding)
+    observed = 4.0**-k if hi + k * log(4) < -55 * log(2) else _float(exact()[0])
     if m <= k or sign0 < 0:  # X < 0 is below every replicate det >= 0; at m <= k
         # num = X^T (m I - 1 1^T) X has rank <= m - 1 < k: every replicate has det 0
         hit = sign0 > 0 or (sign0 == 0 and exact()[1] >= 0)
@@ -424,6 +428,10 @@ def _counter(kind: StatKind, sigma: CovMatrix, m: int):
     if _int_stats_fit(kind, m, k):
         limit = min(exact()[1], INT64_MAX)  # int64 determinants stay below it
         return observed, lambda num: int((_int_det(num) <= limit).sum())
+    # log|X| = log|det sigma| + 2k log m; widening by 4 eps (shift + |side|) covers
+    # the float shift (within 2 eps: a log within 1 ulp, one product) and each sum
+    shift, eps = 2 * k * log(m), np.finfo(np.float64).eps
+    lo0, hi0 = lo + shift - 4 * eps * (shift + abs(lo)), hi + shift + 4 * eps * (shift + abs(hi))
     return observed, lambda num: _count_det_at_most(num, lo0, hi0, lambda: exact()[1])
 
 
@@ -449,14 +457,8 @@ def sample_null_statistics(stat: StatKind, m: int, k: int, count: int, seed: int
     return np.concatenate(_map_chunks(values, seed, sizes, m, k, workers=1))
 
 
-def mc_pvalues(
-    sigma: CovMatrix,
-    kinds: tuple[StatKind, ...],
-    replicates: int,
-    m: int,
-    seed: int,
-    workers: int | None = None,
-) -> list[McEstimate]:
+def mc_pvalues(sigma: CovMatrix, kinds: tuple[StatKind, ...], replicates: int, m: int,
+               seed: int, workers: int | None = None) -> list[McEstimate]:
     """Monte Carlo p-values for several statistics over one replicate stream.
 
     All requested statistics are evaluated on the same null draws (the

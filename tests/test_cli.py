@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -478,3 +479,47 @@ def test_import_leaves_numpy_random_unloaded():
     code = "import sys, netvar.cli; sys.exit('numpy.random' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": src}
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+
+
+def test_samples_and_cov_give_the_same_floats(tmp_path, capsys, schema):
+    # 2 nodes, 5 graphs, the edge in 1: the covariance is 4/25 both ways
+    samples = write(tmp_path, "s.txt", "nodes A B\ngraph\nA B\n" + "graph\n" * 4)
+    cov = write(tmp_path, "c.csv", "0.16\n")
+    _, by_samples, _ = json_report(["stats", "--samples", samples], capsys, schema)
+    _, by_cov, _ = json_report(["stats", "--cov", cov, "--m", "5"], capsys, schema)
+    assert by_samples["covariance"] == by_cov["covariance"]
+    assert by_samples["covariance"]["matrix"] == [[0.16]]
+    assert by_samples["statistics"] == by_cov["statistics"]
+
+
+def test_clamped_eigenvalue_warning(tmp_path, capsys, schema):
+    path = write(tmp_path, "c.csv", "0.25,0\n0,-1e-10\n")
+    code, report, _ = json_report(["stats", "--cov", path], capsys, schema)
+    assert code == 0 and report["diagnostics"]["valid"]
+    assert "eigenvalues within 1e-10 below 0 clamped to 0" in report["warnings"]
+
+
+def netvar_json(argv, cwd):
+    """A report of the ``netvar`` command as a user runs it, in its own process."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-m", "netvar.cli", *argv, "--format", "json"],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+    assert "Traceback" not in done.stderr, done.stderr
+    return done.returncode, json.loads(done.stdout)
+
+
+def test_force_on_huge_finite_entries(tmp_path):
+    # entries near the float range: the matrix stays finite, the MC observed
+    # statistics overflow to +-inf, and the t_N tail of an inf statistic is 0
+    write(tmp_path, "big.csv", "1e308,0\n0,1e308\n")
+    write(tmp_path, "mixed.csv", "1e200,0\n0,0.1\n")
+    code, report = netvar_json(["mc", "--cov", "big.csv", "--m", "10", "--replicates", "100",
+                                "--force"], tmp_path)
+    assert code == 0
+    assert [(e["p_value"], e["observed_statistic"]) for e in report["mc"]] == [
+        (1.0, -math.inf), (1.0, -math.inf), (0.0, math.inf)]
+    for name in ("big.csv", "mixed.csv"):
+        _, report = netvar_json(["test", "--cov", name, "--m", "10", "--force"], tmp_path)
+        t_n = next(t for t in report["tests"] if t["method"] == "t_N")
+        assert t_n["statistic"] == math.inf and t_n["p_raw"] == 0.0

@@ -77,6 +77,20 @@ def test_gamma_domain_errors():
         reg_lower_gamma(1.0, -0.5)
     with pytest.raises(ValueError):
         chi_square_cdf(1.0, 0)
+    with pytest.raises(ValueError, match="shape must be positive, got 0"):
+        reg_upper_gamma(0, 1.0)
+    with pytest.raises(ValueError, match="argument must be non-negative, got -1"):
+        reg_upper_gamma(1.0, -1)
+    with pytest.raises(ValueError, match="argument must be non-negative, got nan"):
+        reg_lower_gamma(1.0, math.nan)
+
+
+@pytest.mark.parametrize("a", [0.5, 1.5, 10.0, 1e6])
+def test_gamma_at_infinity(a):
+    # the end of the range, like x = 0: an overflowed statistic has p = 0
+    assert reg_lower_gamma(a, math.inf) == 1.0
+    assert reg_upper_gamma(a, math.inf) == 0.0
+    assert chi_square_cdf(math.inf, 2 * a, upper=True) == 0.0
 
 
 def test_chi_square_df2_closed_form():

@@ -128,3 +128,16 @@ def test_incidence_is_immutable():
     ss = parse_sample_set("nodes A B\ngraph\nA B\n")
     with pytest.raises(ValueError):
         ss.incidence[0, 0] = 0
+
+
+def test_rejections_name_their_cause():
+    with pytest.raises(SampleSetError, match=r"must be an m x k matrix, got shape \(3,\)"):
+        SampleSet(None, np.zeros(3, dtype=np.uint8))
+    with pytest.raises(SampleSetError, match=r"incidence must be m x 3, got shape \(2, 2\)"):
+        SampleSet(NodeSet(("A", "B", "C")), np.zeros((2, 2), dtype=np.uint8))
+    with pytest.raises(SampleSetError, match="expected 'nodes <label> ...' header"):
+        parse_sample_set("graph\nA B\n")
+    with pytest.raises(SampleSetError, match="cannot serialize an anonymous edge-subset"):
+        format_sample_set(SampleSet(None, np.ones((1, 1), dtype=np.uint8)))
+    with pytest.raises(SampleSetError, match="need at least one graph"):
+        sample_set_from_edge_lists("AB", [])

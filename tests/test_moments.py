@@ -267,8 +267,10 @@ def test_trace_equals_sum_of_marginal_variances():
     for _ in range(100):
         rows = rng.integers(0, 2, size=(int(rng.integers(1, 25)), 3), dtype=np.uint8)
         est = estimate_moments(make_samples(rows))
-        expected = float(np.sum(est.p_hat * (1.0 - est.p_hat)))
-        assert est.sigma.trace() == expected  # bitwise: diagonal stored in that form
+        m, s = est.m, rows.sum(axis=0).tolist()
+        # bitwise: the float sum of the correctly rounded variances s (m - s) / m^2
+        expected = sum(float(Fraction(si * (m - si), m * m)) for si in s)
+        assert est.sigma.trace() == expected
 
 
 def test_exact_entries_fallback_for_float_matrices():
@@ -289,3 +291,62 @@ def test_csv_parsing_exact_decimals():
         CovMatrix.from_csv_text("0.1,x\n0.3,0.1\n")
     with pytest.raises(ValueError, match="empty"):
         CovMatrix.from_csv_text("# only a comment\n")
+
+
+@pytest.mark.parametrize("estimator", ["plugin", "unbiased"])
+def test_entries_are_the_correctly_rounded_exact_value(estimator):
+    # every float of an estimated covariance is its rational s_ij / den
+    # rounded once, the diagonal s (m - s) / m^2 included
+    rng = np.random.default_rng(13)
+    cases = [np.array([[1]] * 510 + [[0]], dtype=np.uint8)]  # m = 511, s = 510
+    for _ in range(60):
+        m, k = int(rng.integers(2, 300)), int(rng.integers(1, 6))
+        cases.append((rng.random((m, k)) < rng.random(k)).astype(np.uint8))
+    for rows in cases:
+        est = estimate_moments(make_samples(rows), estimator)
+        m, x = rows.shape[0], rows.astype(np.int64)
+        num = (m * (x.T @ x) - np.outer(x.sum(axis=0), x.sum(axis=0))).tolist()
+        den = m * m if estimator == "plugin" else m * (m - 1)
+        want = [[float(Fraction(v, den)) for v in row] for row in num]
+        assert est.sigma.entries.tolist() == want
+        assert est.sigma.exact_entries() == tuple(tuple(Fraction(v, den) for v in r) for r in num)
+
+
+def test_from_exact_rounds_once_and_symmetrizes_exactly():
+    big = 2**53 + 1  # not a float: one division of Python ints rounds it once
+    cases = [
+        (np.array([[1, 2], [2, 3]]), 3),
+        (np.array([[big, 1], [1, big]], dtype=np.int64), 3 * 2**52),
+        (np.array([[3 * 10**400, 1], [1, 10**400]], dtype=object), 7 * 10**400),
+        (np.array([[1]], dtype=object), 2**60 + 1),
+    ]
+    for num, den in cases:
+        sigma = CovMatrix.from_exact(num, den)
+        want = [[float(Fraction(v, den)) for v in r] for r in num.tolist()]
+        assert sigma.entries.tolist() == want
+        assert sigma.exact[0] is num and sigma.exact[1] == den and not num.flags.writeable
+    skew = CovMatrix.from_exact(np.array([[1, 1], [2, 1]]), 10**13)
+    assert skew.exact_entries()[0][1] == skew.exact_entries()[1][0] == Fraction(3, 2 * 10**13)
+    assert skew.entries[0, 1] == skew.entries[1, 0] == float(Fraction(3, 2 * 10**13))
+    with pytest.raises(OverflowError, match="too large for a float"):
+        CovMatrix.from_exact(np.array([[10**400]], dtype=object), 1)
+    with pytest.raises(TypeError):
+        CovMatrix(np.eye(2), exact=(np.eye(2, dtype=np.int64), 1))
+
+
+def test_huge_finite_entries_symmetrize_without_overflow():
+    # entries near the float range stay finite; an overflow warning is an error here
+    for sigma in (CovMatrix([[1e308, -1e308], [-1e308, 1.7e308]]),
+                  CovMatrix.from_csv_text("1e308,-1e308\n-1e308,1.7e308\n")):
+        assert sigma.entries.tolist() == [[1e308, -1e308], [-1e308, 1.7e308]]
+    with pytest.raises(ValueError, match=r"asymmetric beyond 1e-12: max \|M - M\^T\| = inf"):
+        CovMatrix([[0.0, 1e308], [-1e308, 0.0]])
+
+
+def test_empty_and_non_finite_matrices_rejected():
+    with pytest.raises(ValueError, match="at least 1 x 1"):
+        CovMatrix(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="entries must be finite"):
+        CovMatrix([[0.1, np.nan], [np.nan, 0.1]])
+    with pytest.raises(ValueError, match="entries must be finite"):
+        CovMatrix([[np.inf]])

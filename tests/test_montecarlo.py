@@ -246,7 +246,7 @@ def test_short_last_chunk_counts_equal_per_replicate_counts(last):
     nums = [montecarlo._count_num(*montecarlo._draw_counts(seed, c, n, m, k), m)
             for c, n in enumerate(sizes)]
     own = nums[-1][-1]
-    sigma = CovMatrix(own / (m * m), exact=(own.copy(), m * m))
+    sigma = CovMatrix.from_exact(own, m * m)
     expected = [sum(count(num[r:r + 1].copy()) for num in nums for r in range(len(num)))
                 for _, count in (montecarlo._counter(kind, sigma, m) for kind in ALL_KINDS)]
     assert all(expected)
@@ -461,7 +461,7 @@ def test_generalized_band_recheck_past_the_int64_bound(monkeypatch):
     assert replicates <= montecarlo._chunk_size(m, k)  # one chunk holds every replicate
     s1, s2 = montecarlo._draw_counts(seed, 0, replicates, m, k)
     num = montecarlo._count_num(s1, s2, m)
-    sigma = CovMatrix(num[3] / (m * m), exact=(num[3].copy(), m * m))
+    sigma = CovMatrix.from_exact(num[3], m * m)
     est = mc_pvalues(sigma, (StatKind.GENERALIZED,), replicates, m, seed)[0]
     t0 = statistic("generalized", replicate_covariance(s1[3], s2[3], m))
     values = [statistic("generalized", replicate_covariance(s1[r], s2[r], m))
@@ -477,7 +477,7 @@ def test_generalized_band_recheck_past_the_int64_bound(monkeypatch):
     k, m, replicates = 7, 8, 600
     num = montecarlo._count_num(*montecarlo._draw_counts(seed, 0, replicates, m, k), m)
     dup = np.r_[0, 0, 2:k]
-    sigma = CovMatrix(num[3][np.ix_(dup, dup)] / (m * m), exact=(num[3][np.ix_(dup, dup)], m * m))
+    sigma = CovMatrix.from_exact(num[3][np.ix_(dup, dup)], m * m)
     est = mc_pvalues(sigma, (StatKind.GENERALIZED,), replicates, m, seed)[0]
     singular = sum(determinant([[Fraction(int(x)) for x in row] for row in a]) == 0
                    for a in num.tolist())
@@ -620,7 +620,7 @@ def test_generalized_exact_tie_above_k64(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "observed_statistic_exact", counted)
     for r in (0, 1):
-        sigma = CovMatrix(num[r] / (m * m), exact=(num[r].copy(), m * m))
+        sigma = CovMatrix.from_exact(num[r], m * m)
         est = mc_pvalues(sigma, (StatKind.GENERALIZED,), replicates, m, seed, workers=2)[0]
         assert round(est.p_value * replicates) == sum(d <= dets[r] for d in dets)
         assert est.observed_statistic == float(Fraction(1, 4**k) - Fraction(dets[r], m ** (2 * k)))
@@ -721,3 +721,30 @@ def test_stream_pin(k, m, tallies):
     sigma = estimate_moments(SampleSet(None, rows)).sigma
     ests = mc_pvalues(sigma, ALL_KINDS, 2000, m, seed=20090607, workers=1)
     assert tuple(round(e.p_value * e.replicates) for e in ests) == tallies
+
+
+def test_huge_entries_report_overflowed_observed_statistics():
+    # the exact p-values stand; the observed statistics overflow to +-inf as
+    # IEEE arithmetic does
+    for sigma in (CovMatrix.from_csv_text("1e308,0\n0,1e308\n"), CovMatrix([[1e200, 0], [0, 0.1]])):
+        for m in (1, 10, 100_000):
+            ests = mc_pvalues(sigma, ALL_KINDS, 200, m, seed=3)
+            assert [e.p_value for e in ests] == [1.0, 1.0, 0.0]
+            assert ests[2].observed_statistic == np.inf
+    assert ests[0].observed_statistic == -1e200
+
+
+def test_default_workers_follow_cpu_affinity(monkeypatch):
+    monkeypatch.delenv("NETVAR_THREADS", raising=False)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert montecarlo._resolve_workers(None, 100) == 1
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {1, 3, 5}, raising=False)
+    assert montecarlo._resolve_workers(None, 100) == 3
+    assert montecarlo._resolve_workers(None, 2) == 2
+    assert montecarlo._resolve_workers(6, 100) == 6
+    monkeypatch.setenv("NETVAR_THREADS", "2")
+    assert montecarlo._resolve_workers(None, 100) == 2
+    monkeypatch.delenv("NETVAR_THREADS")
+    monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)  # not on every OS
+    assert montecarlo._resolve_workers(None, 100) == 8
