@@ -123,9 +123,11 @@ class CovMatrix:
 
     def submatrix(self, idx: Sequence[int]) -> "CovMatrix":
         ix = np.ix_(list(idx), list(idx))
-        if self._exact is None:  # floats: the slice's binary values are its exact value
-            return CovMatrix(self._entries[ix])
-        return CovMatrix.from_exact(self._exact[0][ix], self._exact[1])
+        sub = CovMatrix(self._entries[ix])  # a symmetric value's slice, rounded already
+        if self._exact is not None:
+            sub._exact = (self._exact[0][ix], self._exact[1])
+            sub._exact[0].setflags(write=False)
+        return sub
 
     def __repr__(self):
         return f"CovMatrix(k={self.k})"

@@ -342,7 +342,8 @@ def _log_det_bracket(a: np.ndarray, semidefinite: bool = True):
        each input entry rounded within eps/2, or 2^-1075 where subnormal):
        ``prod(|lam| -+ eta)`` bound |det|.
     """
-    n, k, fi = len(a), a.shape[-1], np.finfo(np.float64)
+    n, k = len(a), a.shape[-1]
+    fi = np.finfo(np.float64)
     tol = k**3 * fi.eps
     sign, lo, hi = np.zeros(n), np.full(n, -np.inf), np.full(n, np.inf)
     if semidefinite:
@@ -457,8 +458,14 @@ def sample_null_statistics(stat: StatKind, m: int, k: int, count: int, seed: int
     return np.concatenate(_map_chunks(values, seed, sizes, m, k, workers=1))
 
 
-def mc_pvalues(sigma: CovMatrix, kinds: tuple[StatKind, ...], replicates: int, m: int,
-               seed: int, workers: int | None = None) -> list[McEstimate]:
+def mc_pvalues(
+    sigma: CovMatrix,
+    kinds: tuple[StatKind, ...],
+    replicates: int,
+    m: int,
+    seed: int,
+    workers: int | None = None,
+) -> list[McEstimate]:
     """Monte Carlo p-values for several statistics over one replicate stream.
 
     All requested statistics are evaluated on the same null draws (the

@@ -150,24 +150,15 @@ def describe(sigma: CovMatrix, rank_policy: str = "reduce") -> tuple[StatValue, 
     [0, 1].  Raw values outside the theoretical range (possible for
     bias-corrected or forced inputs) saturate at the nearest boundary.
     """
-    k = sigma.k
-    out = []
 
-    raw_t = var_total(sigma)
-    norm_t = _normalize_saturated(StatKind.TOTAL, raw_t, k)
-    out.append(StatValue(StatKind.TOTAL, raw_t, norm_t, 1.0 - norm_t, False, k))
+    def value(kind, raw, k, reduced=False):
+        norm = _normalize_saturated(kind, raw, k)
+        return StatValue(kind, raw, norm, 1.0 - norm, reduced, k)
 
     gen = var_generalized(sigma, rank_policy)
-    norm_g = _normalize_saturated(StatKind.GENERALIZED, gen.value, gen.k_effective)
-    out.append(
-        StatValue(StatKind.GENERALIZED, gen.value, norm_g, 1.0 - norm_g,
-                  gen.rank_deficient, gen.k_effective)
-    )
-
-    raw_n = var_frobenius(sigma)
-    norm_n = _normalize_saturated(StatKind.FROBENIUS, raw_n, k)
-    out.append(StatValue(StatKind.FROBENIUS, raw_n, norm_n, 1.0 - norm_n, False, k))
-    return tuple(out)
+    return (value(StatKind.TOTAL, var_total(sigma), sigma.k),
+            value(StatKind.GENERALIZED, gen.value, gen.k_effective, gen.rank_deficient),
+            value(StatKind.FROBENIUS, var_frobenius(sigma), sigma.k))
 
 
 def classify_entropy(samples: SampleSet) -> EntropySummary:

@@ -334,6 +334,17 @@ def test_from_exact_rounds_once_and_symmetrizes_exactly():
         CovMatrix(np.eye(2), exact=(np.eye(2, dtype=np.int64), 1))
 
 
+def test_submatrix_slices_the_floats_and_the_exact_value():
+    sigma = CovMatrix.from_csv_text("0.2,0.1,0\n0.1,0.3,0.05\n0,0.05,0.1\n")
+    sub = sigma.submatrix([0, 2])
+    num, den = sub.exact
+    assert (num.tolist(), den) == ([[4, 0], [0, 2]], 20) and not num.flags.writeable
+    assert sub.entries.tolist() == [[float(Fraction(v, den)) for v in r] for r in num.tolist()]
+    floats = CovMatrix([[0.2, 0.1], [0.1, 0.3]]).submatrix([1])
+    assert floats.entries.tolist() == [[0.3]]
+    assert floats.exact_entries() == ((Fraction(0.3),),)
+
+
 def test_huge_finite_entries_symmetrize_without_overflow():
     # entries near the float range stay finite; an overflow warning is an error here
     for sigma in (CovMatrix([[1e308, -1e308], [-1e308, 1.7e308]]),
