@@ -39,7 +39,6 @@ from .moments import (
     Diagnostic,
     MomentEstimate,
     Violation,
-    block_independence,
     estimate_moments,
     marginal_subvector,
     validate_covariance,
@@ -81,7 +80,6 @@ __all__ = [
     "TestResult",
     "Violation",
     "biorient",
-    "block_independence",
     "chi_square_cdf",
     "classify_entropy",
     "describe",

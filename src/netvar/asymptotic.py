@@ -73,7 +73,7 @@ def test_gen_gaussian(sigma: CovMatrix, m: int) -> TestResult:
     k = sigma.k
     stat = math.sqrt(m) * (_det_ratio(sigma) - 1.0)
     sd = math.sqrt(2.0 * k)
-    p_raw = std_normal_cdf(stat / sd)
+    p_raw = std_normal_cdf(min(max(stat / sd, -40.0), 40.0))  # Phi is 0 or 1 past |z| = 39
     lower = std_normal_cdf(-math.sqrt(m) / sd)
     p_adj = _clamp01((p_raw - lower) / (0.5 - lower))
     return TestResult("t_G1", stat, {"mean": 0.0, "var": 2.0 * k}, p_raw, p_adj, m, k)

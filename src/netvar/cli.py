@@ -25,6 +25,8 @@ import sys
 from dataclasses import asdict, dataclass
 from enum import Enum
 
+import numpy as np
+
 from . import asymptotic, montecarlo
 from .graphs import SampleSet, SampleSetError, parse_sample_set
 from .moments import CovMatrix, Diagnostic, MomentEstimate, estimate_moments, validate_covariance
@@ -130,6 +132,10 @@ def _start(command: str, args) -> tuple[Inputs, dict, Diagnostic | None]:
     Returns the inputs, the report's common part and the bounds diagnostic
     (None for ``classify``, which checks no bounds).
     """
+    if command == "mc" and args.estimator == "unbiased":
+        raise ValueError("mc takes no --estimator unbiased: its null replicates are plug-in "
+                         "covariances (denominator m^2), so a bias-corrected observed value "
+                         "gets uncalibrated p-values")
     samples = est = None
     if args.samples:
         with open(args.samples, "r", encoding="utf-8") as fh:
@@ -362,7 +368,8 @@ def emit(report: dict, fmt: str, out=None) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        report = COMMANDS[args.command](args)
+        with np.errstate(over="ignore"):  # only --force input reaches the float range
+            report = COMMANDS[args.command](args)
     except (SampleSetError, ValueError, OSError) as exc:
         print(f"netvar: error: {exc}", file=sys.stderr)
         return 1

@@ -162,10 +162,13 @@ class CovMatrix:
 
 
 def _over_common_den(ratios: dict, rows: list) -> tuple[np.ndarray, int]:
-    """``rows`` of keys of exact ``ratios`` (n, d): read-only numerators over the least d."""
+    """``rows`` of keys of exact ``ratios`` (n, d): read-only numerators over the
+    least d, int64 when every |n| < 2^63, else Python ints."""
     den = lcm(*{d for _, d in ratios.values()})
     scaled = {key: n * (den // d) for key, (n, d) in ratios.items()}
-    num = np.array([list(map(scaled.__getitem__, row)) for row in rows], dtype=object)
+    fits = all(-(2**63) < n < 2**63 for n in scaled.values())
+    num = np.array([list(map(scaled.__getitem__, row)) for row in rows],
+                   dtype=np.int64 if fits else object)  # numpy infers float64 past 2^63
     num.setflags(write=False)
     return num, den
 
@@ -302,24 +305,3 @@ def marginal_subvector(est: MomentEstimate, idx: Sequence[int]) -> MomentEstimat
         est.estimator,
     )
 
-
-def block_independence(
-    sigma: CovMatrix, part_a: Sequence[int], part_b: Sequence[int]
-) -> tuple[bool, float]:
-    """Zero cross-covariance check between two disjoint index blocks.
-
-    For binary variables zero covariance makes each pair (i in a, j in b)
-    independent, not the two subvectors: XOR rows 000, 011, 101, 110 pass
-    for [0, 1] and [2].  Returns the verdict and the largest |cross entry|.
-    """
-    a, b = list(part_a), list(part_b)
-    if not a or not b:
-        raise ValueError("both index sets must be non-empty")
-    if set(a) & set(b):
-        raise ValueError(f"index sets overlap: {sorted(set(a) & set(b))}")
-    for i in a + b:
-        if not 0 <= i < sigma.k:
-            raise ValueError(f"index {i} out of range [0, {sigma.k})")
-    cross = sigma.entries[np.ix_(a, b)]
-    max_abs = float(np.abs(cross).max())
-    return max_abs <= BOUND_TOL, max_abs

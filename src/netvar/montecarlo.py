@@ -470,7 +470,9 @@ def mc_pvalues(
 
     All requested statistics are evaluated on the same null draws (the
     draws depend only on seed, m and k).  Each p-value is the proportion
-    of replicates whose statistic is >= the observed one.
+    of replicates whose statistic is >= the observed one; ``sigma`` is
+    compared with plug-in replicates ``num / m^2``, so it should be a
+    plug-in estimate too.
     """
     k = sigma.k
     sizes = _chunk_sizes(replicates, m, k, seed)

@@ -350,6 +350,29 @@ def test_estimator_with_cov_is_rejected(tmp_path, capsys):
     assert code == 0
 
 
+def test_mc_rejects_the_unbiased_estimator(tmp_path, capsys, schema, monkeypatch):
+    # the MC null replicates are plug-in covariances: a bias-corrected observed
+    # value would be compared with them, so the run stops before any draw
+    path = write(tmp_path, "s.txt", SAMPLES_3)
+    argv = ["mc", "--samples", path, "--replicates", "10"]
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("replicates drawn")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli.montecarlo, "mc_pvalues", no_draws)
+        code, out, err = run(argv + ["--estimator", "unbiased"], capsys)
+    assert code == 1 and out == ""
+    assert err == (
+        "netvar: error: mc takes no --estimator unbiased: its null replicates are plug-in "
+        "covariances (denominator m^2), so a bias-corrected observed value gets "
+        "uncalibrated p-values\n"
+    )
+    code, plugin, _ = json_report(argv + ["--estimator", "plugin"], capsys, schema)
+    assert code == 0 and plugin["input"]["estimator"] == "plugin"
+    assert json_report(argv, capsys, schema)[1] == plugin
+
+
 def test_table_output_is_seven_digits(tmp_path, capsys):
     path = write(tmp_path, "s1.csv", "0.24,0.04\n0.04,0.24\n")
     _, out, _ = run(["test", "--cov", path, "--m", "10"], capsys)
@@ -500,26 +523,36 @@ def test_clamped_eigenvalue_warning(tmp_path, capsys, schema):
 
 
 def netvar_json(argv, cwd):
-    """A report of the ``netvar`` command as a user runs it, in its own process."""
+    """A report of the ``netvar`` command as a user runs it, in its own process;
+    stderr (where numpy prints its warnings) must stay empty."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-m", "netvar.cli", *argv, "--format", "json"],
                           cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
-    assert "Traceback" not in done.stderr, done.stderr
+    assert done.stderr == "", done.stderr
     return done.returncode, json.loads(done.stdout)
 
 
 def test_force_on_huge_finite_entries(tmp_path):
-    # entries near the float range: the matrix stays finite, the MC observed
-    # statistics overflow to +-inf, and the t_N tail of an inf statistic is 0
+    # entries near the float range: the matrix stays finite, the statistics
+    # that overflow report +-inf with no numpy warning, the tail of an inf
+    # t_G1 is 1 and of an inf t_N is 0, and the MC observed statistics
+    # overflow to +-inf
     write(tmp_path, "big.csv", "1e308,0\n0,1e308\n")
     write(tmp_path, "mixed.csv", "1e200,0\n0,0.1\n")
-    code, report = netvar_json(["mc", "--cov", "big.csv", "--m", "10", "--replicates", "100",
-                                "--force"], tmp_path)
-    assert code == 0
-    assert [(e["p_value"], e["observed_statistic"]) for e in report["mc"]] == [
-        (1.0, -math.inf), (1.0, -math.inf), (0.0, math.inf)]
-    for name in ("big.csv", "mixed.csv"):
-        _, report = netvar_json(["test", "--cov", name, "--m", "10", "--force"], tmp_path)
-        t_n = next(t for t in report["tests"] if t["method"] == "t_N")
-        assert t_n["statistic"] == math.inf and t_n["p_raw"] == 0.0
+    mc = {"big.csv": [(1.0, -math.inf), (1.0, -math.inf), (0.0, math.inf)],
+          "mixed.csv": [(1.0, -1e200), (1.0, -1e199), (0.0, math.inf)]}
+    for name, want in mc.items():
+        code, report = netvar_json(["mc", "--cov", name, "--m", "10", "--replicates", "100",
+                                    "--force"], tmp_path)
+        assert code == 0
+        assert [(e["p_value"], e["observed_statistic"]) for e in report["mc"]] == want
+        code, report = netvar_json(["stats", "--cov", name, "--m", "10", "--force"], tmp_path)
+        assert code == 0
+        frob = next(s for s in report["statistics"] if s["kind"] == "frobenius")
+        assert frob["raw"] == math.inf and frob["normalized"] == 0.0
+        code, report = netvar_json(["test", "--cov", name, "--m", "10", "--force"], tmp_path)
+        assert code == 0  # no method reported an error
+        tests = {t["method"]: t for t in report["tests"]}
+        assert tests["t_G1"]["p_raw"] == tests["t_G1"]["p_adjusted"] == 1.0
+        assert tests["t_N"]["statistic"] == math.inf and tests["t_N"]["p_raw"] == 0.0

@@ -7,7 +7,6 @@ from netvar.graphs import SampleSet
 from netvar.moments import (
     CovMatrix,
     Violation,
-    block_independence,
     estimate_moments,
     marginal_subvector,
     validate_covariance,
@@ -67,6 +66,11 @@ def test_validate_quarter_identity_and_example_matrix():
     assert validate_covariance(CovMatrix(SIGMA1)).valid
     assert validate_covariance(CovMatrix(SIGMA2)).valid
     assert validate_covariance(CovMatrix(SIGMA3)).valid
+
+
+def test_diagnostic_truth_is_its_validity():
+    assert bool(validate_covariance(CovMatrix(0.25 * np.eye(2)))) is True
+    assert bool(validate_covariance(CovMatrix(np.diag([0.5, 0.25])))) is False
 
 
 def test_validate_reports_diagonal_breach():
@@ -214,27 +218,6 @@ def test_marginal_subvector():
         marginal_subvector(est, [])
 
 
-def test_block_independence():
-    ok, mx = block_independence(CovMatrix(0.25 * np.eye(4)), [0, 1], [2, 3])
-    assert ok and mx == 0.0
-    ok, mx = block_independence(CovMatrix(SIGMA1), [0], [1])
-    assert not ok
-    assert mx == pytest.approx(0.04, abs=1e-15)
-    blockdiag = np.zeros((4, 4))
-    blockdiag[:2, :2] = SIGMA1
-    blockdiag[2:, 2:] = SIGMA2
-    ok, mx = block_independence(CovMatrix(blockdiag), [0, 1], [2, 3])
-    assert ok and mx == 0.0
-    # pairwise independence only: in the XOR rows the third edge is a
-    # function of the first two, yet every cross-covariance is 0
-    xor = estimate_moments(make_samples([[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]])).sigma
-    assert block_independence(xor, [0, 1], [2]) == (True, 0.0)
-    with pytest.raises(ValueError, match="overlap"):
-        block_independence(CovMatrix(0.25 * np.eye(3)), [0, 1], [1, 2])
-    with pytest.raises(ValueError, match="non-empty"):
-        block_independence(CovMatrix(0.25 * np.eye(3)), [], [1])
-
-
 def test_estimated_covariance_respects_bounds_on_random_samples():
     rng = np.random.default_rng(1234)
     for _ in range(300):
@@ -285,6 +268,14 @@ def test_csv_parsing_exact_decimals():
     m = CovMatrix.from_csv_text("0.24, 0.04\n0.04, 0.24\n")
     assert m.exact_entries()[0][0] == Fraction(24, 100)
     assert m.k == 2
+    # numerators are int64 while every |n| < 2^63, Python ints past it
+    num, den = CovMatrix.from_csv_text("0.2401,-0.0004\n-0.0004,0.1\n").exact
+    assert num.dtype == np.int64 and den == 10**4
+    assert num.tolist() == [[2401, -4], [-4, 1000]]
+    for cell, dtype in [("1234567890123456789", np.int64), ("9223372036854775807", np.int64),
+                        ("9223372036854775808", object), ("-9223372036854775808", object)]:
+        num, den = CovMatrix.from_csv_text(f"{cell}\n").exact
+        assert num.dtype == dtype and num.tolist() == [[int(cell)]] and den == 1
     with pytest.raises(ValueError, match="square"):
         CovMatrix.from_csv_text("0.1,0.2\n0.2\n")
     with pytest.raises(ValueError, match="invalid number"):

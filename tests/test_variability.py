@@ -120,6 +120,17 @@ def test_extremes_orientation():
         assert sv.complemented == 0.0
 
 
+def test_describe_saturates_below_the_range():
+    # forced or bias-corrected inputs leave the admissible range: the
+    # normalized values pin to the boundary instead of raising
+    over = {sv.kind: sv for sv in describe(CovMatrix([[0.5, 0.0], [0.0, 0.5]]))}
+    assert over[StatKind.FROBENIUS].raw == 0.0  # below the k=2 minimum 1/8
+    assert over[StatKind.FROBENIUS].normalized == 1.0
+    neg = {sv.kind: sv for sv in describe(CovMatrix([[-0.1, 0.0], [0.0, 0.2]]), "strict")}
+    assert neg[StatKind.GENERALIZED].raw < 0.0
+    assert neg[StatKind.GENERALIZED].normalized == 0.0
+
+
 def test_describe_normalizes_reduced_determinant_by_k_effective():
     block = np.zeros((3, 3))
     block[:2, :2] = 0.25 * np.eye(2)
