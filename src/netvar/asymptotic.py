@@ -41,8 +41,10 @@ def _clamp01(p: float) -> float:
 
 
 def _det_ratio(sigma: CovMatrix) -> float:
-    """det(sigma) / det((1/4) I) as a product of 4*lambda factors."""
-    return float(np.prod(4.0 * sigma.eigenvalues))
+    """det(sigma) / det((1/4) I) as a product of 4*lambda factors; an eigenvalue
+    of exactly 0 makes it 0, even where another factor overflowed to inf."""
+    lam = sigma.eigenvalues
+    return 0.0 if (lam == 0).any() else float(np.prod(4.0 * lam))
 
 
 def test_total(sigma: CovMatrix, m: int) -> TestResult:

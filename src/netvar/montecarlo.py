@@ -40,15 +40,15 @@ observed one.  Two implementation guarantees matter here:
 
 Replicates draw their edge bits straight from the generator's raw 64-bit
 output: each column is ``ceil(m/64)`` words and bits past m are cleared.
-The cross sums ``s2[i, j] = x_i . x_j`` are integer counts, found as
-popcounts of the ANDed packed words summed in int64 over the words: no
-bit is unpacked, no float is formed, and at small k no BLAS call is made
-per replicate.  The popcount temporaries are taken in blocks of about
-``POPCOUNT_BLOCK`` words (several replicates, or part of one replicate's
-words), which keeps them in cache and bounds their memory at any m.  A
-chunk is one pass (draw, popcount into s2, ``num`` in place of s2, the
-counts) through arrays that its worker allocates once (:func:`_scratch`)
-and reuses for every chunk it takes: no fresh pages per chunk.
+Every array of a chunk has its n replicates on the last axis (words
+``(n_words, k, n)``, s1 ``(k, n)``, s2 and num ``(k, k, n)``), so numpy
+loops run over the replicates, not over k.  Row i of the cross sums
+``s2[i, j] = x_i . x_j`` is column i ANDed with columns i.., popcounted
+and summed over the words, then mirrored: no bit is unpacked and no float
+formed.  A chunk is one pass (draw, s2, ``num`` in place of s2, the
+counts) through arrays that its worker allocates once (:func:`_scratch`).
+Chunks too small to pay for a second thread's GIL hand-offs run on one
+(:func:`_pool_size`).
 """
 
 import os
@@ -66,7 +66,6 @@ from .variability import StatKind
 CHUNK_TARGET = 1 << 22  # edge bits per chunk, caps worker memory
 LOG_DET_TOL = 1e-3  # float log-dets decide only with an error bound below this
 INT64_MAX = 2**63 - 1
-POPCOUNT_BLOCK = 1 << 16  # words ANDed and popcounted at once (cache-sized)
 BAND_BLOCK = 64  # undecided replicates per Python-int determinant (bounds its memory)
 
 
@@ -125,6 +124,13 @@ def _resolve_workers(workers: int | None, n_chunks: int) -> int:
     return min(w, n_chunks)
 
 
+def _pool_size(workers: int | None, sizes: list[int], m: int, k: int) -> int:
+    """:func:`_resolve_workers` for the chunks ``sizes``, but one thread where a chunk's
+    popcount ANDs fewer than ``CHUNK_TARGET // 128`` words: two were slower there."""
+    words = sizes[0] * k * (k + 1) // 2 * ((m + 63) // 64)
+    return _resolve_workers(workers, len(sizes) if words >= CHUNK_TARGET // 128 else 1)
+
+
 def _draw_bits(bitgen: "np.random.BitGenerator", n: int, m: int, k: int) -> np.ndarray:
     """n replicates' k edge columns of m fair bits, packed.
 
@@ -138,38 +144,32 @@ def _draw_bits(bitgen: "np.random.BitGenerator", n: int, m: int, k: int) -> np.n
 
 
 def _scratch(n: int, k: int, n_words: int):
-    """Arrays that count up to n replicates of n_words-word columns: the words
-    word-axis first, an AND and a popcount block, and s2 (or num in its place)."""
-    block = max(POPCOUNT_BLOCK, k * k)  # bounds every block of _bit_counts
-    return (np.empty((n_words, n, k), np.uint64), np.empty(block, np.uint64),
-            np.empty(block, np.uint8), np.empty((n, k, k), np.int64))
+    """Flat arrays that count up to n replicates of n_words-word columns: the words,
+    their AND and its popcount (:func:`_bit_counts`), and s2 (or num in its place)."""
+    size = n_words * k * n
+    return (np.empty(size, np.uint64), np.empty(size, np.uint64),
+            np.empty(size, np.uint8), np.empty(k * k * n, np.int64))
 
 
 def _bit_counts(words: np.ndarray, scratch=None):
-    """Column sums s1 (n, k) and cross sums s2 (n, k, k), int64, from packed bits.
+    """Column sums s1 (k, n) and cross sums s2 (k, k, n), int64, from the packed bits
+    (n, k, n_words) of :func:`_draw_bits`, copied replicates-last (n_words, k, n).
 
-    ``s2[r, i, j]`` is the popcount of column i AND column j of replicate
-    r, summed over its words; blocks of ``reps`` replicates times ``span``
-    words keep each temporary near POPCOUNT_BLOCK words.  All arrays, s2
-    too, are views into ``scratch`` (:func:`_scratch` for >= n) if given.
+    Row i of s2 is column i ANDed with columns i.. (n_words, k - i, n), popcounted,
+    summed over the words and mirrored below the diagonal.  All arrays, s2 too,
+    are views into ``scratch`` (:func:`_scratch` for >= n replicates) if given.
     """
     n, k, n_words = words.shape
     by_word, pairs, counts, s2 = scratch or _scratch(n, k, n_words)
-    by_word, s2 = by_word[:, :n], s2[:n]
-    np.copyto(by_word, words.transpose(2, 0, 1))  # (words, n, k): sums add whole slabs
-    reps = max(1, POPCOUNT_BLOCK // (k * k * n_words))
-    span = max(1, POPCOUNT_BLOCK // (k * k * reps))  # all words unless reps == 1
-    for lo in range(0, n, reps):
-        for w in range(0, n_words, span):
-            b = by_word[w:w + span, lo:lo + reps]
-            pair = np.bitwise_and(b[..., :, None], b[..., None, :],
-                                  out=pairs[:b.size * k].reshape(*b.shape, k))
-            count = np.bitwise_count(pair, out=counts[:pair.size].reshape(pair.shape))
-            if w:
-                s2[lo:lo + reps] += count.sum(axis=0, dtype=np.int64)
-            else:
-                count.sum(axis=0, dtype=np.int64, out=s2[lo:lo + reps])
-    s1 = s2.diagonal(axis1=1, axis2=2).copy()  # binary data: x_i . x_i = sum(x_i)
+    by_word, s2 = by_word[:words.size].reshape(n_words, k, n), s2[:k * k * n].reshape(k, k, n)
+    np.copyto(by_word, words.transpose(2, 1, 0))
+    for i in range(k):
+        rows = by_word[:, i:]
+        pair = np.bitwise_and(rows[:, :1], rows, out=pairs[:rows.size].reshape(rows.shape))
+        count = np.bitwise_count(pair, out=counts[:rows.size].reshape(rows.shape))
+        count.sum(axis=0, dtype=np.int64, out=s2[i, i:])
+        s2[i + 1:, i] = s2[i, i + 1:]
+    s1 = s2.diagonal().T.copy()  # binary data: x_i . x_i = sum(x_i)
     return s1, s2
 
 
@@ -181,8 +181,8 @@ def _draw_counts(seed: int, chunk_index: int, n: int, m: int, k: int, scratch=No
 def _count_num(s1, s2, m: int, out=None) -> np.ndarray:
     """``m s2 - s1 s1^T`` per replicate: m^2 times the plug-in covariance, int64, in ``out``."""
     num = np.multiply(s2, m, out=out)
-    for i in range(s1.shape[1]):  # row by row: no (n, k, k) temporary
-        num[:, i] -= s1[:, i, None] * s1
+    for i in range(len(s1)):  # row by row: no (k, k, n) temporary
+        num[i] -= s1[i] * s1
     return num
 
 
@@ -197,7 +197,7 @@ def _map_chunks(fn, seed: int, sizes: list[int], m: int, k: int, workers: int | 
     # the calling thread: on the workers they went to the workers' malloc
     # arenas and raised the peak RSS of the paper table by ~0.5 MiB
     import numpy.random  # noqa: F401
-    n_workers = _resolve_workers(workers, len(sizes))
+    n_workers = _pool_size(workers, sizes, m, k)
     scratches = [_scratch(sizes[0], k, (m + 63) // 64) for _ in range(n_workers)]
     results, chunks, lock = [None] * len(sizes), iter(range(len(sizes))), threading.Lock()
 
@@ -254,7 +254,7 @@ def _int_stats_fit(kind: StatKind, m: int, k: int) -> bool:
 
 
 def _int_det(num: np.ndarray):
-    """Exact determinants of a batch ``(..., k, k)`` of integer matrices.
+    """Exact determinants of a batch ``(k, k, ...)`` of integer matrices.
 
     Fraction-free Bareiss elimination (Math. Comp. 22, 1968), vectorized
     over the batch: after step i every live entry is an (i+2)-order minor
@@ -265,8 +265,8 @@ def _int_det(num: np.ndarray):
     within :func:`_int_stats_fit`); object arrays of Python ints never
     overflow.  A single matrix ``(k, k)`` gives a scalar.
     """
-    *batch, k, _ = num.shape
-    a = num.reshape(-1, k, k).transpose(1, 2, 0).copy()  # (k, k, n): long inner loops
+    k, _, *batch = num.shape
+    a = num.reshape(k, k, -1).copy()  # eliminated in place
     singular = np.zeros(a.shape[-1], dtype=bool)
     prev = np.ones(a.shape[-1], dtype=a.dtype)
     for i in range(k - 1):
@@ -297,15 +297,15 @@ def _scaled_stat(kind: StatKind, num: np.ndarray, den: int):
 
     total: ``k den - 4 tr(num)``; frobenius: ``sum_ij (4 num_ij - den delta_ij)^2``;
     generalized: ``den^k - 4^k det(num)``.  On one matrix (k, k) or a batch
-    (n, k, k); int64 for replicates within :func:`_int_stats_fit`, and
+    (k, k, n); int64 for replicates within :func:`_int_stats_fit`, and
     object arrays of Python ints, which never overflow, otherwise.
     """
-    k = num.shape[-1]
+    k = len(num)
     if kind is StatKind.TOTAL:
-        return k * den - 4 * num.diagonal(axis1=-2, axis2=-1).sum(axis=-1)
-    if kind is StatKind.FROBENIUS:  # expanded: no (n, k, k) temporary
-        trace = num.diagonal(axis1=-2, axis2=-1).sum(axis=-1)
-        return 16 * np.einsum("...ij,...ij->...", num, num) + den * (k * den - 8 * trace)
+        return k * den - 4 * num.diagonal().sum(axis=-1)
+    if kind is StatKind.FROBENIUS:  # expanded: no (k, k, n) temporary
+        trace = num.diagonal().sum(axis=-1)
+        return 16 * np.einsum("ij...,ij...->...", num, num) + den * (k * den - 8 * trace)
     return den**k - 4**k * _int_det(num)
 
 
@@ -314,10 +314,10 @@ def _replicate_values(kind: StatKind, num: np.ndarray, m: int) -> np.ndarray:
     in int64 within :func:`_int_stats_fit`; past it in Python ints, but
     generalized as the float statistic ``4^-k - det``.
     """
-    if _int_stats_fit(kind, m, num.shape[-1]):
+    if _int_stats_fit(kind, m, len(num)):
         return _scaled_stat(kind, num, m * m)
     if kind is StatKind.GENERALIZED:
-        return 4.0 ** -num.shape[-1] - np.linalg.det(num / float(m * m))
+        return 4.0 ** -len(num) - np.linalg.det(num.transpose(2, 0, 1) / float(m * m))
     return _scaled_stat(kind, num.astype(object), m * m)
 
 
@@ -370,21 +370,21 @@ def _log_det_bracket(a: np.ndarray, semidefinite: bool = True):
 
 
 def _count_det_at_most(num: np.ndarray, lo0: float, hi0: float, limit) -> int:
-    """How many integer matrices ``num`` (n, k, k) have ``det <= limit() = floor(X)``,
+    """How many integer matrices ``num`` (k, k, n) have ``det <= limit() = floor(X)``,
     for ``|X| <= e^hi0`` and ``X >= e^lo0`` (lo0 = -inf if X > 0 is unproven):
     a :func:`_log_det_bracket` below lo0 hits and one above hi0 misses.
     Only if one overlaps is ``limit()`` called; its log then decides the
     same way, and Python-int Bareiss the rest.
     """
-    _, lo, hi = _log_det_bracket(num)
+    _, lo, hi = _log_det_bracket(num.transpose(2, 0, 1))
     hits, unsure = int((hi < lo0).sum()), (hi >= lo0) & (lo <= hi0)
     if unsure.any():
         exact = limit()
         log_limit = log(exact) if exact > 0 else -np.inf
         hits += int((unsure & (hi < log_limit)).sum())
-        rest = num[unsure & (hi >= log_limit) & (lo <= log_limit)]
-        for start in range(0, len(rest), BAND_BLOCK):
-            hits += int((_int_det(rest[start:start + BAND_BLOCK].astype(object)) <= exact).sum())
+        rest = num[..., unsure & (hi >= log_limit) & (lo <= log_limit)]
+        for i in range(0, rest.shape[-1], BAND_BLOCK):
+            hits += int((_int_det(rest[..., i:i + BAND_BLOCK].astype(object)) <= exact).sum())
     return hits
 
 
@@ -425,7 +425,7 @@ def _counter(kind: StatKind, sigma: CovMatrix, m: int):
     if m <= k or sign0 < 0:  # X < 0 is below every replicate det >= 0; at m <= k
         # num = X^T (m I - 1 1^T) X has rank <= m - 1 < k: every replicate has det 0
         hit = sign0 > 0 or (sign0 == 0 and exact()[1] >= 0)
-        return observed, lambda num: len(num) * hit
+        return observed, lambda num: num.shape[-1] * hit
     if _int_stats_fit(kind, m, k):
         limit = min(exact()[1], INT64_MAX)  # int64 determinants stay below it
         return observed, lambda num: int((_int_det(num) <= limit).sum())

@@ -355,6 +355,21 @@ def test_c3_monte_carlo_table():
             assert abs(est - incl) <= band_incl, (kv, s, m, est, incl)
     assert len(estimates) == 45
     assert atom_cells == 10  # all in the first matrix's column, small m
+    # p * R of every cell, recorded before the replicates-last popcount
+    # kernel: a change to the draws or the counting moves one of them
+    hits = {(kv, s): [round(estimates[(kv, s, m)] * MC_R) for m in M_GRID]
+            for kv, s in REF_MC_TABLE}
+    assert hits == {
+        ("total", 1): [73848, 51367, 15033, 1845, 34],
+        ("total", 2): [1695, 15, 0, 0, 0],
+        ("total", 3): [1695, 15, 0, 0, 0],
+        ("generalized", 1): [85615, 52669, 16177, 1415, 12],
+        ("generalized", 2): [6419, 69, 0, 0, 0],
+        ("generalized", 3): [585, 0, 0, 0, 0],
+        ("frobenius", 1): [80829, 57645, 24166, 9698, 1893],
+        ("frobenius", 2): [19594, 3747, 114, 1, 0],
+        ("frobenius", 3): [1891, 37, 0, 0, 0],
+    }
     _pass(f"C3 Monte Carlo significance table (45 cells, R=1e5, {elapsed:.1f}s; "
           f"{atom_cells} tie-atom cells checked against the exact null)")
 

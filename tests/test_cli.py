@@ -556,3 +556,11 @@ def test_force_on_huge_finite_entries(tmp_path):
         tests = {t["method"]: t for t in report["tests"]}
         assert tests["t_G1"]["p_raw"] == tests["t_G1"]["p_adjusted"] == 1.0
         assert tests["t_N"]["statistic"] == math.inf and tests["t_N"]["p_raw"] == 0.0
+    # rank 1 near the float range: eigenvalues [inf, 0]; the zero makes the
+    # determinant ratio 0 (singular), not inf * 0 = nan
+    write(tmp_path, "rank1.csv", "1e308,1e308\n1e308,1e308\n")
+    code, report = netvar_json(["test", "--cov", "rank1.csv", "--m", "10", "--force"], tmp_path)
+    assert code == 0
+    assert not [t for t in report["tests"] if "error" in t]
+    tests = {t["method"]: t for t in report["tests"]}
+    assert tests["t_G1"]["statistic"] == -math.sqrt(10) and tests["t_G2"]["statistic"] == 0.0

@@ -37,13 +37,39 @@ def test_same_seed_reproduces_and_seeds_differ():
 
 
 def test_thread_count_invariance():
-    # replicate count spans several chunks; tallies must be bit-identical
-    results = {
-        w: mc_pvalues(S1, ALL_KINDS, 12_345, 10, 7, workers=w) for w in (1, 2, 8)
-    }
-    for kind_pos in range(3):
-        vals = {results[w][kind_pos].p_value for w in (1, 2, 8)}
-        assert len(vals) == 1
+    # replicate count spans several chunks; tallies must be bit-identical.
+    # At m = 10 the chunks are small enough to run on one thread; at m = 200
+    # the requested workers run
+    for m in (10, 200):
+        results = {
+            w: mc_pvalues(S1, ALL_KINDS, 12_345, m, 7, workers=w) for w in (1, 2, 8)
+        }
+        for kind_pos in range(3):
+            vals = {results[w][kind_pos].p_value for w in (1, 2, 8)}
+            assert len(vals) == 1
+
+
+def test_small_chunks_run_on_one_thread(monkeypatch):
+    # a chunk whose popcount ANDs fewer than CHUNK_TARGET // 128 words runs
+    # on one thread; larger chunks get the requested workers, capped as
+    # before, and the worker arguments are checked either way
+    monkeypatch.delenv("NETVAR_THREADS", raising=False)
+
+    def pool(workers, m, k, replicates=100_000):
+        return montecarlo._pool_size(workers, montecarlo._chunk_sizes(replicates, m, k, 1), m, k)
+
+    assert pool(2, 10, 2) == pool(8, 50, 2) == pool(2, 64, 3) == 1
+    # 4096 replicates x 3 column pairs x 2 or 3 words, against 2^22 // 128 = 32768
+    assert pool(2, 128, 2) == 1 and pool(2, 129, 2) == 2
+    assert pool(2, 2, 6) == 2 and pool(2, 200, 28) == 2 and pool(8, 200, 28) == 8
+    assert pool(8, 200, 28, replicates=1000) == 2  # one worker per chunk at most
+    monkeypatch.setenv("NETVAR_THREADS", "3")
+    assert pool(8, 200, 28) == 3
+    with pytest.raises(ValueError, match="worker count"):
+        pool(0, 10, 2)
+    monkeypatch.setenv("NETVAR_THREADS", "0")
+    with pytest.raises(ValueError, match="NETVAR_THREADS"):
+        pool(2, 10, 2)
 
 
 def test_single_sample_replicate_has_zero_covariance():
@@ -224,8 +250,8 @@ def test_pvalue_counts_equal_oracle_counts_on_the_same_draws(k, m):
     ties = 0
     for est in ests:
         t0 = statistic(est.stat.value, sigma.exact_entries())
-        values = [statistic(est.stat.value, replicate_covariance(s1[r], s2[r], m))
-                  for s1, s2 in draws for r in range(len(s1))]
+        values = [statistic(est.stat.value, replicate_covariance(s1[..., r], s2[..., r], m))
+                  for s1, s2 in draws for r in range(s1.shape[-1])]
         assert est.p_value == sum(v >= t0 for v in values) / replicates, est.stat
         ties += sum(v == t0 for v in values)
     assert ties > 0  # the exact comparison is exercised
@@ -245,9 +271,9 @@ def test_short_last_chunk_counts_equal_per_replicate_counts(last):
     assert len(sizes) == 2 and sizes[-1] < chunk
     nums = [montecarlo._count_num(*montecarlo._draw_counts(seed, c, n, m, k), m)
             for c, n in enumerate(sizes)]
-    own = nums[-1][-1]
+    own = nums[-1][..., -1]
     sigma = CovMatrix.from_exact(own, m * m)
-    expected = [sum(count(num[r:r + 1].copy()) for num in nums for r in range(len(num)))
+    expected = [sum(count(num[..., r:r + 1].copy()) for num in nums for r in range(num.shape[-1]))
                 for _, count in (montecarlo._counter(kind, sigma, m) for kind in ALL_KINDS)]
     assert all(expected)
     interval = sys.getswitchinterval()
@@ -327,8 +353,7 @@ def test_worker_count_below_one_is_rejected():
 @pytest.mark.parametrize("k", [1, 2, 3, 28, 64])
 @pytest.mark.parametrize("m", [1, 63, 64, 65, 200, 2000])
 def test_integer_statistics_match_exact_oracle(k, m):
-    # at k = 64 a popcount block holds at most 16 replicates, so 20 span
-    # two blocks, and at m = 2000 one replicate's 32 words span two blocks
+    # at m = 2000 each column spans 32 words
     n = 20 if k == 64 else 4
     bitgen = np.random.Philox(key=np.array([k, m], dtype=np.uint64))
     words = montecarlo._draw_bits(bitgen, n, m, k)
@@ -341,22 +366,22 @@ def test_integer_statistics_match_exact_oracle(k, m):
     x = bits.reshape(n, k, -1)[:, :, :m].astype(np.int64)
     s1, s2 = montecarlo._bit_counts(words)
     assert s1.dtype == s2.dtype == np.int64
-    assert (s1 == x.sum(axis=2)).all() and (s1 <= m).all()
-    assert (s2 == x @ x.transpose(0, 2, 1)).all()
+    assert (s1.T == x.sum(axis=2)).all() and (s1 <= m).all()
+    assert (s2.transpose(2, 0, 1) == x @ x.transpose(0, 2, 1)).all()
     if k > 28:
         return  # the Fraction determinant oracle is slow past here
     # each statistic's integer form is scale x the independent Fraction oracle
     num, den = montecarlo._count_num(s1, s2, m), m * m
     for kind in ALL_KINDS:
         if kind is StatKind.GENERALIZED:
-            got = [montecarlo._scaled_stat(kind, num[r].astype(object), den) for r in range(4)]
+            got = [montecarlo._scaled_stat(kind, num[..., r].astype(object), den) for r in range(4)]
         else:
             assert montecarlo._int_stats_fit(kind, m, k)
             got = montecarlo._scaled_stat(kind, num, den)
             assert got.dtype == np.int64
         scale = montecarlo._scale(kind, k, den)
         for r in range(4):
-            exact = statistic(kind.value, replicate_covariance(s1[r], s2[r], m))
+            exact = statistic(kind.value, replicate_covariance(s1[..., r], s2[..., r], m))
             assert int(got[r]) == scale * exact
 
 
@@ -373,17 +398,17 @@ def test_integer_path_bounds():
         b = m * m // 4
         # worst-case replicate numerators: all columns equal with S = m/2
         # (every entry m^2/4), and the diagonal m^2/4 I (scaled statistic 0)
-        s1 = np.full((1, k), m // 2)
-        equal = montecarlo._count_num(s1, np.full((1, k, k), m // 2), m)
+        s1 = np.full((k, 1), m // 2)
+        equal = montecarlo._count_num(s1, np.full((k, k, 1), m // 2), m)
         assert (equal == b).all()
-        diagonal = np.diag(np.full(k, b))[None]
+        diagonal = np.diag(np.full(k, b))[..., None]
         # +-b in the leading block of the 4 x 4 Hadamard matrix: the largest
         # determinant (2 b^2, 4 b^3, 16 b^4) that entries <= b allow
         hadamard = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
         signs = hadamard[:k, :k] * b
-        for num in (equal, diagonal, signs[None]):
+        for num in (equal, diagonal, signs[..., None]):
             assert montecarlo._int_det(num)[0] == montecarlo._int_det(num.astype(object))[0]
-            exact = determinant([[Fraction(x) for x in row] for row in num[0].tolist()])
+            exact = determinant([[Fraction(x) for x in row] for row in num[..., 0].tolist()])
             assert montecarlo._int_det(num.astype(object))[0] == exact
         for num in (equal, diagonal):
             got = montecarlo._scaled_stat(StatKind.GENERALIZED, num, m * m)
@@ -405,10 +430,10 @@ def test_frobenius_int64_at_the_largest_fitting_m(k):
     assert not montecarlo._int_stats_fit(StatKind.FROBENIUS, m + 1, k)
     den, b = m * m, m * m // 4
     signs = np.where(np.arange(k) % 2, -1, 1)
-    for num in (np.full((1, k, k), b), b * np.outer(signs, signs)[None], np.zeros((1, k, k), int)):
+    for num in (np.full((k, k, 1), b), b * np.outer(signs, signs)[..., None], np.zeros((k, k, 1), int)):
         got = montecarlo._scaled_stat(StatKind.FROBENIUS, num.astype(np.int64), den)
         assert got.dtype == np.int64
-        exact = sum((4 * int(num[0, i, j]) - den * (i == j)) ** 2
+        exact = sum((4 * int(num[i, j, 0]) - den * (i == j)) ** 2
                     for i in range(k) for j in range(k))
         assert int(got[0]) == exact == montecarlo._scaled_stat(
             StatKind.FROBENIUS, num.astype(object), den)[0]
@@ -437,7 +462,7 @@ def test_int_det_matches_fraction_elimination(k):
     cases = _det_cases(np.random.default_rng(k), k)
     exact = [determinant([[Fraction(int(x)) for x in row] for row in a]) for a in cases]
     assert any(d == 0 for d in exact) and any(d < 0 for d in exact)
-    batch = np.stack(cases).astype(np.int64)
+    batch = np.stack(cases, axis=-1).astype(np.int64)
     for dtype in (np.int64, object):
         got = montecarlo._int_det(batch.astype(dtype))
         assert got.shape == (len(cases),)
@@ -445,8 +470,8 @@ def test_int_det_matches_fraction_elimination(k):
         for a, d in zip(cases, exact):
             one = montecarlo._int_det(a.astype(dtype))
             assert one == d and np.ndim(one) == 0
-        # a batch with two leading axes keeps them
-        assert montecarlo._int_det(batch[:12].reshape(3, 4, k, k).astype(dtype)).shape == (3, 4)
+        # a batch with two trailing axes keeps them
+        assert montecarlo._int_det(batch[..., :12].reshape(k, k, 3, 4).astype(dtype)).shape == (3, 4)
     assert type(montecarlo._int_det(cases[0].astype(object))) is int
 
 
@@ -461,10 +486,10 @@ def test_generalized_band_recheck_past_the_int64_bound(monkeypatch):
     assert replicates <= montecarlo._chunk_size(m, k)  # one chunk holds every replicate
     s1, s2 = montecarlo._draw_counts(seed, 0, replicates, m, k)
     num = montecarlo._count_num(s1, s2, m)
-    sigma = CovMatrix.from_exact(num[3], m * m)
+    sigma = CovMatrix.from_exact(num[..., 3], m * m)
     est = mc_pvalues(sigma, (StatKind.GENERALIZED,), replicates, m, seed)[0]
-    t0 = statistic("generalized", replicate_covariance(s1[3], s2[3], m))
-    values = [statistic("generalized", replicate_covariance(s1[r], s2[r], m))
+    t0 = statistic("generalized", replicate_covariance(s1[..., 3], s2[..., 3], m))
+    values = [statistic("generalized", replicate_covariance(s1[..., r], s2[..., r], m))
               for r in range(replicates)]
     assert sum(v == t0 for v in values) >= 1
     assert round(est.p_value * replicates) == sum(v >= t0 for v in values)
@@ -477,10 +502,10 @@ def test_generalized_band_recheck_past_the_int64_bound(monkeypatch):
     k, m, replicates = 7, 8, 600
     num = montecarlo._count_num(*montecarlo._draw_counts(seed, 0, replicates, m, k), m)
     dup = np.r_[0, 0, 2:k]
-    sigma = CovMatrix.from_exact(num[3][np.ix_(dup, dup)], m * m)
+    sigma = CovMatrix.from_exact(num[..., 3][np.ix_(dup, dup)], m * m)
     est = mc_pvalues(sigma, (StatKind.GENERALIZED,), replicates, m, seed)[0]
     singular = sum(determinant([[Fraction(int(x)) for x in row] for row in a]) == 0
-                   for a in num.tolist())
+                   for a in num.transpose(2, 0, 1).tolist())
     assert singular > 3 * montecarlo.BAND_BLOCK
     assert round(est.p_value * replicates) == singular
 
@@ -510,9 +535,9 @@ def test_generalized_float_count_equals_bareiss(k, m, n):
     # the float log-determinant error sits 10 times inside the bound the
     # count trusts, k^3 eps (1 / lambda_min(H) + log prod(diag) + |log det|),
     # and 100 times below LOG_DET_TOL
-    sign, logdet = np.linalg.slogdet(num)
-    d = np.sqrt(num.diagonal(axis1=1, axis2=2).clip(1))
-    lam_min = np.linalg.eigvalsh(num / d[:, :, None] / d[:, None, :])[:, 0]
+    sign, logdet = np.linalg.slogdet(num.transpose(2, 0, 1))
+    d = np.sqrt(num.diagonal().clip(1))
+    lam_min = np.linalg.eigvalsh(num.transpose(2, 0, 1) / d[:, :, None] / d[:, None, :])[:, 0]
     tol = k**3 * np.finfo(np.float64).eps
     worst = 0.0
     for ld, det, lm, scale in zip(logdet, exact, lam_min, np.log(d * d).sum(axis=1)):
@@ -620,7 +645,7 @@ def test_generalized_exact_tie_above_k64(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "observed_statistic_exact", counted)
     for r in (0, 1):
-        sigma = CovMatrix.from_exact(num[r], m * m)
+        sigma = CovMatrix.from_exact(num[..., r], m * m)
         est = mc_pvalues(sigma, (StatKind.GENERALIZED,), replicates, m, seed, workers=2)[0]
         assert round(est.p_value * replicates) == sum(d <= dets[r] for d in dets)
         assert est.observed_statistic == float(Fraction(1, 4**k) - Fraction(dets[r], m ** (2 * k)))
@@ -673,7 +698,8 @@ def test_generalized_null_values_past_the_int64_bound():
     values = sample_null_statistics(kind, m, k, count, seed)
     sizes = montecarlo._chunk_sizes(count, m, k, seed)
     assert len(sizes) == 2  # the chunk boundary is crossed
-    num = np.concatenate(montecarlo._map_chunks(lambda num: num.copy(), seed, sizes, m, k, workers=1))
+    num = np.concatenate(montecarlo._map_chunks(lambda num: num.copy(), seed, sizes, m, k, workers=1),
+                         axis=-1)
     scale = montecarlo._scale(kind, k, m * m)
     exact = [float(Fraction(int(s), scale))
              for s in montecarlo._scaled_stat(kind, num.astype(object), m * m)]
