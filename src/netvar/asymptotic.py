@@ -11,18 +11,23 @@ are available:
 * ``t_N``: scaled squared Frobenius distance of 4*sigma from the
   identity, chi-square with k*(k+1)/2 degrees of freedom (upper tail).
 
+The determinant ratio det(sigma) / det((1/4) I) is the strict
+:attr:`~netvar.variability.GenVar.ratio`, as ``describe`` normalizes it.
+
 Each result carries the raw significance and a finite-sample corrected
 one that conditions the reference distribution on the attainable range of
 the statistic; both are always computed.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import chi_square_cdf, gamma_cdf, std_normal_cdf
 from .moments import CovMatrix
+from .variability import var_generalized
 
 
 @dataclass(frozen=True)
@@ -38,13 +43,6 @@ class TestResult:
 
 def _clamp01(p: float) -> float:
     return min(max(p, 0.0), 1.0)
-
-
-def _det_ratio(sigma: CovMatrix) -> float:
-    """det(sigma) / det((1/4) I) as a product of 4*lambda factors; an eigenvalue
-    of exactly 0 makes it 0, even where another factor overflowed to inf."""
-    lam = sigma.eigenvalues
-    return 0.0 if (lam == 0).any() else float(np.prod(4.0 * lam))
 
 
 def test_total(sigma: CovMatrix, m: int) -> TestResult:
@@ -73,7 +71,7 @@ def test_gen_gaussian(sigma: CovMatrix, m: int) -> TestResult:
     if m < 1:
         raise ValueError(f"sample count must be >= 1, got {m}")
     k = sigma.k
-    stat = math.sqrt(m) * (_det_ratio(sigma) - 1.0)
+    stat = math.sqrt(m) * (var_generalized(sigma).ratio - 1.0)
     sd = math.sqrt(2.0 * k)
     p_raw = std_normal_cdf(min(max(stat / sd, -40.0), 40.0))  # Phi is 0 or 1 past |z| = 39
     lower = std_normal_cdf(-math.sqrt(m) / sd)
@@ -94,8 +92,12 @@ def test_gen_gamma(sigma: CovMatrix, m: int) -> TestResult:
     shape = k * (m + 1 - k) / 2.0
     if shape <= 0:
         raise ValueError(f"gamma shape non-positive: need m + 1 > k, got m={m}, k={k}")
-    ratio = max(_det_ratio(sigma), 0.0)  # indefinite forced inputs act as singular
-    stat = (m * k / 2.0) * ratio ** (1.0 / k)
+    lam, ratio = sigma.eigenvalues, var_generalized(sigma).ratio
+    if ratio < sys.float_info.min and lam.min() > 0:  # underflowed (k = 1225 under the null)
+        root = 4.0 * math.exp(float(np.mean(np.log(lam))))  # geometric mean of 4*lambda
+    else:
+        root = max(ratio, 0.0) ** (1.0 / k)  # indefinite forced inputs act as singular
+    stat = (m * k / 2.0) * root
     p_raw = gamma_cdf(stat, shape)
     p_adj = _clamp01(p_raw / gamma_cdf(m * k / 2.0, shape))
     return TestResult("t_G2", stat, {"shape": shape, "rate": 1.0}, p_raw, p_adj, m, k)

@@ -118,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_int_in("--seed", lambda v: 0 <= v < 2**64,
                                           "an integer in [0, 2^64)"), default=0)
     p.add_argument("--workers", type=_positive_int("--workers"), default=None,
-                   help="Monte Carlo worker threads (NETVAR_THREADS caps this)")
+                   help="Monte Carlo worker threads")
 
     p = sub.add_parser("classify", help="entropy classification of a sample set")
     add_common(p, cov_input=False)

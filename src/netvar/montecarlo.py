@@ -107,20 +107,11 @@ def _chunk_rng(seed: int, chunk_index: int) -> "np.random.Philox":
 
 
 def _resolve_workers(workers: int | None, n_chunks: int) -> int:
-    """Worker threads: min(requested or usable CPUs, n_chunks, NETVAR_THREADS)."""
+    """Worker threads: min(requested or usable CPUs, n_chunks)."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     w = workers if workers is not None else cpus or 1
     if w < 1:
         raise ValueError(f"worker count must be >= 1, got {w}")
-    cap = os.environ.get("NETVAR_THREADS")
-    if cap:
-        try:
-            limit = int(cap)
-        except ValueError:
-            limit = 0
-        if limit < 1:
-            raise ValueError(f"NETVAR_THREADS must be an integer >= 1, got {cap!r}")
-        w = min(w, limit)
     return min(w, n_chunks)
 
 

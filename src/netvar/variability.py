@@ -42,9 +42,11 @@ class StatValue:
 
 @dataclass(frozen=True)
 class GenVar:
+    """Products of the kept eigenvalues: ``value`` of lambda, ``ratio`` of 4*lambda."""
     value: float
     rank_deficient: bool
     k_effective: int
+    ratio: float
 
 
 @dataclass(frozen=True)
@@ -58,30 +60,27 @@ def var_total(sigma: CovMatrix) -> float:
     return sigma.trace()
 
 
+def _eigen_product(lam: np.ndarray, scale: float) -> float:
+    """Product of ``scale * lam``: 0 for no eigenvalues or one of exactly 0, even
+    where another factor overflowed to inf."""
+    return 0.0 if lam.size == 0 or (lam == 0).any() else float(np.prod(scale * lam))
+
+
 def var_generalized(sigma: CovMatrix, rank_policy: str = "strict") -> GenVar:
     """Determinant of the covariance matrix, optionally on a full-rank core.
 
-    ``strict`` takes the determinant of the whole matrix (eigenvalue
-    product), which is 0 whenever the matrix is rank deficient.  ``reduce``
-    first drops structurally constant coordinates (diagonal <= 1e-12),
-    then multiplies only the eigenvalues above 1e-12 of what remains;
-    ``k_effective`` is the number of retained eigenvalues and the flag
-    records whether anything was dropped.
+    ``strict`` multiplies every eigenvalue of the cached spectrum, so it is
+    0 whenever the matrix is rank deficient; ``reduce`` only those above
+    1e-12 (a constant edge's zero row falls below).  ``k_effective`` counts
+    the kept eigenvalues; none kept means zero variability.
     """
     if rank_policy not in ("strict", "reduce"):
         raise ValueError(f"rank_policy must be 'strict' or 'reduce', got {rank_policy!r}")
-    if rank_policy == "strict":
-        return GenVar(float(np.prod(sigma.eigenvalues)), False, sigma.k)
-
-    alive = [i for i in range(sigma.k) if sigma.entries[i, i] > RANK_EPS]
-    if not alive:
-        return GenVar(0.0, True, 0)
-    core = sigma if len(alive) == sigma.k else sigma.submatrix(alive)
-    lam = core.eigenvalues
-    kept = lam[lam > RANK_EPS]
-    if kept.size == 0:
-        return GenVar(0.0, True, 0)
-    return GenVar(float(np.prod(kept)), kept.size < sigma.k, int(kept.size))
+    lam = sigma.eigenvalues
+    if rank_policy == "reduce":
+        lam = lam[lam > RANK_EPS]
+    return GenVar(_eigen_product(lam, 1.0), lam.size < sigma.k, lam.size,
+                  _eigen_product(lam, 4.0))
 
 
 def var_frobenius(sigma: CovMatrix) -> float:
@@ -130,9 +129,9 @@ def normalize(kind: StatKind, raw: float, k: int) -> float:
 def _normalize_saturated(kind: StatKind, raw: float, k: int) -> float:
     """Like :func:`normalize` but saturating outside the theoretical range.
 
-    Bias-corrected estimates and spectrally truncated determinants can
-    legitimately leave the admissible parameter space; the covariance
-    diagnostics flag that, and the normalized view pins to the boundary.
+    Bias-corrected estimates can legitimately leave the admissible
+    parameter space; the covariance diagnostics flag that, and the
+    normalized view pins to the boundary.
     """
     lo, hi = _bounds(kind, k)
     if raw < lo - NORMALIZE_SLACK:
@@ -145,20 +144,22 @@ def _normalize_saturated(kind: StatKind, raw: float, k: int) -> float:
 def describe(sigma: CovMatrix, rank_policy: str = "reduce") -> tuple[StatValue, ...]:
     """All three statistics with normalized and complemented values.
 
-    The generalized variance under ``reduce`` is normalized against its
-    effective dimension, so a rank-reduced determinant still lands in
-    [0, 1].  Raw values outside the theoretical range (possible for
-    bias-corrected or forced inputs) saturate at the nearest boundary.
+    The normalized generalized variance is :attr:`GenVar.ratio` clamped to
+    [0, 1], so it is 1 at (1/4) I even where the raw 4^-k underflows
+    (k_effective >= 538).  Other raw values outside the theoretical range
+    (bias-corrected or forced inputs) saturate at the nearest boundary.
     """
 
-    def value(kind, raw, k, reduced=False):
-        norm = _normalize_saturated(kind, raw, k)
-        return StatValue(kind, raw, norm, 1.0 - norm, reduced, k)
+    def value(kind, raw):
+        norm = _normalize_saturated(kind, raw, sigma.k)
+        return StatValue(kind, raw, norm, 1.0 - norm, False, sigma.k)
 
     gen = var_generalized(sigma, rank_policy)
-    return (value(StatKind.TOTAL, var_total(sigma), sigma.k),
-            value(StatKind.GENERALIZED, gen.value, gen.k_effective, gen.rank_deficient),
-            value(StatKind.FROBENIUS, var_frobenius(sigma), sigma.k))
+    norm = min(max(gen.ratio, 0.0), 1.0)
+    return (value(StatKind.TOTAL, var_total(sigma)),
+            StatValue(StatKind.GENERALIZED, gen.value, norm, 1.0 - norm, gen.rank_deficient,
+                      gen.k_effective),
+            value(StatKind.FROBENIUS, var_frobenius(sigma)))
 
 
 def classify_entropy(samples: SampleSet) -> EntropySummary:

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from netvar import asymptotic
-from netvar.moments import CovMatrix
+from netvar.graphs import SampleSet
+from netvar.moments import CovMatrix, estimate_moments
 
 mp.mp.dps = 40
 
@@ -49,6 +50,21 @@ def test_gen_gaussian_examples():
     r = asymptotic.test_gen_gaussian(S1, 10)
     assert r.statistic == pytest.approx(math.sqrt(10) * (16 * 0.056 - 1), rel=1e-12)
     assert r.p_raw == pytest.approx(0.434693, abs=5e-7)
+
+
+def test_gen_gamma_at_k1225_takes_the_root_in_the_log_domain():
+    # the product of 4 * lambda underflows to 0 at k = 1225; the statistic
+    # is (m*k/2) times the geometric mean of 4 * lambda
+    r = asymptotic.test_gen_gamma(CovMatrix(np.eye(1225) / 8), 1300)
+    assert r.statistic == pytest.approx(1300 * 1225 / 4, rel=1e-12)
+    # a fair-coin sample (v = 50 nodes) is far from rejected
+    rows = np.random.default_rng(1225).integers(0, 2, size=(1361, 1225), dtype=np.uint8)
+    sigma = estimate_moments(SampleSet(None, rows)).sigma
+    r = asymptotic.test_gen_gamma(sigma, 1361)
+    sign, logdet = np.linalg.slogdet(4.0 * sigma.entries)
+    assert sign == 1.0
+    assert r.statistic == pytest.approx(1361 * 1225 / 2 * math.exp(logdet / 1225), rel=1e-9)
+    assert r.p_raw == 1.0
 
 
 def test_gen_gamma_sigma1_m10():

@@ -247,14 +247,6 @@ def test_m_that_contradicts_the_sample_set_fails(tmp_path, capsys):
     assert code == 0
 
 
-def test_mc_bad_netvar_threads_is_reported(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("NETVAR_THREADS", "abc")
-    path = write(tmp_path, "s1.csv", "0.24,0.04\n0.04,0.24\n")
-    code, _, err = run(["mc", "--cov", path, "--m", "10", "--replicates", "100"], capsys)
-    assert code == 1
-    assert "NETVAR_THREADS" in err
-
-
 def test_mc_below_resolution_annotation(tmp_path, capsys, schema):
     path = write(tmp_path, "s2.csv", "0.1056,-0.0336\n-0.0336,0.2016\n")
     _, report, _ = json_report(
@@ -531,6 +523,16 @@ def netvar_json(argv, cwd):
                           cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
     assert done.stderr == "", done.stderr
     return done.returncode, json.loads(done.stdout)
+
+
+def test_strict_generalized_at_the_float_range_is_zero(tmp_path):
+    # rank 1 near the float range: eigenvalues [inf, 0] give det 0, not nan
+    write(tmp_path, "rank1.csv", "1e308,1e308\n1e308,1e308\n")
+    code, report = netvar_json(["stats", "--cov", "rank1.csv", "--force",
+                                "--rank-policy", "strict"], tmp_path)
+    assert code == 0
+    gen = next(s for s in report["statistics"] if s["kind"] == "generalized")
+    assert gen["raw"] == 0.0 and gen["normalized"] == 0.0
 
 
 def test_force_on_huge_finite_entries(tmp_path):

@@ -49,12 +49,10 @@ def test_thread_count_invariance():
             assert len(vals) == 1
 
 
-def test_small_chunks_run_on_one_thread(monkeypatch):
+def test_small_chunks_run_on_one_thread():
     # a chunk whose popcount ANDs fewer than CHUNK_TARGET // 128 words runs
     # on one thread; larger chunks get the requested workers, capped as
     # before, and the worker arguments are checked either way
-    monkeypatch.delenv("NETVAR_THREADS", raising=False)
-
     def pool(workers, m, k, replicates=100_000):
         return montecarlo._pool_size(workers, montecarlo._chunk_sizes(replicates, m, k, 1), m, k)
 
@@ -63,13 +61,8 @@ def test_small_chunks_run_on_one_thread(monkeypatch):
     assert pool(2, 128, 2) == 1 and pool(2, 129, 2) == 2
     assert pool(2, 2, 6) == 2 and pool(2, 200, 28) == 2 and pool(8, 200, 28) == 8
     assert pool(8, 200, 28, replicates=1000) == 2  # one worker per chunk at most
-    monkeypatch.setenv("NETVAR_THREADS", "3")
-    assert pool(8, 200, 28) == 3
     with pytest.raises(ValueError, match="worker count"):
         pool(0, 10, 2)
-    monkeypatch.setenv("NETVAR_THREADS", "0")
-    with pytest.raises(ValueError, match="NETVAR_THREADS"):
-        pool(2, 10, 2)
 
 
 def test_single_sample_replicate_has_zero_covariance():
@@ -183,14 +176,6 @@ def test_observed_beyond_every_replicate(k, m):
     total, generalized, frobenius = mc_pvalues(sigma, tuple(StatKind), 64, m, seed=1, workers=1)
     assert total.observed_statistic < 0 and generalized.observed_statistic < 0
     assert (total.p_value, generalized.p_value, frobenius.p_value) == (1.0, 1.0, 0.0)
-
-
-def test_netvar_threads_env_caps_workers(monkeypatch):
-    monkeypatch.setenv("NETVAR_THREADS", "1")
-    capped = mc_pvalues(S1, (StatKind.TOTAL,), 9000, 10, seed=6, workers=8)[0]
-    monkeypatch.delenv("NETVAR_THREADS")
-    free = mc_pvalues(S1, (StatKind.TOTAL,), 9000, 10, seed=6, workers=8)[0]
-    assert capped.p_value == free.p_value  # env bounds workers, result unchanged
 
 
 def test_k3_pvalue_matches_exhaustive_enumeration():
@@ -319,28 +304,13 @@ def test_agreement_with_asymptotics_far_from_null():
     assert asy.p_adjusted < 1e-9
 
 
-def test_resolve_workers_caps_at_chunks_and_env(monkeypatch):
-    monkeypatch.delenv("NETVAR_THREADS", raising=False)
+def test_resolve_workers_caps_at_chunks_and_env():
     assert montecarlo._resolve_workers(8, 3) == 3
     assert montecarlo._resolve_workers(2, 100) == 2
     assert montecarlo._resolve_workers(None, 1) == 1
-    monkeypatch.setenv("NETVAR_THREADS", "4")
-    assert montecarlo._resolve_workers(16, 100) == 4
     assert montecarlo._resolve_workers(16, 2) == 2
     assert montecarlo._resolve_workers(3, 100) == 3
-    monkeypatch.setenv("NETVAR_THREADS", "")  # empty means unset
     assert montecarlo._resolve_workers(5, 100) == 5
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
-def test_bad_netvar_threads_is_rejected(monkeypatch, value):
-    monkeypatch.setenv("NETVAR_THREADS", value)
-    with pytest.raises(ValueError, match="NETVAR_THREADS"):
-        montecarlo._resolve_workers(2, 10)
-    with pytest.raises(ValueError, match="NETVAR_THREADS"):
-        mc_pvalues(S1, (StatKind.TOTAL,), 100, 10, seed=1)
-    with pytest.raises(ValueError, match="NETVAR_THREADS"):
-        sample_null_statistics(StatKind.TOTAL, 10, 2, 100, seed=1)
 
 
 def test_worker_count_below_one_is_rejected():
@@ -761,7 +731,6 @@ def test_huge_entries_report_overflowed_observed_statistics():
 
 
 def test_default_workers_follow_cpu_affinity(monkeypatch):
-    monkeypatch.delenv("NETVAR_THREADS", raising=False)
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
     monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert montecarlo._resolve_workers(None, 100) == 1
@@ -769,8 +738,5 @@ def test_default_workers_follow_cpu_affinity(monkeypatch):
     assert montecarlo._resolve_workers(None, 100) == 3
     assert montecarlo._resolve_workers(None, 2) == 2
     assert montecarlo._resolve_workers(6, 100) == 6
-    monkeypatch.setenv("NETVAR_THREADS", "2")
-    assert montecarlo._resolve_workers(None, 100) == 2
-    monkeypatch.delenv("NETVAR_THREADS")
     monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)  # not on every OS
     assert montecarlo._resolve_workers(None, 100) == 8

@@ -1,10 +1,13 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from netvar import montecarlo
 from netvar.graphs import SampleSet
-from netvar.moments import CovMatrix
+from netvar.moments import CovMatrix, estimate_moments
 from netvar.variability import (
     StatKind,
     classify_entropy,
@@ -58,6 +61,45 @@ def test_var_generalized_reduce_spectral_truncation():
     gen = var_generalized(m, "reduce")
     assert gen.k_effective == 1 and gen.rank_deficient
     assert gen.value == pytest.approx(0.3, rel=1e-12)
+
+
+def test_strict_generalized_of_a_rank_one_matrix_at_the_float_range():
+    # eigenvalues [inf, 0]: the zero makes the determinant 0, not inf * 0 = nan
+    sigma = CovMatrix([[1e308, 1e308], [1e308, 1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gen = var_generalized(sigma, "strict")
+    with np.errstate(over="ignore"):  # the trace overflows to inf, as under `--force`
+        described = describe(sigma, "strict")[1]
+    assert gen.value == 0.0 and gen.ratio == 0.0
+    assert described.raw == 0.0 and described.normalized == 0.0
+
+
+def test_reduce_on_constant_edges_matches_the_exact_core_determinant():
+    # never-present and always-present edges have zero rows: reduce drops
+    # their eigenvalues and keeps the other 19, whose product is the exact
+    # determinant of the core to 1e-13
+    rows = np.random.default_rng(16).integers(0, 2, size=(200, 28), dtype=np.uint8)
+    rows[:, :6] = 0
+    rows[:, 6:9] = 1
+    sigma = estimate_moments(make_samples(rows)).sigma
+    gen = var_generalized(sigma, "reduce")
+    assert gen.k_effective == 19 and gen.rank_deficient
+    num, den = sigma.exact
+    core = np.ix_(range(9, 28), range(9, 28))
+    exact = Fraction(int(montecarlo._int_det(num[core].astype(object))), den**19)
+    assert abs(gen.value - exact) <= 1e-13 * exact
+    assert gen.ratio == math.ldexp(gen.value, 38)  # 4 * lambda scales exactly
+
+
+def test_reduce_keeps_tiny_diagonals_above_the_eigenvalue_cut():
+    # a diagonal in (0, 1e-12] is not a constant edge: the top block's
+    # eigenvalue 2e-12 is above RANK_EPS and is kept (sample data would need
+    # more than 10^12 graphs for such a diagonal)
+    sigma = CovMatrix.from_csv_text("1e-12,1e-12,0\n1e-12,1e-12,0\n0,0,0.25\n")
+    gen = var_generalized(sigma, "reduce")
+    assert gen.k_effective == 2 and gen.rank_deficient
+    assert gen.value == pytest.approx(5e-13, rel=1e-12)
 
 
 def test_var_frobenius_examples():
@@ -118,6 +160,15 @@ def test_extremes_orientation():
     for sv in describe(QI(3), "strict"):
         assert sv.normalized == 1.0
         assert sv.complemented == 0.0
+
+
+@pytest.mark.parametrize("k", [538, 666])
+def test_describe_quarter_identity_past_the_raw_underflow(k):
+    # the raw determinant 4^-k is 0 in floats from k = 538 on; the
+    # normalized value is the product of 4 * lambda, which stays 1
+    gen = describe(QI(k))[1]
+    assert gen.raw == 0.0 and gen.k_effective == k
+    assert gen.normalized == 1.0 and gen.complemented == 0.0
 
 
 def test_describe_saturates_below_the_range():
