@@ -43,12 +43,6 @@ from .moments import (
     marginal_subvector,
     validate_covariance,
 )
-from .montecarlo import (
-    McEstimate,
-    mc_pvalues,
-    observed_statistic_exact,
-    sample_null_statistics,
-)
 from .variability import (
     EntropySummary,
     GenVar,
@@ -108,3 +102,10 @@ __all__ = [
     "var_generalized",
     "var_total",
 ]
+
+
+def __getattr__(name):  # PEP 562: montecarlo, and its thread pool, load on first use
+    if name in ("McEstimate", "mc_pvalues", "observed_statistic_exact", "sample_null_statistics"):
+        from . import montecarlo
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -27,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import asymptotic, montecarlo
+from . import asymptotic
 from .graphs import SampleSet, SampleSetError, parse_sample_set
 from .moments import CovMatrix, Diagnostic, MomentEstimate, estimate_moments, validate_covariance
 from .variability import StatKind, classify_entropy, describe, frobenius_bounds
@@ -251,6 +251,7 @@ def cmd_test(args) -> dict:
 
 
 def cmd_mc(args) -> dict:
+    from . import montecarlo  # imported here only: the other commands skip its start-up
     inputs, report, _ = _start("mc", args)
     kinds = tuple(MC_STATS[name] for name in args.mc_stat)
     estimates = montecarlo.mc_pvalues(

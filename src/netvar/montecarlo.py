@@ -34,9 +34,9 @@ observed one.  Two implementation guarantees matter here:
    at m <= k, where every replicate is singular; else by Bareiss
    (:func:`_int_det`) in int64 while it provably fits
    (:func:`_int_stats_fit`: k = 2 up to m = 55108, k = 3 up to 362, k = 4
-   up to 54); past that by proven log-determinant brackets and Python ints
-   for the rest, t0 computed only where no bracket decides.  At every k,
-   ``p_value * R`` is exactly the number of replicates >= observed.
+   up to 54); past that by log-determinant brackets proven from a batched
+   Cholesky (Higham, Thm 10.3) or eigenvalues, Python ints for the rest and
+   t0 only where none decides.  ``p_value * R`` is the exact count >= t0.
 
 Replicates draw their edge bits straight from the generator's raw 64-bit
 output: each column is ``ceil(m/64)`` words and bits past m are cleared.
@@ -56,7 +56,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, inf, log, sqrt
+from math import ceil, floor, inf, log, log1p, sqrt
 
 import numpy as np
 
@@ -319,30 +319,36 @@ def observed_statistic_exact(kind: StatKind, sigma: CovMatrix) -> Fraction:
 
 
 def _log_det_bracket(a: np.ndarray, semidefinite: bool = True):
-    """Proven ``(sign, lo, hi)``, ``lo <= log|det a| <= hi``, for symmetric
-    float matrices a (n, k, k); sign 0 and ``lo = -inf`` where det a is not
-    proven nonzero.  ``tol = k^3 eps`` is a generous backward-error constant.
+    """Proven ``(sign, lo, hi)``, ``lo <= log|det a| <= hi``, for symmetric float matrices a
+    (n, k, k); sign 0 and ``lo = -inf`` where det a is not proven nonzero.
 
-    1. Semidefinite a (integer replicates): ``slogdet`` (LU) where its bound
-       ``err < LOG_DET_TOL``.  Its error was measured below ``eps (1 /
-       lambda_min(H) + log prod(diag) + |log det|)`` (k = 3 to 64) for the
-       unit-diagonal ``H = D^-1 a D^-1``, and ``lambda_min(H) >= det(H) / e``
-       (AM-GM, ``tr H = k``); a singular a gets ``det(H) <~ eps``, err >= 1.
-    2. ``eigvalsh`` for the rest: each eigenvalue is within ``eta = tol
-       (|a|_F + k tiny)`` of the computed one (Weyl; solver backward error;
-       each input entry rounded within eps/2, or 2^-1075 where subnormal):
-       ``prod(|lam| -+ eta)`` bound |det|.
+    1. Semidefinite a (integer replicates): a batched Cholesky ``L L^T = a + E`` has ``|E| <= g |L|
+       |L^T|``, g = gamma_{k+1} (Higham, Accuracy and Stability, Thm 10.3).  With D = diag(a)^1/2,
+       Cauchy-Schwarz gives ``|D^-1 E D^-1|_2 <= delta = k (g+u) / (1-g)`` (u = eps/2: entries past
+       2^53 round), AM-GM ``lambda_min(H) >= prod(l_ii^2 / a_ii) (1-g)^(k-1) / e`` for H = D^-1 L
+       L^T D^-1, and Weyl ``|log det a - 2 sum log l_ii| <= 2 k r``, r = delta / lambda_min(H) <=
+       1/2.  err adds rounding (README); a singular a never gets err < LOG_DET_TOL.
+    2. ``eigvalsh`` for the rest, with ``tol = k^3 eps`` a generous backward-error constant:
+       each eigenvalue is within ``eta = tol (|a|_F + k tiny)`` of the computed one (Weyl;
+       solver backward error; each input entry rounded within eps/2, or 2^-1075 where
+       subnormal): ``prod(|lam| -+ eta)`` bound |det|.
     """
-    n, k = len(a), a.shape[-1]
-    fi = np.finfo(np.float64)
-    tol = k**3 * fi.eps
+    n, k, fi = len(a), a.shape[-1], np.finfo(np.float64)
+    tol, g = k**3 * fi.eps, (k + 1) * fi.eps / 2 / (1 - (k + 1) * fi.eps / 2)
     sign, lo, hi = np.zeros(n), np.full(n, -np.inf), np.full(n, np.inf)
+    def diagonals(a):  # of the Cholesky factors, NaN where one fails
+        try:
+            return np.linalg.cholesky(a).diagonal(axis1=1, axis2=2)
+        except np.linalg.LinAlgError:  # numpy fails the whole batch for one matrix: halve it
+            h = len(a) // 2
+            return np.vstack([diagonals(a[:h]), diagonals(a[h:])] if h else [np.full(k, np.nan)])
     if semidefinite:
-        s, logdet = np.linalg.slogdet(a)
-        log_diag = np.log(a.diagonal(axis1=1, axis2=2).clip(1)).sum(axis=1)
-        deficit = np.minimum(log_diag - logdet, 50.0)  # -log det(H), capped where err is 1 anyway
-        err = np.minimum(tol * (np.exp(deficit + 1) + log_diag + np.abs(logdet)), 1.0)
-        trust = (s > 0) & (err < LOG_DET_TOL)
+        log_l, log_a = np.log(diagonals(a)), np.log(a.diagonal(axis1=1, axis2=2).clip(1))
+        logdet = 2 * log_l.sum(axis=1)
+        slack = (k + 8) * fi.eps * (2 * np.abs(log_l).sum(axis=1) + np.abs(log_a).sum(axis=1))
+        log_lam = logdet - log_a.sum(axis=1) - slack + (k - 1) * log1p(-g) - 1  # of lambda_min(H)
+        err = 3 * k * k * (g + fi.eps / 2) / (1 - g) * np.exp(np.minimum(-log_lam, 100)) + slack
+        trust = err < LOG_DET_TOL
         sign[trust], lo[trust], hi[trust] = 1, (logdet - err)[trust], (logdet + err)[trust]
     rest = np.flatnonzero(sign == 0)
     if rest.size:
@@ -360,14 +366,19 @@ def _log_det_bracket(a: np.ndarray, semidefinite: bool = True):
     return sign, lo, hi
 
 
-def _count_det_at_most(num: np.ndarray, lo0: float, hi0: float, limit) -> int:
+def _count_det_at_most(num: np.ndarray, lo0: float, hi0: float, limit, floats=None) -> int:
     """How many integer matrices ``num`` (k, k, n) have ``det <= limit() = floor(X)``,
     for ``|X| <= e^hi0`` and ``X >= e^lo0`` (lo0 = -inf if X > 0 is unproven):
     a :func:`_log_det_bracket` below lo0 hits and one above hi0 misses.
     Only if one overlaps is ``limit()`` called; its log then decides the
     same way, and Python-int Bareiss the rest.
     """
-    _, lo, hi = _log_det_bracket(num.transpose(2, 0, 1))
+    floats = threading.local() if floats is None else floats
+    if getattr(floats, "a", np.empty(0)).size < num.size:  # fresh copies churn page faults
+        floats.a = np.empty(num.size)
+    a = floats.a[:num.size].reshape(num.shape[::-1])
+    np.copyto(a, num.transpose(2, 0, 1))  # exact while |num_ij| <= m^2/4 < 2^53
+    _, lo, hi = _log_det_bracket(a)
     hits, unsure = int((hi < lo0).sum()), (hi >= lo0) & (lo <= hi0)
     if unsure.any():
         exact = limit()
@@ -424,7 +435,8 @@ def _counter(kind: StatKind, sigma: CovMatrix, m: int):
     # the float shift (within 2 eps: a log within 1 ulp, one product) and each sum
     shift, eps = 2 * k * log(m), np.finfo(np.float64).eps
     lo0, hi0 = lo + shift - 4 * eps * (shift + abs(lo)), hi + shift + 4 * eps * (shift + abs(hi))
-    return observed, lambda num: _count_det_at_most(num, lo0, hi0, lambda: exact()[1])
+    floats = threading.local()  # each worker's float copy of its chunks
+    return observed, lambda num: _count_det_at_most(num, lo0, hi0, lambda: exact()[1], floats)
 
 
 def sample_null_statistics(stat: StatKind, m: int, k: int, count: int, seed: int) -> np.ndarray:

@@ -141,6 +141,7 @@ def _normalize_saturated(kind: StatKind, raw: float, k: int) -> float:
     return normalize(kind, raw, k)
 
 
+@np.errstate(over="ignore")  # near the float range a raw value overflows to inf
 def describe(sigma: CovMatrix, rank_policy: str = "reduce") -> tuple[StatValue, ...]:
     """All three statistics with normalized and complemented values.
 

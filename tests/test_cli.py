@@ -8,7 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from netvar import cli
+from netvar import cli, montecarlo
 
 MAX_ENT = "nodes A B\ngraph\nA B\ngraph\n"  # hand-built below where k=2 needed
 SAMPLES_3 = "nodes A B C\ngraph\nA B\nA C\ngraph\nA B\ngraph\n"
@@ -352,7 +352,7 @@ def test_mc_rejects_the_unbiased_estimator(tmp_path, capsys, schema, monkeypatch
         raise AssertionError("replicates drawn")
 
     with monkeypatch.context() as patch:
-        patch.setattr(cli.montecarlo, "mc_pvalues", no_draws)
+        patch.setattr(montecarlo, "mc_pvalues", no_draws)
         code, out, err = run(argv + ["--estimator", "unbiased"], capsys)
     assert code == 1 and out == ""
     assert err == (
@@ -494,6 +494,26 @@ def test_import_leaves_numpy_random_unloaded():
     code = "import sys, netvar.cli; sys.exit('numpy.random' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": src}
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+
+
+def test_import_leaves_montecarlo_unloaded():
+    # only `mc` uses montecarlo (with its thread pool and the logging that
+    # concurrent.futures loads); the package loads it on first use of its names
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import sys, netvar.cli\n"
+        "loaded = {'netvar.montecarlo', 'concurrent.futures', 'logging'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+        "import netvar\n"
+        "assert netvar.mc_pvalues is netvar.montecarlo.mc_pvalues\n"
+        "star = {}\n"
+        "exec('from netvar import *', star)\n"
+        "assert set(netvar.__all__) <= set(star) and not hasattr(netvar, 'no_such_name')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_samples_and_cov_give_the_same_floats(tmp_path, capsys, schema):

@@ -521,6 +521,79 @@ def test_generalized_float_count_equals_bareiss(k, m, n):
         assert (singular & (sign > 0) & (logdet > 0)).any()
 
 
+def _bracket_misses(bracket, num):
+    """Replicates ``num`` (k, k, n) whose proven bracket is wrong: a nonsingular one
+    whose ``lo <= log(det) <= hi`` fails, or a singular one given a sign."""
+    sign, lo, hi = bracket(np.ascontiguousarray(num.transpose(2, 0, 1), np.float64))
+    exact = montecarlo._int_det(num.astype(object))
+    return sum(not (s == 1 and a <= log(d) <= b) if d else s != 0
+               for s, a, b, d in zip(sign, lo, hi, exact))
+
+
+@pytest.mark.parametrize("k, m, n", [(5, 21, 3000), (14, 15, 600), (28, 29, 60),
+                                     (28, 200, 120), (45, 90, 16)])
+def test_cholesky_bracket_contains_the_exact_log_det(k, m, n):
+    # the Cholesky bracket's bound is proven (Higham, Thm 10.3): every
+    # nonsingular replicate's exact log det lies in it, and no exactly
+    # singular one gets a sign.  The mutant that trusts the float log det
+    # with err = 0 fails the same check
+    import inspect
+
+    num = montecarlo._count_num(*montecarlo._draw_counts(8, 0, n, m, k), m)
+    assert _bracket_misses(montecarlo._log_det_bracket, num) == 0
+    source = inspect.getsource(montecarlo._log_det_bracket)
+    trust = "        trust = err < LOG_DET_TOL\n"
+    assert source.count(trust) == 1
+    namespace = dict(vars(montecarlo))
+    exec(source.replace(trust, "        err = 0 * err\n" + trust), namespace)
+    assert _bracket_misses(namespace["_log_det_bracket"], num) > 0
+
+
+def _counted_eigvalsh(monkeypatch):
+    """Sizes of the batches passed to ``np.linalg.eigvalsh`` from now on."""
+    sizes, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: sizes.append(len(a)) or eigvalsh(a))
+    return sizes
+
+
+def test_cholesky_bracket_sends_only_singular_replicates_to_eigvalsh(monkeypatch):
+    # k = 7, m = 8: many replicates are singular.  Some fail numpy's
+    # Cholesky, which then fails the whole batch, so the batch is halved
+    # until each failing matrix stands alone; others factor in floats but
+    # their bound proves nothing (r >= 1).  Every nonsingular replicate is
+    # proven by its Cholesky bracket, so eigvalsh sees exactly the singular
+    # ones, and none of them gets a sign
+    k, m, n = 7, 8, 600
+    num = montecarlo._count_num(*montecarlo._draw_counts(8, 0, n, m, k), m)
+    a = np.ascontiguousarray(num.transpose(2, 0, 1), np.float64)
+    singular = montecarlo._int_det(num.astype(object)) == 0
+
+    def factors(x):
+        try:
+            np.linalg.cholesky(x)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    factored = np.array([factors(x) for x in a])
+    assert (singular & factored).any() and (singular & ~factored).any()
+    sizes = _counted_eigvalsh(monkeypatch)
+    sign, _, _ = montecarlo._log_det_bracket(a)
+    assert sum(sizes) == singular.sum() and ((sign == 0) == singular).all()
+
+
+def test_no_replicate_reaches_eigvalsh_at_k28_m200(monkeypatch):
+    # the benchmark's shape: over two chunks, the only eigvalsh call is the
+    # observed covariance's bracket; every replicate is decided by Cholesky
+    k, m = 28, 200
+    rows = np.random.default_rng(28).integers(0, 2, size=(m, k), dtype=np.uint8)
+    sigma = estimate_moments(SampleSet(None, rows)).sigma
+    replicates = 2 * montecarlo._chunk_size(m, k)
+    sizes = _counted_eigvalsh(monkeypatch)
+    mc_pvalues(sigma, (StatKind.GENERALIZED,), replicates, m, seed=5, workers=1)
+    assert sizes == [1]
+
+
 def test_generalized_just_above_m_equal_k_is_fast():
     # past the int64 bound, just above m = k, every replicate determinant is
     # far below 4^-k; its log-determinant still decides, with no Bareiss

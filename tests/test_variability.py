@@ -75,6 +75,18 @@ def test_strict_generalized_of_a_rank_one_matrix_at_the_float_range():
     assert described.raw == 0.0 and described.normalized == 0.0
 
 
+def test_describe_at_the_float_range_overflows_without_a_warning():
+    # a library call has the CLI's np.errstate(over="ignore"): trace,
+    # determinant and Frobenius distance overflow to inf with no
+    # RuntimeWarning (an error in this suite), and the caller's state stays
+    sigma = CovMatrix([[1e308, 0], [0, 1e308]])
+    for policy in ("strict", "reduce"):
+        values = describe(sigma, policy)
+        assert [(v.raw, v.normalized) for v in values] == [(np.inf, 1.0), (np.inf, 1.0),
+                                                           (np.inf, 0.0)]
+    assert np.geterr()["over"] == "warn"
+
+
 def test_reduce_on_constant_edges_matches_the_exact_core_determinant():
     # never-present and always-present edges have zero rows: reduce drops
     # their eigenvalues and keeps the other 19, whose product is the exact
