@@ -51,7 +51,6 @@ from .variability import (
     classify_entropy,
     describe,
     frobenius_bounds,
-    normalize,
     var_frobenius,
     var_generalized,
     var_total,
@@ -85,7 +84,6 @@ __all__ = [
     "gamma_cdf",
     "marginal_subvector",
     "mc_pvalues",
-    "normalize",
     "observed_statistic_exact",
     "parse_sample_set",
     "reg_lower_gamma",

@@ -27,7 +27,7 @@ import numpy as np
 
 from .distributions import chi_square_cdf, gamma_cdf, std_normal_cdf
 from .moments import CovMatrix
-from .variability import var_generalized
+from .variability import _clamp01, var_generalized
 
 
 @dataclass(frozen=True)
@@ -39,10 +39,6 @@ class TestResult:
     p_adjusted: float
     m: int
     k: int
-
-
-def _clamp01(p: float) -> float:
-    return min(max(p, 0.0), 1.0)
 
 
 def test_total(sigma: CovMatrix, m: int) -> TestResult:
@@ -125,8 +121,8 @@ def test_nagao(sigma: CovMatrix, m: int) -> TestResult:
     if m < 1:
         raise ValueError(f"sample count must be >= 1, got {m}")
     k = sigma.k
-    lam = sigma.eigenvalues
-    stat = 8.0 * m * float(np.sum((lam - 0.25) ** 2))
+    with np.errstate(over="ignore"):  # eigenvalues past ~1e154 square to inf
+        stat = 8.0 * m * float(np.sum((sigma.eigenvalues - 0.25) ** 2))
     df = k * (k + 1) / 2.0
     p_raw = chi_square_cdf(stat, df, upper=True)
     t_max = nagao_statistic_max(m, k)

@@ -106,7 +106,8 @@ class CovMatrix:
         return -EIG_CLAMP_TOL <= self.min_raw_eigenvalue < 0
 
     def trace(self) -> float:
-        return float(np.trace(self._entries))
+        with np.errstate(over="ignore"):  # a sum past the float range is inf
+            return float(np.trace(self._entries))
 
     @property
     def exact(self) -> tuple[np.ndarray, int]:
@@ -242,6 +243,7 @@ def estimate_moments(samples: SampleSet, estimator: str = "plugin") -> MomentEst
     return MomentEstimate(s1 / m, s2 / m, CovMatrix.from_exact(num, den), m, estimator)
 
 
+@np.errstate(over="ignore")  # products of entries near the float range are inf
 def validate_covariance(sigma: CovMatrix) -> Diagnostic:
     """Check the binary-vector covariance bounds, reporting every breach.
 

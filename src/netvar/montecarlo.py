@@ -57,6 +57,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, inf, log, log1p, sqrt
+from operator import index
 
 import numpy as np
 
@@ -88,8 +89,19 @@ def _chunk_size(m: int, k: int) -> int:
     return max(1, min(4096, CHUNK_TARGET // max(1, m * k)))
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int: Python and numpy integers pass, anything else is rejected."""
+    try:
+        return index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _chunk_sizes(replicates: int, m: int, k: int, seed: int) -> list[int]:
-    """Replicates per chunk for a run of the stream; rejects bad arguments."""
+    """Replicates per chunk for a run of the stream; rejects bad arguments.  Callers
+    then take Python ints of them (``index``): numpy ints overflow in exact arithmetic."""
+    replicates, m, k, seed = (_integer(name, value) for name, value in (
+        ("replicate count", replicates), ("sample count", m), ("dimension k", k), ("seed", seed)))
     if replicates < 1:
         raise ValueError(f"replicate count must be >= 1, got {replicates}")
     if m < 1:
@@ -109,7 +121,7 @@ def _chunk_rng(seed: int, chunk_index: int) -> "np.random.Philox":
 def _resolve_workers(workers: int | None, n_chunks: int) -> int:
     """Worker threads: min(requested or usable CPUs, n_chunks)."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    w = workers if workers is not None else cpus or 1
+    w = _integer("worker count", workers) if workers is not None else cpus or 1
     if w < 1:
         raise ValueError(f"worker count must be >= 1, got {w}")
     return min(w, n_chunks)
@@ -452,6 +464,7 @@ def sample_null_statistics(stat: StatKind, m: int, k: int, count: int, seed: int
     Arguments are checked as in :func:`mc_pvalues`.
     """
     sizes = _chunk_sizes(count, m, k, seed)
+    m, k, seed = index(m), index(k), index(seed)
     exact = stat is not StatKind.GENERALIZED or _int_stats_fit(stat, m, k)
     scale = _scale(stat, k, m * m) if exact else 1
 
@@ -477,8 +490,11 @@ def mc_pvalues(
     compared with plug-in replicates ``num / m^2``, so it should be a
     plug-in estimate too.
     """
+    if not kinds:
+        raise ValueError("kinds must name at least one statistic")
     k = sigma.k
     sizes = _chunk_sizes(replicates, m, k, seed)
+    replicates, m, seed = index(replicates), index(m), index(seed)
     counters = [_counter(kind, sigma, m) for kind in kinds]
     tallies = _map_chunks(lambda num: [count(num) for _, count in counters],
                           seed, sizes, m, k, workers)

@@ -10,7 +10,6 @@ that maximum-entropy case.
 """
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,6 @@ import numpy as np
 from .graphs import SampleSet
 from .moments import CovMatrix
 
-NORMALIZE_SLACK = 1e-9
 RANK_EPS = 1e-12
 
 
@@ -60,6 +58,7 @@ def var_total(sigma: CovMatrix) -> float:
     return sigma.trace()
 
 
+@np.errstate(over="ignore")  # a product past the float range is inf
 def _eigen_product(lam: np.ndarray, scale: float) -> float:
     """Product of ``scale * lam``: 0 for no eigenvalues or one of exactly 0, even
     where another factor overflowed to inf."""
@@ -90,8 +89,8 @@ def var_frobenius(sigma: CovMatrix) -> float:
     (1/4)*I, so the raw value is large for stable structures; the
     normalization flips the orientation.
     """
-    lam = sigma.eigenvalues
-    return float(np.sum((lam - sigma.k / 4.0) ** 2))
+    with np.errstate(over="ignore"):  # eigenvalues past ~1e154 square to inf
+        return float(np.sum((sigma.eigenvalues - sigma.k / 4.0) ** 2))
 
 
 def frobenius_bounds(k: int) -> tuple[float, float]:
@@ -101,66 +100,31 @@ def frobenius_bounds(k: int) -> tuple[float, float]:
     return k * (k - 1) ** 2 / 16.0, k**3 / 16.0
 
 
-def _bounds(kind: StatKind, k: int) -> tuple[float, float]:
-    if kind is StatKind.TOTAL:
-        return 0.0, k / 4.0
-    if kind is StatKind.GENERALIZED:
-        return 0.0, math.ldexp(1.0, -2 * k)
-    return frobenius_bounds(k)
+def _clamp01(x: float) -> float:
+    return min(max(x, 0.0), 1.0)
 
 
-def normalize(kind: StatKind, raw: float, k: int) -> float:
-    """Map a raw statistic onto [0, 1]; 1 means maximal variability.
-
-    Values straying up to 1e-9 outside the theoretical range are clamped
-    to the boundary; anything further out is rejected.
-    """
-    lo, hi = _bounds(kind, k)
-    if raw < lo - NORMALIZE_SLACK or raw > hi + NORMALIZE_SLACK:
-        raise ValueError(f"{kind.value} statistic {raw} outside [{lo}, {hi}] for k={k}")
-    raw = min(max(raw, lo), hi)
-    if kind is StatKind.TOTAL:
-        return 4.0 * raw / k
-    if kind is StatKind.GENERALIZED:
-        return math.ldexp(raw, 2 * k) if raw != 0.0 else 0.0  # exact; no -0.0
-    return (k**3 - 16.0 * raw) / (k * (2.0 * k - 1.0))
-
-
-def _normalize_saturated(kind: StatKind, raw: float, k: int) -> float:
-    """Like :func:`normalize` but saturating outside the theoretical range.
-
-    Bias-corrected estimates can legitimately leave the admissible
-    parameter space; the covariance diagnostics flag that, and the
-    normalized view pins to the boundary.
-    """
-    lo, hi = _bounds(kind, k)
-    if raw < lo - NORMALIZE_SLACK:
-        return 1.0 if kind is StatKind.FROBENIUS else 0.0
-    if raw > hi + NORMALIZE_SLACK:
-        return 0.0 if kind is StatKind.FROBENIUS else 1.0
-    return normalize(kind, raw, k)
-
-
-@np.errstate(over="ignore")  # near the float range a raw value overflows to inf
 def describe(sigma: CovMatrix, rank_policy: str = "reduce") -> tuple[StatValue, ...]:
     """All three statistics with normalized and complemented values.
 
-    The normalized generalized variance is :attr:`GenVar.ratio` clamped to
-    [0, 1], so it is 1 at (1/4) I even where the raw 4^-k underflows
-    (k_effective >= 538).  Other raw values outside the theoretical range
-    (bias-corrected or forced inputs) saturate at the nearest boundary.
+    Each normalized value is the statistic's affine map onto [0, 1] of its
+    raw value clamped to the admissible range, so raw values outside it
+    (bias-corrected or forced inputs) saturate at 0 or 1.  The normalized
+    generalized variance is :attr:`GenVar.ratio` clamped to [0, 1]: 1 at
+    (1/4) I even where the raw 4^-k underflows (k_effective >= 538).
     """
+    k = sigma.k
 
-    def value(kind, raw):
-        norm = _normalize_saturated(kind, raw, sigma.k)
-        return StatValue(kind, raw, norm, 1.0 - norm, False, sigma.k)
+    def value(kind, raw, norm, rank_deficient=False, k_effective=k):
+        return StatValue(kind, raw, norm, 1.0 - norm, rank_deficient, k_effective)
 
-    gen = var_generalized(sigma, rank_policy)
-    norm = min(max(gen.ratio, 0.0), 1.0)
-    return (value(StatKind.TOTAL, var_total(sigma)),
-            StatValue(StatKind.GENERALIZED, gen.value, norm, 1.0 - norm, gen.rank_deficient,
-                      gen.k_effective),
-            value(StatKind.FROBENIUS, var_frobenius(sigma)))
+    lo, hi = frobenius_bounds(k)
+    total, gen, frob = var_total(sigma), var_generalized(sigma, rank_policy), var_frobenius(sigma)
+    return (value(StatKind.TOTAL, total, 4.0 * min(max(total, 0.0), k / 4.0) / k),
+            value(StatKind.GENERALIZED, gen.value, _clamp01(gen.ratio), gen.rank_deficient,
+                  gen.k_effective),
+            value(StatKind.FROBENIUS, frob,
+                  (k**3 - 16.0 * min(max(frob, lo), hi)) / (k * (2.0 * k - 1.0))))
 
 
 def classify_entropy(samples: SampleSet) -> EntropySummary:

@@ -146,6 +146,42 @@ def test_mc_pvalues_rejects_bad_arguments():
             sample_null_statistics(StatKind.TOTAL, 5, k, 3, seed=1)
 
 
+@pytest.mark.parametrize("argument, value, name", [
+    ("replicates", 2.5, "replicate count"), ("m", 10.0, "sample count"),
+    ("seed", 1.9, "seed"), ("workers", 1.5, "worker count")])
+def test_mc_pvalues_rejects_a_non_integral_argument(argument, value, name, monkeypatch):
+    # each is rejected by name before any draw: a float seed would run the
+    # stream of its integer part and report the float
+    monkeypatch.setattr(montecarlo, "_draw_bits", None)  # no draw is made
+    args = {"replicates": 2000, "m": 10, "seed": 1, "workers": 1, argument: value}
+    message = f"{name} must be an integer, got {value}"
+    with pytest.raises(TypeError, match=message):
+        mc_pvalues(S1, ALL_KINDS, **args)
+    if argument != "workers":
+        with pytest.raises(TypeError, match=message):
+            sample_null_statistics(StatKind.TOTAL, args["m"], 2, args["replicates"], args["seed"])
+
+
+def test_numpy_integer_arguments_run_the_integer_stream():
+    # numpy ints are taken as Python ints: at k = 28 an int64 m would
+    # overflow the exact arithmetic
+    sigma = estimate_moments(SampleSet(None, np.random.default_rng(3).integers(
+        0, 2, size=(200, 28), dtype=np.uint8))).sigma
+    expected = mc_pvalues(sigma, ALL_KINDS, 200, 200, seed=1, workers=1)
+    got = mc_pvalues(sigma, ALL_KINDS, np.int64(200), np.int64(200), seed=np.int64(1),
+                     workers=np.int64(1))
+    assert got == expected
+    assert all(type(e.seed) is int and type(e.replicates) is int for e in got)
+    assert (sample_null_statistics(StatKind.TOTAL, np.int64(10), np.int64(2), 50, np.int64(1))
+            == sample_null_statistics(StatKind.TOTAL, 10, 2, 50, 1)).all()
+
+
+def test_mc_pvalues_without_a_statistic_is_rejected_before_drawing(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_draw_bits", None)  # no draw is made
+    with pytest.raises(ValueError, match="at least one statistic"):
+        mc_pvalues(S1, (), 2000, 10, seed=1)
+
+
 def test_generalized_at_m_not_above_k_is_decided_by_rank():
     # every replicate covariance has rank <= m - 1 < k, so det = 0 and all
     # replicates sit at the maximum 4^-k; no determinant is evaluated
@@ -502,23 +538,6 @@ def test_generalized_float_count_equals_bareiss(k, m, n):
         for lo0, hi0 in ((-np.inf, np.inf), (point, point)):
             count = montecarlo._count_det_at_most(num, lo0, hi0, lambda: limit)
             assert count == (exact <= limit).sum(), limit
-    # the float log-determinant error sits 10 times inside the bound the
-    # count trusts, k^3 eps (1 / lambda_min(H) + log prod(diag) + |log det|),
-    # and 100 times below LOG_DET_TOL
-    sign, logdet = np.linalg.slogdet(num.transpose(2, 0, 1))
-    d = np.sqrt(num.diagonal().clip(1))
-    lam_min = np.linalg.eigvalsh(num.transpose(2, 0, 1) / d[:, :, None] / d[:, None, :])[:, 0]
-    tol = k**3 * np.finfo(np.float64).eps
-    worst = 0.0
-    for ld, det, lm, scale in zip(logdet, exact, lam_min, np.log(d * d).sum(axis=1)):
-        if det:
-            error = abs(ld - log(det))
-            assert 10 * error <= tol * (1 / lm + scale + abs(ld))
-            worst = max(worst, error)
-    assert 100 * worst <= montecarlo.LOG_DET_TOL
-    if k == 14:
-        singular = exact == 0
-        assert (singular & (sign > 0) & (logdet > 0)).any()
 
 
 def _bracket_misses(bracket, num):

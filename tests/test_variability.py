@@ -5,15 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from netvar import montecarlo
+from netvar import asymptotic, montecarlo
 from netvar.graphs import SampleSet
-from netvar.moments import CovMatrix, estimate_moments
+from netvar.moments import CovMatrix, estimate_moments, validate_covariance
 from netvar.variability import (
     StatKind,
     classify_entropy,
     describe,
     frobenius_bounds,
-    normalize,
     var_frobenius,
     var_generalized,
     var_total,
@@ -69,8 +68,7 @@ def test_strict_generalized_of_a_rank_one_matrix_at_the_float_range():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         gen = var_generalized(sigma, "strict")
-    with np.errstate(over="ignore"):  # the trace overflows to inf, as under `--force`
-        described = describe(sigma, "strict")[1]
+        described = describe(sigma, "strict")[1]  # its trace overflows to inf quietly
     assert gen.value == 0.0 and gen.ratio == 0.0
     assert described.raw == 0.0 and described.normalized == 0.0
 
@@ -85,6 +83,24 @@ def test_describe_at_the_float_range_overflows_without_a_warning():
         assert [(v.raw, v.normalized) for v in values] == [(np.inf, 1.0), (np.inf, 1.0),
                                                            (np.inf, 0.0)]
     assert np.geterr()["over"] == "warn"
+
+
+@pytest.mark.parametrize("entries", [[[1e308, 0], [0, 1e308]], [[1e308, 1e308], [1e308, 1e308]],
+                                     [[1e200, 0], [0, 0.1]]])
+@pytest.mark.parametrize("statistic", [
+    validate_covariance, var_total, var_generalized, var_frobenius,
+    *(lambda sigma, test=test: test(sigma, 10) for test in (
+        asymptotic.test_total, asymptotic.test_gen_gaussian, asymptotic.test_gen_gamma,
+        asymptotic.test_nagao)),
+], ids=["validate", "total", "generalized", "frobenius", "t_T", "t_G1", "t_G2", "t_N"])
+def test_library_calls_at_the_float_range_overflow_without_a_warning(entries, statistic):
+    # the trace, products of entries or eigenvalues, and squared eigenvalues
+    # overflow to inf quietly, as in the CLI, and the caller's state stays
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        statistic(CovMatrix(entries))
+    assert np.geterr() == before
 
 
 def test_reduce_on_constant_edges_matches_the_exact_core_determinant():
@@ -138,31 +154,6 @@ def test_frobenius_bounds():
         frobenius_bounds(0)
 
 
-def test_normalize_examples():
-    assert normalize(StatKind.TOTAL, 0.48, 2) == pytest.approx(0.96, abs=1e-15)
-    assert normalize(StatKind.GENERALIZED, 0.056, 2) == pytest.approx(0.896, abs=1e-15)
-    assert normalize(StatKind.FROBENIUS, 0.1384, 2) == pytest.approx(
-        0.96426667, abs=5e-9
-    )
-
-
-def test_normalize_generalized_is_exact_past_k512():
-    # 4^k scaling by exponent only: no exp/log rounding at large k
-    raw = math.ldexp(0.5, -1040)
-    assert normalize(StatKind.GENERALIZED, raw, 520) == 0.5
-    assert normalize(StatKind.GENERALIZED, math.ldexp(1.0, -1040), 520) == 1.0
-    assert math.copysign(1.0, normalize(StatKind.GENERALIZED, -0.0, 520)) == 1.0
-
-
-def test_normalize_clamps_and_rejects():
-    assert normalize(StatKind.TOTAL, -5e-10, 2) == 0.0
-    assert normalize(StatKind.TOTAL, 0.5 + 5e-10, 2) == 1.0
-    with pytest.raises(ValueError, match="outside"):
-        normalize(StatKind.TOTAL, 0.6, 2)
-    with pytest.raises(ValueError, match="outside"):
-        normalize(StatKind.FROBENIUS, 0.05, 2)  # below the k=2 minimum
-
-
 def test_extremes_orientation():
     # zero matrix: no variability at all, every normalized statistic is 0
     for sv in describe(ZERO2, "strict"):
@@ -184,8 +175,12 @@ def test_describe_quarter_identity_past_the_raw_underflow(k):
 
 
 def test_describe_saturates_below_the_range():
-    # forced or bias-corrected inputs leave the admissible range: the
-    # normalized values pin to the boundary instead of raising
+    # forced or bias-corrected inputs leave the admissible range: the raw
+    # value is clamped to it, so the normalized values pin to the boundary
+    above, below = (describe(CovMatrix(entries))[0]
+                    for entries in ([[0.25 + 5e-10, 0.0], [0.0, 0.25]], [[-5e-10, 0.0], [0.0, 0.0]]))
+    assert above.raw > 0.5 and above.normalized == 1.0  # the k=2 maximum is 1/2
+    assert below.raw < 0.0 and below.normalized == 0.0 and below.complemented == 1.0
     over = {sv.kind: sv for sv in describe(CovMatrix([[0.5, 0.0], [0.0, 0.5]]))}
     assert over[StatKind.FROBENIUS].raw == 0.0  # below the k=2 minimum 1/8
     assert over[StatKind.FROBENIUS].normalized == 1.0
