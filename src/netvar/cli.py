@@ -92,11 +92,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--m", type=_positive_int("--m"),
                            help="sample count behind a covariance CSV"
                            + (" (required with --cov)" if need_m else ""))
+            p.add_argument("--force", action="store_true",
+                           help="proceed when the covariance CSV violates its bounds")
         p.add_argument("--estimator", choices=("plugin", "unbiased"),
                        help="covariance estimator for sample-set input (default plugin)")
         p.add_argument("--format", choices=("json", "table"), default="table")
-        p.add_argument("--force", action="store_true",
-                       help="proceed when the covariance violates its bounds")
 
     p = sub.add_parser("moments", help="empirical edge moments")
     add_common(p, cov_input=False)

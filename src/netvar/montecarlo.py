@@ -34,9 +34,10 @@ observed one.  Two implementation guarantees matter here:
    at m <= k, where every replicate is singular; else by Bareiss
    (:func:`_int_det`) in int64 while it provably fits
    (:func:`_int_stats_fit`: k = 2 up to m = 55108, k = 3 up to 362, k = 4
-   up to 54); past that by log-determinant brackets proven from a batched
-   Cholesky (Higham, Thm 10.3) or eigenvalues, Python ints for the rest and
-   t0 only where none decides.  ``p_value * R`` is the exact count >= t0.
+   up to 54); past that by proven log-determinant brackets from one shifted
+   Cholesky per chunk, which cannot fail, eigenvalues for the replicates it
+   leaves open, Python ints for the rest and t0 only where none decides.
+   ``p_value * R`` is the exact count >= t0.
 
 Replicates draw their edge bits straight from the generator's raw 64-bit
 output: each column is ``ceil(m/64)`` words and bits past m are cleared.
@@ -65,7 +66,6 @@ from .moments import CovMatrix
 from .variability import StatKind
 
 CHUNK_TARGET = 1 << 22  # edge bits per chunk, caps worker memory
-LOG_DET_TOL = 1e-3  # float log-dets decide only with an error bound below this
 INT64_MAX = 2**63 - 1
 BAND_BLOCK = 64  # undecided replicates per Python-int determinant (bounds its memory)
 
@@ -330,67 +330,67 @@ def observed_statistic_exact(kind: StatKind, sigma: CovMatrix) -> Fraction:
     return Fraction(_scaled_stat(kind, num.astype(object), den), _scale(kind, sigma.k, den))
 
 
-def _log_det_bracket(a: np.ndarray, semidefinite: bool = True):
-    """Proven ``(sign, lo, hi)``, ``lo <= log|det a| <= hi``, for symmetric float matrices a
-    (n, k, k); sign 0 and ``lo = -inf`` where det a is not proven nonzero.
+def _cholesky_bracket(a: np.ndarray):
+    """Proven ``(lo, hi)``, ``lo <= log det num <= hi``, for C-contiguous float64 copies a
+    (n, k, k) of integer positive semidefinite num, shifted in place; lo = -inf if unproven.
 
-    1. Semidefinite a (integer replicates): a batched Cholesky ``L L^T = a + E`` has ``|E| <= g |L|
-       |L^T|``, g = gamma_{k+1} (Higham, Accuracy and Stability, Thm 10.3).  With D = diag(a)^1/2,
-       Cauchy-Schwarz gives ``|D^-1 E D^-1|_2 <= delta = k (g+u) / (1-g)`` (u = eps/2: entries past
-       2^53 round), AM-GM ``lambda_min(H) >= prod(l_ii^2 / a_ii) (1-g)^(k-1) / e`` for H = D^-1 L
-       L^T D^-1, and Weyl ``|log det a - 2 sum log l_ii| <= 2 k r``, r = delta / lambda_min(H) <=
-       1/2.  err adds rounding (README); a singular a never gets err < LOG_DET_TOL.
-    2. ``eigvalsh`` for the rest, with ``tol = k^3 eps`` a generous backward-error constant:
-       each eigenvalue is within ``eta = tol (|a|_F + k tiny)`` of the computed one (Weyl;
-       solver backward error; each input entry rounded within eps/2, or 2^-1075 where
-       subnormal): ``prod(|lam| -+ eta)`` bound |det|.
-    """
-    n, k, fi = len(a), a.shape[-1], np.finfo(np.float64)
-    tol, g = k**3 * fi.eps, (k + 1) * fi.eps / 2 / (1 - (k + 1) * fi.eps / 2)
-    sign, lo, hi = np.zeros(n), np.full(n, -np.inf), np.full(n, np.inf)
-    def diagonals(a):  # of the Cholesky factors, NaN where one fails
-        try:
-            return np.linalg.cholesky(a).diagonal(axis1=1, axis2=2)
-        except np.linalg.LinAlgError:  # numpy fails the whole batch for one matrix: halve it
-            h = len(a) // 2
-            return np.vstack([diagonals(a[:h]), diagonals(a[h:])] if h else [np.full(k, np.nan)])
-    if semidefinite:
-        log_l, log_a = np.log(diagonals(a)), np.log(a.diagonal(axis1=1, axis2=2).clip(1))
-        logdet = 2 * log_l.sum(axis=1)
-        slack = (k + 8) * fi.eps * (2 * np.abs(log_l).sum(axis=1) + np.abs(log_a).sum(axis=1))
-        log_lam = logdet - log_a.sum(axis=1) - slack + (k - 1) * log1p(-g) - 1  # of lambda_min(H)
-        err = 3 * k * k * (g + fi.eps / 2) / (1 - g) * np.exp(np.minimum(-log_lam, 100)) + slack
-        trust = err < LOG_DET_TOL
-        sign[trust], lo[trust], hi[trust] = 1, (logdet - err)[trust], (logdet + err)[trust]
-    rest = np.flatnonzero(sign == 0)
-    if rest.size:
-        lam = np.linalg.eigvalsh(a[rest])
-        with np.errstate(over="ignore"):  # entries past ~1e154: eta = inf, an open bracket
-            norm = np.linalg.norm(a[rest], axis=(1, 2))[:, None]
-        mag, eta = np.abs(lam), tol * (norm + k * fi.tiny)
-        upper = np.log((mag + eta).clip(fi.tiny))
-        lower = np.log((mag - eta).clip(fi.smallest_subnormal))  # mag - eta > 0 where proven
-        slack = tol * (np.abs(upper) + np.abs(lower)).sum(axis=1)  # rounding of the sums
-        proven = (mag > eta).all(axis=1)
-        sign[rest] = np.where(proven, np.sign(lam).prod(axis=1), 0)
-        lo[rest] = np.where(proven, lower.sum(axis=1) - slack, -np.inf)
-        hi[rest] = upper.sum(axis=1) + slack
-    return sign, lo, hi
+    ``a_ii += s max(a_ii, 1)``, ``s = c / (1 - c)``, ``c = 20 k^5/2 u``, bounds kappa_2 of the
+    scaled ``num + shift`` by k (1 + s) / s: Demmel's ``20 k^3/2 kappa_2 u <= 1`` (Higham, ch. 10)
+    holds, so the batched Cholesky never fails.  Its error (Thm 10.3) and a lower bound lam of
+    lambda_min (AM-GM, or the shift) bound ``log det(num + shift) >= log det num`` by Weyl; lo
+    adds ``k log(1 - tau / lam)``, tau >= the scaled shift, where ``tau < lam / 2`` (README)."""
+    n, k, eps = len(a), a.shape[-1], np.finfo(np.float64).eps
+    g, c = (k + 1) * eps / 2 / (1 - (k + 1) * eps / 2), 20 * k**2.5 * eps / 2
+    diagonal = a.reshape(n, -1)[:, ::k + 1]  # a writeable view
+    unshifted = diagonal.copy()
+    diagonal[...] = d = unshifted + c / (1 - c) * np.maximum(unshifted, 1)
+    shift = (d - unshifted) / d  # the subtraction is exact (Sterbenz, or 0)
+    tau, sigma = shift.max(axis=1) * (1 + eps), shift.min(axis=1) * (1 - eps)
+    log_l, log_d = np.log(np.linalg.cholesky(a).diagonal(axis1=1, axis2=2)), np.log(d)
+    logdet, delta = 2 * log_l.sum(axis=1), k * (g + eps / 2) / (1 - g)
+    slack = (k + 8) * eps * (2 * np.abs(log_l).sum(axis=1) + np.abs(log_d).sum(axis=1))
+    lam = np.maximum(np.exp(logdet - log_d.sum(axis=1) - slack + (k - 1) * log1p(-g) - 1),
+                     sigma - delta)  # two lower bounds of lambda_min(D^-1 L L^T D^-1)
+    err = 3 * k * delta / lam + slack  # |log det(num + shift) - logdet| <= err
+    lam -= delta  # <= lambda_min(D^-1 (num + shift) D^-1)
+    proven, drop = 2 * tau < lam, np.full(n, -np.inf)  # drop <= log det num - log det(num + shift)
+    drop[proven] = k * np.log1p(-tau[proven] / lam[proven]) * (1 + 16 * eps)
+    return logdet - err + drop, logdet + err
+
+
+def _eigen_bracket(a: np.ndarray):
+    """Proven ``(sign, lo, hi)``, ``lo <= log|det a| <= hi``, for symmetric float a (n, k, k),
+    lo = -inf unless det a != 0 is proven: eigenvalues lie within ``eta = tol (|a|_F + k tiny)``
+    of ``eigvalsh``'s, ``tol = k^3 eps`` a generous backward-error constant (Weyl; entries
+    rounded within eps/2, or 2^-1075 where subnormal), so ``prod(|lam| -+ eta)`` bound |det|."""
+    k, fi = a.shape[-1], np.finfo(np.float64)
+    lam, tol = np.linalg.eigvalsh(a), k**3 * fi.eps
+    with np.errstate(over="ignore"):  # entries past ~1e154: eta = inf, an open bracket
+        norm = np.linalg.norm(a, axis=(1, 2))[:, None]
+    mag, eta = np.abs(lam), tol * (norm + k * fi.tiny)
+    upper = np.log((mag + eta).clip(fi.tiny))
+    lower = np.log((mag - eta).clip(fi.smallest_subnormal))  # mag - eta > 0 where proven
+    slack = tol * (np.abs(upper) + np.abs(lower)).sum(axis=1)  # rounding of the sums
+    proven = (mag > eta).all(axis=1)
+    sign = np.where(proven, np.sign(lam).prod(axis=1), 0)
+    return sign, np.where(proven, lower.sum(axis=1) - slack, -np.inf), upper.sum(axis=1) + slack
 
 
 def _count_det_at_most(num: np.ndarray, lo0: float, hi0: float, limit, floats=None) -> int:
-    """How many integer matrices ``num`` (k, k, n) have ``det <= limit() = floor(X)``,
-    for ``|X| <= e^hi0`` and ``X >= e^lo0`` (lo0 = -inf if X > 0 is unproven):
-    a :func:`_log_det_bracket` below lo0 hits and one above hi0 misses.
-    Only if one overlaps is ``limit()`` called; its log then decides the
-    same way, and Python-int Bareiss the rest.
-    """
+    """How many integer positive semidefinite ``num`` (k, k, n) have ``det <= limit() =
+    floor(X)``, ``|X| <= e^hi0``, ``X >= e^lo0`` (lo0 = -inf if X > 0 is unproven).  A bracket
+    below lo0 hits and one above hi0 misses: :func:`_cholesky_bracket`, for the rest also
+    :func:`_eigen_bracket`, then ``log(limit())``, only now computed, and Python-int Bareiss."""
     floats = threading.local() if floats is None else floats
     if getattr(floats, "a", np.empty(0)).size < num.size:  # fresh copies churn page faults
         floats.a = np.empty(num.size)
     a = floats.a[:num.size].reshape(num.shape[::-1])
     np.copyto(a, num.transpose(2, 0, 1))  # exact while |num_ij| <= m^2/4 < 2^53
-    _, lo, hi = _log_det_bracket(a)
+    lo, hi = _cholesky_bracket(a)
+    if (rest := np.flatnonzero((hi >= lo0) & (lo <= hi0))).size:
+        a.reshape(len(a), -1)[rest, ::len(num) + 1] = num.diagonal()[rest]  # undo their shift
+        _, lo_e, hi_e = _eigen_bracket(a[rest])  # far cheaper than a transposing copy of num
+        lo[rest], hi[rest] = np.maximum(lo[rest], lo_e), np.minimum(hi[rest], hi_e)
     hits, unsure = int((hi < lo0).sum()), (hi >= lo0) & (lo <= hi0)
     if unsure.any():
         exact = limit()
@@ -433,7 +433,7 @@ def _counter(kind: StatKind, sigma: CovMatrix, m: int):
                 box.extend((t0, max(floor(den**k * (Fraction(1, 4**k) - t0)), -1)))
         return box
 
-    sign0, lo, hi = (v[0] for v in _log_det_bracket(sigma.entries[None], semidefinite=False))
+    sign0, lo, hi = (v[0] for v in _eigen_bracket(sigma.entries[None]))
     # t0 rounds to 4^-k where |det sigma| 4^k < 2^-54 (a margin of 2 for this sum's rounding)
     observed = 4.0**-k if hi + k * log(4) < -55 * log(2) else _float(exact()[0])
     if m <= k or sign0 < 0:  # X < 0 is below every replicate det >= 0; at m <= k

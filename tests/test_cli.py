@@ -188,6 +188,16 @@ def test_mc_workers_below_one_is_usage_error(tmp_path, capsys, workers):
     assert "--workers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["moments", "classify"])
+def test_force_is_usage_error_without_covariance_input(tmp_path, capsys, command):
+    # sample-set input never refuses its covariance, so --force has nothing to override
+    path = write(tmp_path, "s.txt", SAMPLES_3)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--samples", path, "--force"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --force" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["0", "-2", "1.5"])
 def test_m_below_one_is_usage_error(tmp_path, capsys, value):
     path = write(tmp_path, "s1.csv", "0.24,0.04\n0.04,0.24\n")

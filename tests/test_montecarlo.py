@@ -482,9 +482,9 @@ def test_int_det_matches_fraction_elimination(k):
 
 
 def test_generalized_band_recheck_past_the_int64_bound(monkeypatch):
-    # k = 5, m = 21 is past the int64 bound: float log-determinants decide
-    # where their error bound allows, eigenvalue brackets and Python-int
-    # Bareiss the rest.  The observed covariance is one replicate's own, so
+    # k = 5, m = 21 is past the int64 bound: Cholesky brackets decide
+    # where they are proven, eigenvalue brackets and Python-int Bareiss the
+    # rest.  The observed covariance is one replicate's own, so
     # there is at least one exact tie, and p * R must equal the Fraction
     # oracle's count on the same draws
     k, m, replicates, seed = 5, 21, 3000, 11
@@ -499,8 +499,9 @@ def test_generalized_band_recheck_past_the_int64_bound(monkeypatch):
               for r in range(replicates)]
     assert sum(v == t0 for v in values) >= 1
     assert round(est.p_value * replicates) == sum(v >= t0 for v in values)
-    # with no float log-determinant trusted, the eigenvalue brackets decide the same
-    monkeypatch.setattr(montecarlo, "LOG_DET_TOL", 0.0)
+    # with every Cholesky bracket left open, the eigenvalue brackets decide the same
+    monkeypatch.setattr(montecarlo, "_cholesky_bracket",
+                        lambda a: (np.full(len(a), -np.inf), np.full(len(a), np.inf)))
     assert mc_pvalues(sigma, (StatKind.GENERALIZED,), replicates, m, seed)[0] == est
     # a singular observed matrix (a duplicated variable: limit 0) leaves the
     # bracket of every singular replicate reaching 0; at k = 7, m = 8 there
@@ -541,31 +542,38 @@ def test_generalized_float_count_equals_bareiss(k, m, n):
 
 
 def _bracket_misses(bracket, num):
-    """Replicates ``num`` (k, k, n) whose proven bracket is wrong: a nonsingular one
-    whose ``lo <= log(det) <= hi`` fails, or a singular one given a sign."""
-    sign, lo, hi = bracket(np.ascontiguousarray(num.transpose(2, 0, 1), np.float64))
+    """How many replicates ``num`` (k, k, n) get a wrong proven bracket (a nonsingular one
+    whose ``lo <= log(det) <= hi`` fails, or a singular one given ``lo > -inf``), and how
+    many nonsingular ones are left unproven (``lo = -inf``)."""
+    lo, hi = bracket(np.ascontiguousarray(num.transpose(2, 0, 1), np.float64))
     exact = montecarlo._int_det(num.astype(object))
-    return sum(not (s == 1 and a <= log(d) <= b) if d else s != 0
-               for s, a, b, d in zip(sign, lo, hi, exact))
+    wrong = sum(not (a <= log(d) <= b) if d else a != -np.inf for a, b, d in zip(lo, hi, exact))
+    return wrong, sum(a == -np.inf for a, d in zip(lo, exact) if d)
 
 
-@pytest.mark.parametrize("k, m, n", [(5, 21, 3000), (14, 15, 600), (28, 29, 60),
-                                     (28, 200, 120), (45, 90, 16)])
+@pytest.mark.parametrize("k, m, n", [(3, 4, 2000), (5, 21, 3000), (7, 8, 600), (14, 15, 600),
+                                     (28, 29, 60), (28, 200, 120), (45, 90, 16)])
 def test_cholesky_bracket_contains_the_exact_log_det(k, m, n):
-    # the Cholesky bracket's bound is proven (Higham, Thm 10.3): every
-    # nonsingular replicate's exact log det lies in it, and no exactly
-    # singular one gets a sign.  The mutant that trusts the float log det
-    # with err = 0 fails the same check
+    # the shifted Cholesky bracket is proven (Higham, Thm 10.3; the shift's
+    # Weyl term): every nonsingular replicate's exact log det lies in it, and
+    # no exactly singular one (m near k gives many, and the first replicate
+    # here gets a zero-variance edge) is proven nonzero.  The mutant that
+    # trusts the float log det of the shifted matrix (err = 0, no shift
+    # correction) fails the same check
     import inspect
 
     num = montecarlo._count_num(*montecarlo._draw_counts(8, 0, n, m, k), m)
-    assert _bracket_misses(montecarlo._log_det_bracket, num) == 0
-    source = inspect.getsource(montecarlo._log_det_bracket)
-    trust = "        trust = err < LOG_DET_TOL\n"
-    assert source.count(trust) == 1
+    num[0, :, 0] = num[:, 0, 0] = 0  # edge 0 constant in replicate 0
+    wrong, unproven = _bracket_misses(montecarlo._cholesky_bracket, num)
+    # every nonsingular replicate is proven, except at k = 28, m = 29, where
+    # AM-GM's lambda_min bound is too pessimistic for most of them
+    assert wrong == 0 and (unproven == 0) == ((k, m) != (28, 29))
+    source = inspect.getsource(montecarlo._cholesky_bracket)
+    error = "    return logdet - err + drop, logdet + err\n"
+    assert source.count(error) == 1
     namespace = dict(vars(montecarlo))
-    exec(source.replace(trust, "        err = 0 * err\n" + trust), namespace)
-    assert _bracket_misses(namespace["_log_det_bracket"], num) > 0
+    exec(source.replace(error, "    return logdet, logdet\n"), namespace)
+    assert _bracket_misses(namespace["_cholesky_bracket"], num)[0] > 0
 
 
 def _counted_eigvalsh(monkeypatch):
@@ -575,30 +583,33 @@ def _counted_eigvalsh(monkeypatch):
     return sizes
 
 
-def test_cholesky_bracket_sends_only_singular_replicates_to_eigvalsh(monkeypatch):
-    # k = 7, m = 8: many replicates are singular.  Some fail numpy's
-    # Cholesky, which then fails the whole batch, so the batch is halved
-    # until each failing matrix stands alone; others factor in floats but
-    # their bound proves nothing (r >= 1).  Every nonsingular replicate is
-    # proven by its Cholesky bracket, so eigvalsh sees exactly the singular
-    # ones, and none of them gets a sign
-    k, m, n = 7, 8, 600
+@pytest.mark.parametrize("k, m, n", [(3, 4, 4096), (7, 8, 4096), (14, 15, 2000)])
+def test_one_cholesky_per_chunk_even_where_replicates_are_singular(k, m, n, monkeypatch):
+    # just above m = k many replicates are exactly singular; the shifted
+    # factorization never fails, so a chunk takes one batched Cholesky.  Far
+    # below the observed bracket every replicate hits, without eigvalsh or
+    # the exact limit
     num = montecarlo._count_num(*montecarlo._draw_counts(8, 0, n, m, k), m)
-    a = np.ascontiguousarray(num.transpose(2, 0, 1), np.float64)
-    singular = montecarlo._int_det(num.astype(object)) == 0
-
-    def factors(x):
-        try:
-            np.linalg.cholesky(x)
-        except np.linalg.LinAlgError:
-            return False
-        return True
-
-    factored = np.array([factors(x) for x in a])
-    assert (singular & factored).any() and (singular & ~factored).any()
+    assert (montecarlo._int_det(num[..., :200].astype(object)) == 0).any()
+    calls, cholesky = [], np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(len(a)) or cholesky(a))
     sizes = _counted_eigvalsh(monkeypatch)
-    sign, _, _ = montecarlo._log_det_bracket(a)
-    assert sum(sizes) == singular.sum() and ((sign == 0) == singular).all()
+    far = 2 * k * log(m * m)  # above log(prod(diag)) >= every log det
+    assert montecarlo._count_det_at_most(num, far, far, None) == n
+    assert (calls, sizes) == ([n], [])
+
+
+def test_only_the_observed_matrix_reaches_eigvalsh_at_k7_m8(monkeypatch):
+    # the quarter identity's det(m^2 sigma) = 16^7 is the most a replicate can
+    # reach (Hadamard's inequality), far above the bulk: every Cholesky
+    # bracket of the chunk, the singular replicates' included, lies below the
+    # observed one, so eigvalsh sees only the observed matrix
+    k, m, replicates = 7, 8, 4096
+    assert replicates <= montecarlo._chunk_size(m, k)  # one chunk holds every replicate
+    sigma = CovMatrix(np.identity(k) / 4)
+    sizes = _counted_eigvalsh(monkeypatch)
+    est = mc_pvalues(sigma, (StatKind.GENERALIZED,), replicates, m, seed=8, workers=1)[0]
+    assert (sizes, est.p_value) == ([1], 1.0)
 
 
 def test_no_replicate_reaches_eigvalsh_at_k28_m200(monkeypatch):
