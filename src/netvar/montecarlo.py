@@ -332,7 +332,7 @@ def observed_statistic_exact(kind: StatKind, sigma: CovMatrix) -> Fraction:
 
 def _cholesky_bracket(a: np.ndarray):
     """Proven ``(lo, hi)``, ``lo <= log det num <= hi``, for C-contiguous float64 copies a
-    (n, k, k) of integer positive semidefinite num, shifted in place; lo = -inf if unproven.
+    (n, k, k) of integer positive semidefinite num, left as given; lo = -inf if unproven.
 
     ``a_ii += s max(a_ii, 1)``, ``s = c / (1 - c)``, ``c = 20 k^5/2 u``, bounds kappa_2 of the
     scaled ``num + shift`` by k (1 + s) / s: Demmel's ``20 k^3/2 kappa_2 u <= 1`` (Higham, ch. 10)
@@ -355,6 +355,7 @@ def _cholesky_bracket(a: np.ndarray):
     lam -= delta  # <= lambda_min(D^-1 (num + shift) D^-1)
     proven, drop = 2 * tau < lam, np.full(n, -np.inf)  # drop <= log det num - log det(num + shift)
     drop[proven] = k * np.log1p(-tau[proven] / lam[proven]) * (1 + 16 * eps)
+    diagonal[...] = unshifted
     return logdet - err + drop, logdet + err
 
 
@@ -388,7 +389,6 @@ def _count_det_at_most(num: np.ndarray, lo0: float, hi0: float, limit, floats=No
     np.copyto(a, num.transpose(2, 0, 1))  # exact while |num_ij| <= m^2/4 < 2^53
     lo, hi = _cholesky_bracket(a)
     if (rest := np.flatnonzero((hi >= lo0) & (lo <= hi0))).size:
-        a.reshape(len(a), -1)[rest, ::len(num) + 1] = num.diagonal()[rest]  # undo their shift
         _, lo_e, hi_e = _eigen_bracket(a[rest])  # far cheaper than a transposing copy of num
         lo[rest], hi[rest] = np.maximum(lo[rest], lo_e), np.minimum(hi[rest], hi_e)
     hits, unsure = int((hi < lo0).sum()), (hi >= lo0) & (lo <= hi0)

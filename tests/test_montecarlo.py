@@ -1,4 +1,5 @@
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import isqrt, log
 
@@ -541,39 +542,53 @@ def test_generalized_float_count_equals_bareiss(k, m, n):
             assert count == (exact <= limit).sum(), limit
 
 
-def _bracket_misses(bracket, num):
-    """How many replicates ``num`` (k, k, n) get a wrong proven bracket (a nonsingular one
-    whose ``lo <= log(det) <= hi`` fails, or a singular one given ``lo > -inf``), and how
-    many nonsingular ones are left unproven (``lo = -inf``)."""
+def _factored_bracket(bracket, num, monkeypatch):
+    """``bracket``'s ``(lo, hi)`` on ``num`` (k, k, n), and the float matrices it factored
+    (as passed to ``np.linalg.cholesky``: num plus its shift)."""
+    factored, cholesky = [], np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(a.copy()) or cholesky(a))
     lo, hi = bracket(np.ascontiguousarray(num.transpose(2, 0, 1), np.float64))
-    exact = montecarlo._int_det(num.astype(object))
-    wrong = sum(not (a <= log(d) <= b) if d else a != -np.inf for a, b, d in zip(lo, hi, exact))
-    return wrong, sum(a == -np.inf for a, d in zip(lo, exact) if d)
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    (a,) = factored
+    return lo, hi, a
+
+
+def _exact_log_det(a):
+    """log det of the float matrix a (k, k) to 60 digits: p clears the fractions."""
+    p = max(Fraction(x).denominator for x in a.ravel().tolist())
+    with localcontext() as context:
+        context.prec = 60
+        det = montecarlo._int_det(np.frompyfunc(int, 1, 1)(a * float(p)))
+        return Decimal(det).ln() - len(a) * Decimal(p).ln()
 
 
 @pytest.mark.parametrize("k, m, n", [(3, 4, 2000), (5, 21, 3000), (7, 8, 600), (14, 15, 600),
                                      (28, 29, 60), (28, 200, 120), (45, 90, 16)])
-def test_cholesky_bracket_contains_the_exact_log_det(k, m, n):
+def test_cholesky_bracket_contains_the_exact_log_det(k, m, n, monkeypatch):
     # the shifted Cholesky bracket is proven (Higham, Thm 10.3; the shift's
     # Weyl term): every nonsingular replicate's exact log det lies in it, and
     # no exactly singular one (m near k gives many, and the first replicate
-    # here gets a zero-variance edge) is proven nonzero.  The mutant that
-    # trusts the float log det of the shifted matrix (err = 0, no shift
-    # correction) fails the same check
+    # here gets a zero-variance edge) is proven nonzero.  hi also bounds the
+    # exact log det of the shifted float matrix that was factored, which the
+    # mutant dropping the rounding error term (err = 0) fails: the float log
+    # det falls on both sides of it
     import inspect
 
     num = montecarlo._count_num(*montecarlo._draw_counts(8, 0, n, m, k), m)
     num[0, :, 0] = num[:, 0, 0] = 0  # edge 0 constant in replicate 0
-    wrong, unproven = _bracket_misses(montecarlo._cholesky_bracket, num)
-    # every nonsingular replicate is proven, except at k = 28, m = 29, where
-    # AM-GM's lambda_min bound is too pessimistic for most of them
-    assert wrong == 0 and (unproven == 0) == ((k, m) != (28, 29))
+    exact = montecarlo._int_det(num.astype(object))
+    lo, hi, shifted = _factored_bracket(montecarlo._cholesky_bracket, num, monkeypatch)
+    assert not any(not (a <= log(d) <= b) if d else a != -np.inf for a, b, d in zip(lo, hi, exact))
+    if (k, m) != (28, 29):  # there AM-GM's lambda_min bound is too pessimistic for most
+        assert not any(a == -np.inf for a, d in zip(lo, exact) if d)
+    shifted = [_exact_log_det(a) for a in shifted[:8]]
+    assert all(s <= Decimal(b) for s, b in zip(shifted, hi))
     source = inspect.getsource(montecarlo._cholesky_bracket)
-    error = "    return logdet - err + drop, logdet + err\n"
-    assert source.count(error) == 1
+    (error,) = [s for s in source.splitlines(keepends=True) if s.startswith("    err = ")]
     namespace = dict(vars(montecarlo))
-    exec(source.replace(error, "    return logdet, logdet\n"), namespace)
-    assert _bracket_misses(namespace["_cholesky_bracket"], num)[0] > 0
+    exec(source.replace(error, "    err = 0 * slack\n"), namespace)
+    hi = _factored_bracket(namespace["_cholesky_bracket"], num, monkeypatch)[1]
+    assert any(s > Decimal(b) for s, b in zip(shifted, hi))
 
 
 def _counted_eigvalsh(monkeypatch):
