@@ -46,8 +46,8 @@ Every array of a chunk has its n replicates on the last axis (words
 loops run over the replicates, not over k.  Row i of the cross sums
 ``s2[i, j] = x_i . x_j`` is column i ANDed with columns i.., popcounted
 and summed over the words, then mirrored: no bit is unpacked and no float
-formed.  A chunk is one pass (draw, s2, ``num`` in place of s2, the
-counts) through arrays that its worker allocates once (:func:`_scratch`).
+formed.  A chunk is one pass (draw, s2, ``num`` in place of s2, its float
+copy, the counts) through arrays that its worker allocates once (:func:`_scratch`).
 Chunks too small to pay for a second thread's GIL hand-offs run on one
 (:func:`_pool_size`).
 """
@@ -97,9 +97,9 @@ def _integer(name: str, value) -> int:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _chunk_sizes(replicates: int, m: int, k: int, seed: int) -> list[int]:
-    """Replicates per chunk for a run of the stream; rejects bad arguments.  Callers
-    then take Python ints of them (``index``): numpy ints overflow in exact arithmetic."""
+def _chunk_sizes(replicates: int, m: int, k: int, seed: int) -> tuple[int, int, int, int, list]:
+    """The arguments as Python ints (numpy ints overflow in exact arithmetic), then the
+    replicates per chunk for a run of the stream; rejects bad arguments."""
     replicates, m, k, seed = (_integer(name, value) for name, value in (
         ("replicate count", replicates), ("sample count", m), ("dimension k", k), ("seed", seed)))
     if replicates < 1:
@@ -111,7 +111,7 @@ def _chunk_sizes(replicates: int, m: int, k: int, seed: int) -> list[int]:
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
     chunk = _chunk_size(m, k)
-    return [min(chunk, replicates - start) for start in range(0, replicates, chunk)]
+    return replicates, m, k, seed, [min(chunk, replicates - s) for s in range(0, replicates, chunk)]
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> "np.random.Philox":
@@ -147,11 +147,12 @@ def _draw_bits(bitgen: "np.random.BitGenerator", n: int, m: int, k: int) -> np.n
 
 
 def _scratch(n: int, k: int, n_words: int):
-    """Flat arrays that count up to n replicates of n_words-word columns: the words,
-    their AND and its popcount (:func:`_bit_counts`), and s2 (or num in its place)."""
+    """Flat arrays for up to n replicates of n_words-word columns: the words, their AND and
+    its popcount (:func:`_bit_counts`), s2 (or num in its place) and num's float64 copy
+    (:func:`_count_det_at_most`; ``np.empty`` commits no page until that writes it)."""
     size = n_words * k * n
-    return (np.empty(size, np.uint64), np.empty(size, np.uint64),
-            np.empty(size, np.uint8), np.empty(k * k * n, np.int64))
+    return (np.empty(size, np.uint64), np.empty(size, np.uint64), np.empty(size, np.uint8),
+            np.empty(k * k * n, np.int64), np.empty(k * k * n))
 
 
 def _bit_counts(words: np.ndarray, scratch=None):
@@ -163,7 +164,7 @@ def _bit_counts(words: np.ndarray, scratch=None):
     are views into ``scratch`` (:func:`_scratch` for >= n replicates) if given.
     """
     n, k, n_words = words.shape
-    by_word, pairs, counts, s2 = scratch or _scratch(n, k, n_words)
+    by_word, pairs, counts, s2, _ = scratch or _scratch(n, k, n_words)
     by_word, s2 = by_word[:words.size].reshape(n_words, k, n), s2[:k * k * n].reshape(k, k, n)
     np.copyto(by_word, words.transpose(2, 1, 0))
     for i in range(k):
@@ -190,11 +191,12 @@ def _count_num(s1, s2, m: int, out=None) -> np.ndarray:
 
 
 def _map_chunks(fn, seed: int, sizes: list[int], m: int, k: int, workers: int | None) -> list:
-    """``fn(num)`` of each chunk's replicate numerators (:func:`_count_num`), in chunk order.
+    """``fn(num, floats)`` of each chunk's replicate numerators (:func:`_count_num`), in
+    chunk order; ``floats`` is the float64 array of the worker's :func:`_scratch`.
 
     Each worker takes the next chunk until none is left and passes it
-    through its own :func:`_scratch`, so ``num`` is overwritten by the
-    worker's next chunk: fn must not keep it.
+    through its own scratch, so ``num`` and ``floats`` are overwritten by
+    the worker's next chunk: fn must not keep them.
     """
     # the scratches, and numpy.random (loaded on first use), are allocated on
     # the calling thread: on the workers they went to the workers' malloc
@@ -211,7 +213,7 @@ def _map_chunks(fn, seed: int, sizes: list[int], m: int, k: int, workers: int | 
             if c is None:
                 return
             s1, s2 = _draw_counts(seed, c, sizes[c], m, k, scratch)
-            results[c] = fn(_count_num(s1, s2, m, out=s2))
+            results[c] = fn(_count_num(s1, s2, m, out=s2), scratch[4])
 
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         list(pool.map(worker, scratches))  # re-raises a worker's exception
@@ -219,12 +221,15 @@ def _map_chunks(fn, seed: int, sizes: list[int], m: int, k: int, workers: int | 
 
 
 def _scale(kind: StatKind, k: int, den: int) -> int:
-    """Factor that makes the statistic of a covariance ``num / den`` an integer."""
+    """Factor that makes the statistic of a covariance ``num / den`` an integer; the one
+    check that ``kind`` is a StatKind (a name such as ``"total"`` is not)."""
     if kind is StatKind.TOTAL:
         return 4 * den
     if kind is StatKind.FROBENIUS:
         return 16 * den * den
-    return 4**k * den**k
+    if kind is StatKind.GENERALIZED:
+        return 4**k * den**k
+    raise TypeError(f"statistic must be a StatKind, got {kind!r}")
 
 
 def _int_stats_fit(kind: StatKind, m: int, k: int) -> bool:
@@ -312,22 +317,11 @@ def _scaled_stat(kind: StatKind, num: np.ndarray, den: int):
     return den**k - 4**k * _int_det(num)
 
 
-def _replicate_values(kind: StatKind, num: np.ndarray, m: int) -> np.ndarray:
-    """Statistics of a batch of replicates ``num / m^2``: their :func:`_scaled_stat`
-    in int64 within :func:`_int_stats_fit`; past it in Python ints, but
-    generalized as the float statistic ``4^-k - det``.
-    """
-    if _int_stats_fit(kind, m, len(num)):
-        return _scaled_stat(kind, num, m * m)
-    if kind is StatKind.GENERALIZED:
-        return 4.0 ** -len(num) - np.linalg.det(num.transpose(2, 0, 1) / float(m * m))
-    return _scaled_stat(kind, num.astype(object), m * m)
-
-
 def observed_statistic_exact(kind: StatKind, sigma: CovMatrix) -> Fraction:
     """Observed statistic as an exact rational (same form as the replicates)."""
     num, den = sigma.exact
-    return Fraction(_scaled_stat(kind, num.astype(object), den), _scale(kind, sigma.k, den))
+    scale = _scale(kind, sigma.k, den)  # first: it rejects a kind that is not a StatKind
+    return Fraction(_scaled_stat(kind, num.astype(object), den), scale)
 
 
 def _cholesky_bracket(a: np.ndarray):
@@ -377,15 +371,13 @@ def _eigen_bracket(a: np.ndarray):
     return sign, np.where(proven, lower.sum(axis=1) - slack, -np.inf), upper.sum(axis=1) + slack
 
 
-def _count_det_at_most(num: np.ndarray, lo0: float, hi0: float, limit, floats=None) -> int:
+def _count_det_at_most(num: np.ndarray, lo0: float, hi0: float, limit, floats) -> int:
     """How many integer positive semidefinite ``num`` (k, k, n) have ``det <= limit() =
     floor(X)``, ``|X| <= e^hi0``, ``X >= e^lo0`` (lo0 = -inf if X > 0 is unproven).  A bracket
     below lo0 hits and one above hi0 misses: :func:`_cholesky_bracket`, for the rest also
-    :func:`_eigen_bracket`, then ``log(limit())``, only now computed, and Python-int Bareiss."""
-    floats = threading.local() if floats is None else floats
-    if getattr(floats, "a", np.empty(0)).size < num.size:  # fresh copies churn page faults
-        floats.a = np.empty(num.size)
-    a = floats.a[:num.size].reshape(num.shape[::-1])
+    :func:`_eigen_bracket`, then ``log(limit())``, only now computed, and Python-int Bareiss.
+    The float copy of num goes to ``floats`` (float64, >= num.size: the scratch's fifth array)."""
+    a = floats[:num.size].reshape(num.shape[::-1])
     np.copyto(a, num.transpose(2, 0, 1))  # exact while |num_ij| <= m^2/4 < 2^53
     lo, hi = _cholesky_bracket(a)
     if (rest := np.flatnonzero((hi >= lo0) & (lo <= hi0))).size:
@@ -408,22 +400,24 @@ def _float(t0: Fraction) -> float:
 
 
 def _counter(kind: StatKind, sigma: CovMatrix, m: int):
-    """The observed statistic as a float, and a function that counts the
-    replicates of one chunk (``num`` of :func:`_count_num`) at or above it.
+    """The observed statistic as a float, and a function ``count(num, floats)`` of the
+    replicates of one chunk (:func:`_map_chunks`) at or above it.
 
     Generalized counts ``det(num) <= floor(X)``, ``X = det(m^2 sigma)``.  A bracket
     of ``det sigma`` decides the sign of X and, where ``|det sigma| 4^k < 2^-54``,
     the reported t0 (4^-k); t0 is computed at most once, where none decides.
     """
     k, den = sigma.k, m * m
-    if kind is not StatKind.GENERALIZED:
+    if kind is not StatKind.GENERALIZED:  # observed_statistic_exact rejects a non-StatKind
         t0 = observed_statistic_exact(kind, sigma)
         # replicate value s / scale >= t0  <=>  s >= ceil(t0 scale); replicate
         # values are >= 0, so clamping at 0 keeps every count
         cut = max(ceil(t0 * _scale(kind, k, den)), 0)
-        if _int_stats_fit(kind, m, k):
+        if fit := _int_stats_fit(kind, m, k):
             cut = min(cut, INT64_MAX)  # int64 values stay below it
-        return _float(t0), lambda num: int((_replicate_values(kind, num, m) >= cut).sum())
+        dtype = np.int64 if fit else object  # Python ints never overflow
+        return _float(t0), lambda num, _: int(
+            (_scaled_stat(kind, num.astype(dtype, copy=False), den) >= cut).sum())
     lock, box = threading.Lock(), []
 
     def exact():  # (t0, limit), computed once by the first caller on any thread
@@ -439,16 +433,16 @@ def _counter(kind: StatKind, sigma: CovMatrix, m: int):
     if m <= k or sign0 < 0:  # X < 0 is below every replicate det >= 0; at m <= k
         # num = X^T (m I - 1 1^T) X has rank <= m - 1 < k: every replicate has det 0
         hit = sign0 > 0 or (sign0 == 0 and exact()[1] >= 0)
-        return observed, lambda num: num.shape[-1] * hit
+        return observed, lambda num, _: num.shape[-1] * hit
     if _int_stats_fit(kind, m, k):
         limit = min(exact()[1], INT64_MAX)  # int64 determinants stay below it
-        return observed, lambda num: int((_int_det(num) <= limit).sum())
+        return observed, lambda num, _: int((_int_det(num) <= limit).sum())
     # log|X| = log|det sigma| + 2k log m; widening by 4 eps (shift + |side|) covers
     # the float shift (within 2 eps: a log within 1 ulp, one product) and each sum
     shift, eps = 2 * k * log(m), np.finfo(np.float64).eps
     lo0, hi0 = lo + shift - 4 * eps * (shift + abs(lo)), hi + shift + 4 * eps * (shift + abs(hi))
-    floats = threading.local()  # each worker's float copy of its chunks
-    return observed, lambda num: _count_det_at_most(num, lo0, hi0, lambda: exact()[1], floats)
+    return observed, lambda num, floats: _count_det_at_most(num, lo0, hi0, lambda: exact()[1],
+                                                            floats)
 
 
 def sample_null_statistics(stat: StatKind, m: int, k: int, count: int, seed: int) -> np.ndarray:
@@ -463,13 +457,14 @@ def sample_null_statistics(stat: StatKind, m: int, k: int, count: int, seed: int
     ``det << 4^-k eps`` (the tally compares determinants instead).
     Arguments are checked as in :func:`mc_pvalues`.
     """
-    sizes = _chunk_sizes(count, m, k, seed)
-    m, k, seed = index(m), index(k), index(seed)
-    exact = stat is not StatKind.GENERALIZED or _int_stats_fit(stat, m, k)
-    scale = _scale(stat, k, m * m) if exact else 1
+    _, m, k, seed, sizes = _chunk_sizes(count, m, k, seed)
+    scale, fit = _scale(stat, k, m * m), _int_stats_fit(stat, m, k)  # _scale checks stat
+    dtype = np.int64 if fit else object
 
-    def values(num):
-        return (_replicate_values(stat, num, m) / scale).astype(np.float64)
+    def values(num, _):
+        if stat is StatKind.GENERALIZED and not fit:
+            return 4.0**-k - np.linalg.det(num.transpose(2, 0, 1) / float(m * m))
+        return (_scaled_stat(stat, num.astype(dtype, copy=False), m * m) / scale).astype(np.float64)
 
     return np.concatenate(_map_chunks(values, seed, sizes, m, k, workers=1))
 
@@ -492,11 +487,9 @@ def mc_pvalues(
     """
     if not kinds:
         raise ValueError("kinds must name at least one statistic")
-    k = sigma.k
-    sizes = _chunk_sizes(replicates, m, k, seed)
-    replicates, m, seed = index(replicates), index(m), index(seed)
+    replicates, m, k, seed, sizes = _chunk_sizes(replicates, m, sigma.k, seed)
     counters = [_counter(kind, sigma, m) for kind in kinds]
-    tallies = _map_chunks(lambda num: [count(num) for _, count in counters],
+    tallies = _map_chunks(lambda num, floats: [count(num, floats) for _, count in counters],
                           seed, sizes, m, k, workers)
     out = []
     for kind, (observed, _), hits in zip(kinds, counters, zip(*tallies)):

@@ -55,7 +55,8 @@ def test_small_chunks_run_on_one_thread():
     # on one thread; larger chunks get the requested workers, capped as
     # before, and the worker arguments are checked either way
     def pool(workers, m, k, replicates=100_000):
-        return montecarlo._pool_size(workers, montecarlo._chunk_sizes(replicates, m, k, 1), m, k)
+        *_, sizes = montecarlo._chunk_sizes(replicates, m, k, 1)
+        return montecarlo._pool_size(workers, sizes, m, k)
 
     assert pool(2, 10, 2) == pool(8, 50, 2) == pool(2, 64, 3) == 1
     # 4096 replicates x 3 column pairs x 2 or 3 words, against 2^22 // 128 = 32768
@@ -161,6 +162,20 @@ def test_mc_pvalues_rejects_a_non_integral_argument(argument, value, name, monke
     if argument != "workers":
         with pytest.raises(TypeError, match=message):
             sample_null_statistics(StatKind.TOTAL, args["m"], 2, args["replicates"], args["seed"])
+
+
+@pytest.mark.parametrize("call", ["mc_pvalues", "sample_null_statistics", "observed_statistic_exact"])
+def test_a_statistic_that_is_not_a_statkind_is_rejected(call, monkeypatch):
+    # a name is not a StatKind: each dispatch on the kind used to fall
+    # through to generalized, and a "total" run reported its p-value
+    monkeypatch.setattr(montecarlo, "_draw_bits", None)  # no draw is made
+    with pytest.raises(TypeError, match="statistic must be a StatKind, got 'total'"):
+        if call == "mc_pvalues":
+            mc_pvalues(S1, (StatKind.FROBENIUS, "total"), 2000, 10, seed=1)
+        elif call == "sample_null_statistics":
+            sample_null_statistics("total", 10, 2, 2000, 1)
+        else:
+            observed_statistic_exact("total", S1)
 
 
 def test_numpy_integer_arguments_run_the_integer_stream():
@@ -289,13 +304,15 @@ def test_short_last_chunk_counts_equal_per_replicate_counts(last):
     k, m, seed = 28, 200, 3
     chunk = montecarlo._chunk_size(m, k)
     replicates = chunk + 1 if last == "one replicate" else 2 * chunk - 1
-    sizes = montecarlo._chunk_sizes(replicates, m, k, seed)
+    *_, sizes = montecarlo._chunk_sizes(replicates, m, k, seed)
     assert len(sizes) == 2 and sizes[-1] < chunk
     nums = [montecarlo._count_num(*montecarlo._draw_counts(seed, c, n, m, k), m)
             for c, n in enumerate(sizes)]
     own = nums[-1][..., -1]
     sigma = CovMatrix.from_exact(own, m * m)
-    expected = [sum(count(num[..., r:r + 1].copy()) for num in nums for r in range(num.shape[-1]))
+    floats = np.empty(k * k)  # one replicate's float copy
+    expected = [sum(count(num[..., r:r + 1].copy(), floats)
+                    for num in nums for r in range(num.shape[-1]))
                 for _, count in (montecarlo._counter(kind, sigma, m) for kind in ALL_KINDS)]
     assert all(expected)
     interval = sys.getswitchinterval()
@@ -538,7 +555,7 @@ def test_generalized_float_count_equals_bareiss(k, m, n):
         # the point bracket of log(limit) lets the replicate brackets decide
         point = log(limit) if limit > 0 else -np.inf
         for lo0, hi0 in ((-np.inf, np.inf), (point, point)):
-            count = montecarlo._count_det_at_most(num, lo0, hi0, lambda: limit)
+            count = montecarlo._count_det_at_most(num, lo0, hi0, lambda: limit, np.empty(num.size))
             assert count == (exact <= limit).sum(), limit
 
 
@@ -610,7 +627,7 @@ def test_one_cholesky_per_chunk_even_where_replicates_are_singular(k, m, n, monk
     monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(len(a)) or cholesky(a))
     sizes = _counted_eigvalsh(monkeypatch)
     far = 2 * k * log(m * m)  # above log(prod(diag)) >= every log det
-    assert montecarlo._count_det_at_most(num, far, far, None) == n
+    assert montecarlo._count_det_at_most(num, far, far, None, np.empty(num.size)) == n
     assert (calls, sizes) == ([n], [])
 
 
@@ -637,6 +654,23 @@ def test_no_replicate_reaches_eigvalsh_at_k28_m200(monkeypatch):
     sizes = _counted_eigvalsh(monkeypatch)
     mc_pvalues(sigma, (StatKind.GENERALIZED,), replicates, m, seed=5, workers=1)
     assert sizes == [1]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_each_worker_factors_every_chunk_in_one_float_copy(workers, monkeypatch):
+    # the float copy of num is in its worker's scratch, reused chunk after
+    # chunk: a fresh one per chunk cost ~90k minor page faults against ~3k at
+    # k = 28, R = 50000.  Every factored array is kept alive, so no freed
+    # address can recur
+    k, m, chunks = 28, 200, 4
+    seen, bracket = [], montecarlo._cholesky_bracket
+    monkeypatch.setattr(montecarlo, "_cholesky_bracket", lambda a: seen.append(a) or bracket(a))
+    replicates = chunks * montecarlo._chunk_size(m, k)
+    assert montecarlo._pool_size(workers, [replicates // chunks] * chunks, m, k) == workers
+    sigma = CovMatrix(np.identity(k) / 4)
+    est = mc_pvalues(sigma, (StatKind.GENERALIZED,), replicates, m, seed=6, workers=workers)[0]
+    assert est.p_value == 1.0 and len(seen) == chunks
+    assert len({a.__array_interface__["data"][0] for a in seen}) <= workers
 
 
 def test_generalized_just_above_m_equal_k_is_fast():
@@ -744,8 +778,9 @@ def test_generalized_exact_tie_above_k64(monkeypatch):
     barrier, results = threading.Barrier(8), []
 
     def race():
+        floats = np.empty(num.size)  # each thread its own float copy, as each worker
         barrier.wait(timeout=30)
-        results.append(count(num))
+        results.append(count(num, floats))
 
     threads = [threading.Thread(target=race) for _ in range(8)]
     interval = sys.getswitchinterval()
@@ -784,10 +819,10 @@ def test_generalized_null_values_past_the_int64_bound():
     kind = StatKind.GENERALIZED
     assert not montecarlo._int_stats_fit(kind, m, k)
     values = sample_null_statistics(kind, m, k, count, seed)
-    sizes = montecarlo._chunk_sizes(count, m, k, seed)
+    *_, sizes = montecarlo._chunk_sizes(count, m, k, seed)
     assert len(sizes) == 2  # the chunk boundary is crossed
-    num = np.concatenate(montecarlo._map_chunks(lambda num: num.copy(), seed, sizes, m, k, workers=1),
-                         axis=-1)
+    num = np.concatenate(montecarlo._map_chunks(lambda num, _: num.copy(), seed, sizes, m, k,
+                                                workers=1), axis=-1)
     scale = montecarlo._scale(kind, k, m * m)
     exact = [float(Fraction(int(s), scale))
              for s in montecarlo._scaled_stat(kind, num.astype(object), m * m)]
