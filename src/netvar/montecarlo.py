@@ -54,6 +54,7 @@ Chunks too small to pay for a second thread's GIL hand-offs run on one
 
 import os
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,6 +62,7 @@ from math import ceil, floor, inf, log, log1p, sqrt
 from operator import index
 
 import numpy as np
+import numpy.random
 
 from .moments import CovMatrix
 from .variability import StatKind
@@ -114,7 +116,7 @@ def _chunk_sizes(replicates: int, m: int, k: int, seed: int) -> tuple[int, int, 
     return replicates, m, k, seed, [min(chunk, replicates - s) for s in range(0, replicates, chunk)]
 
 
-def _chunk_rng(seed: int, chunk_index: int) -> "np.random.Philox":
+def _chunk_rng(seed: int, chunk_index: int) -> np.random.Philox:
     return np.random.Philox(key=np.array([seed, chunk_index], dtype=np.uint64))
 
 
@@ -134,7 +136,7 @@ def _pool_size(workers: int | None, sizes: list[int], m: int, k: int) -> int:
     return _resolve_workers(workers, len(sizes) if words >= CHUNK_TARGET // 128 else 1)
 
 
-def _draw_bits(bitgen: "np.random.BitGenerator", n: int, m: int, k: int) -> np.ndarray:
+def _draw_bits(bitgen: np.random.BitGenerator, n: int, m: int, k: int) -> np.ndarray:
     """n replicates' k edge columns of m fair bits, packed.
 
     Shape (n, k, ceil(m/64)) of uint64 words: bit j of a column is bit
@@ -196,15 +198,20 @@ def _map_chunks(fn, seed: int, sizes: list[int], m: int, k: int, workers: int | 
 
     Each worker takes the next chunk until none is left and passes it
     through its own scratch, so ``num`` and ``floats`` are overwritten by
-    the worker's next chunk: fn must not keep them.
+    the worker's next chunk: fn must not keep them.  An exception in any
+    worker, or Ctrl-C on the calling thread, stops the pass: no chunk
+    starts after it, every worker returns after its current chunk, and
+    the exception is re-raised.
     """
-    # the scratches, and numpy.random (loaded on first use), are allocated on
-    # the calling thread: on the workers they went to the workers' malloc
-    # arenas and raised the peak RSS of the paper table by ~0.5 MiB
-    import numpy.random  # noqa: F401
+    # the scratches are allocated on the calling thread: on the workers they went
+    # to the workers' malloc arenas and raised the paper table's peak RSS ~0.5 MiB
     n_workers = _pool_size(workers, sizes, m, k)
     scratches = [_scratch(sizes[0], k, (m + 63) // 64) for _ in range(n_workers)]
     results, chunks, lock = [None] * len(sizes), iter(range(len(sizes))), threading.Lock()
+
+    def stop():
+        with lock:
+            deque(chunks, maxlen=0)
 
     def worker(scratch):
         while True:
@@ -212,11 +219,19 @@ def _map_chunks(fn, seed: int, sizes: list[int], m: int, k: int, workers: int | 
                 c = next(chunks, None)
             if c is None:
                 return
-            s1, s2 = _draw_counts(seed, c, sizes[c], m, k, scratch)
-            results[c] = fn(_count_num(s1, s2, m, out=s2), scratch[4])
+            try:
+                s1, s2 = _draw_counts(seed, c, sizes[c], m, k, scratch)
+                results[c] = fn(_count_num(s1, s2, m, out=s2), scratch[4])
+            except BaseException:
+                stop()
+                raise
 
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        list(pool.map(worker, scratches))  # re-raises a worker's exception
+        try:
+            list(pool.map(worker, scratches))  # re-raises a worker's exception
+        except BaseException:  # KeyboardInterrupt while waiting here
+            stop()
+            raise
     return results
 
 

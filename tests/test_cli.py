@@ -526,6 +526,23 @@ def test_import_leaves_montecarlo_unloaded():
     assert done.returncode == 0, done.stderr
 
 
+def test_import_loads_each_module_on_first_use_of_its_names():
+    # `import netvar` loads no submodule and no numpy; a name loads its
+    # module, and what that module imports, and nothing else
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import sys, netvar\n"
+        "ours = lambda: {name for name in sys.modules if name.startswith('netvar.')}\n"
+        "assert not ours() and 'numpy' not in sys.modules, ours()\n"
+        "netvar.CovMatrix\n"
+        "assert ours() == {'netvar.moments', 'netvar.graphs'}, ours()\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 def test_samples_and_cov_give_the_same_floats(tmp_path, capsys, schema):
     # 2 nodes, 5 graphs, the edge in 1: the covariance is 4/25 both ways
     samples = write(tmp_path, "s.txt", "nodes A B\ngraph\nA B\n" + "graph\n" * 4)

@@ -27,6 +27,14 @@ def test_exports_resolve_sorted_and_unique():
     assert len(names) == len(set(names))
 
 
+def test_each_export_is_defined_in_its_table_module():
+    # a name listed under two modules fails for one of them
+    for module, names in netvar._EXPORTS.items():
+        for name in names:
+            assert getattr(netvar, name).__module__ == f"netvar.{module}", name
+    assert set(netvar.__all__) <= set(dir(netvar))
+
+
 def test_readme_command_lines_parse():
     # parsing only: every documented invocation names existing flags
     text = README.read_text(encoding="utf-8")

@@ -1,4 +1,7 @@
+import itertools
+import signal
 import sys
+import threading
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import isqrt, log
@@ -671,6 +674,58 @@ def test_each_worker_factors_every_chunk_in_one_float_copy(workers, monkeypatch)
     est = mc_pvalues(sigma, (StatKind.GENERALIZED,), replicates, m, seed=6, workers=workers)[0]
     assert est.p_value == 1.0 and len(seen) == chunks
     assert len({a.__array_interface__["data"][0] for a in seen}) <= workers
+
+
+def map_k28_chunks(first_call, workers):
+    """``_map_chunks`` over 40 chunks at k = 28, m = 200, with a chunk function that
+    runs ``first_call`` on its first call: what the pass raised, and the calls made."""
+    k, m, calls = 28, 200, itertools.count()  # next() on a count is atomic
+    sizes = montecarlo._chunk_sizes(40 * montecarlo._chunk_size(m, k), m, k, 1)[-1]
+    assert len(sizes) == 40 and montecarlo._pool_size(workers, sizes, m, k) == workers
+
+    def fn(num, floats):
+        if next(calls) == 0:
+            first_call()
+
+    with pytest.raises(BaseException) as raised:
+        montecarlo._map_chunks(fn, 1, sizes, m, k, workers)
+    return raised.value, next(calls)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_error_stops_every_worker_after_its_current_chunk(workers):
+    # without the stop, fn ran on all 40 chunks before the error was re-raised
+    error = ValueError("first chunk")
+
+    def fail():
+        raise error
+
+    raised, calls = map_k28_chunks(fail, workers)
+    assert raised is error and calls <= workers + 1
+
+
+@pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs signal.pthread_kill")
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ctrl_c_stops_every_worker_after_its_current_chunk(workers):
+    # a real SIGINT to the main thread, blocked on a lock in pool.map
+    # (_thread.interrupt_main does not wake it).  Like a terminal's Ctrl-C, its
+    # sender then holds no GIL: it waits until the main thread has taken it
+    main, handled = threading.main_thread().ident, threading.Event()
+
+    def on_sigint(*_):
+        handled.set()
+        raise KeyboardInterrupt
+
+    def interrupt():
+        signal.pthread_kill(main, signal.SIGINT)
+        handled.wait(60)
+
+    previous = signal.signal(signal.SIGINT, on_sigint)
+    try:
+        raised, calls = map_k28_chunks(interrupt, workers)
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    assert isinstance(raised, KeyboardInterrupt) and calls <= workers + 1
 
 
 def test_generalized_just_above_m_equal_k_is_fast():
