@@ -16,7 +16,7 @@ reports share (schema, command, input, warnings).  Statistics, bounds
 diagnostics and test results are the library's dataclasses, written with
 their fields in declaration order.  JSON output carries full float
 precision; the table view prints 7 significant digits.  Exit code is 0
-only when no errors occurred; warnings do not affect it.
+only when no errors occurred; warnings do not affect it.  Ctrl-C exits 130.
 """
 
 import argparse
@@ -33,7 +33,7 @@ from .moments import CovMatrix, Diagnostic, MomentEstimate, estimate_moments, va
 from .variability import StatKind, classify_entropy, describe, frobenius_bounds
 
 SCHEMA_VERSION = "1"
-METHOD_NAMES = ("tt", "tg1", "tg2", "tn")
+METHOD_NAMES = tuple(asymptotic.METHODS)
 MC_STATS = {"vart": StatKind.TOTAL, "varg": StatKind.GENERALIZED, "varn": StatKind.FROBENIUS}
 
 
@@ -138,7 +138,7 @@ def _start(command: str, args) -> tuple[Inputs, dict, Diagnostic | None]:
                          "gets uncalibrated p-values")
     samples = est = None
     if args.samples:
-        with open(args.samples, "r", encoding="utf-8") as fh:
+        with open(args.samples, "r", encoding="utf-8-sig") as fh:
             samples = parse_sample_set(fh)
         m = getattr(args, "m", None)
         if m is not None and m != samples.m:
@@ -150,7 +150,7 @@ def _start(command: str, args) -> tuple[Inputs, dict, Diagnostic | None]:
             raise ValueError("--estimator applies to --samples input only, not to --cov")
         if command in ("test", "mc") and args.m is None:
             raise ValueError("--m is required with --cov for this command")
-        with open(args.cov, "r", encoding="utf-8") as fh:
+        with open(args.cov, "r", encoding="utf-8-sig") as fh:
             inputs = Inputs(args.cov, CovMatrix.from_csv_text(fh.read()), args.m, None, None)
     warnings = []
     report = {
@@ -294,9 +294,7 @@ COMMANDS = {
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.7g}"
-    return str(x)
+    return f"{x:.7g}"
 
 
 def _emit_table(report, out):
@@ -369,12 +367,16 @@ def emit(report: dict, fmt: str, out=None) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with np.errstate(over="ignore"):  # only --force input reaches the float range
-            report = COMMANDS[args.command](args)
-    except (SampleSetError, ValueError, OSError) as exc:
-        print(f"netvar: error: {exc}", file=sys.stderr)
-        return 1
-    emit(report, args.format)
+        try:
+            with np.errstate(over="ignore"):  # only --force input reaches the float range
+                report = COMMANDS[args.command](args)
+        except (SampleSetError, ValueError, OSError) as exc:
+            print(f"netvar: error: {exc}", file=sys.stderr)
+            return 1
+        emit(report, args.format)
+    except KeyboardInterrupt:
+        print("netvar: interrupted", file=sys.stderr)
+        return 130
     failed = any("error" in r for r in report.get("tests", ()))
     return 1 if failed else 0
 

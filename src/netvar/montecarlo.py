@@ -15,10 +15,10 @@ observed one.  Two implementation guarantees matter here:
    whose size depends only on (m, k); chunk c draws from a counter-based
    generator keyed by (seed, c), so every replicate's randomness is a
    pure function of (seed, replicate index) and the tally is identical
-   for any number of workers.  One argument check and chunk plan
-   (:func:`_chunk_sizes`) and one loop over the chunks
-   (:func:`_map_chunks`) serve both :func:`mc_pvalues` and
-   :func:`sample_null_statistics`.
+   for any number of workers.  One run plan (:func:`_plan`: every
+   argument checked, the chunks and the worker threads fixed, before any
+   work) and one loop over the chunks (:func:`_map_chunks`) serve both
+   :func:`mc_pvalues` and :func:`sample_null_statistics`.
 
 2. Exact ties.  Replicate statistics are rationals with denominator a
    power of m, and an observed covariance can sit exactly on one of them
@@ -49,7 +49,7 @@ and summed over the words, then mirrored: no bit is unpacked and no float
 formed.  A chunk is one pass (draw, s2, ``num`` in place of s2, its float
 copy, the counts) through arrays that its worker allocates once (:func:`_scratch`).
 Chunks too small to pay for a second thread's GIL hand-offs run on one
-(:func:`_pool_size`).
+(:func:`_plan`).
 """
 
 import os
@@ -99,41 +99,33 @@ def _integer(name: str, value) -> int:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _chunk_sizes(replicates: int, m: int, k: int, seed: int) -> tuple[int, int, int, int, list]:
-    """The arguments as Python ints (numpy ints overflow in exact arithmetic), then the
-    replicates per chunk for a run of the stream; rejects bad arguments."""
-    replicates, m, k, seed = (_integer(name, value) for name, value in (
-        ("replicate count", replicates), ("sample count", m), ("dimension k", k), ("seed", seed)))
-    if replicates < 1:
-        raise ValueError(f"replicate count must be >= 1, got {replicates}")
-    if m < 1:
-        raise ValueError(f"sample count must be >= 1, got {m}")
-    if k < 1:
-        raise ValueError(f"dimension k must be >= 1, got {k}")
+def _plan(kinds, replicates: int, m: int, k: int, seed: int, workers: int | None):
+    """The plan of a run, made before any work: every argument checked, the counts as
+    Python ints (numpy ints overflow in exact arithmetic), the replicates per chunk and
+    the worker threads: min(requested or usable CPUs, chunks), but one where a chunk's
+    popcount ANDs fewer than ``CHUNK_TARGET // 128`` words: two were slower there."""
+    if not kinds:
+        raise ValueError("kinds must name at least one statistic")
+    for kind in kinds:
+        _scale(kind, 1, 1)  # rejects a kind that is not a StatKind
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    names = ("replicate count", "sample count", "dimension k", "worker count", "seed")
+    values = [_integer(*named) for named in zip(names, (
+        replicates, m, k, (cpus or 1) if workers is None else workers, seed))]
+    for name, value in zip(names[:4], values):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    replicates, m, k, w, seed = values
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
     chunk = _chunk_size(m, k)
-    return replicates, m, k, seed, [min(chunk, replicates - s) for s in range(0, replicates, chunk)]
+    sizes = [min(chunk, replicates - s) for s in range(0, replicates, chunk)]
+    words = chunk * k * (k + 1) // 2 * ((m + 63) // 64)
+    return replicates, m, k, seed, sizes, min(w, len(sizes) if words >= CHUNK_TARGET // 128 else 1)
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Philox:
     return np.random.Philox(key=np.array([seed, chunk_index], dtype=np.uint64))
-
-
-def _resolve_workers(workers: int | None, n_chunks: int) -> int:
-    """Worker threads: min(requested or usable CPUs, n_chunks)."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    w = _integer("worker count", workers) if workers is not None else cpus or 1
-    if w < 1:
-        raise ValueError(f"worker count must be >= 1, got {w}")
-    return min(w, n_chunks)
-
-
-def _pool_size(workers: int | None, sizes: list[int], m: int, k: int) -> int:
-    """:func:`_resolve_workers` for the chunks ``sizes``, but one thread where a chunk's
-    popcount ANDs fewer than ``CHUNK_TARGET // 128`` words: two were slower there."""
-    words = sizes[0] * k * (k + 1) // 2 * ((m + 63) // 64)
-    return _resolve_workers(workers, len(sizes) if words >= CHUNK_TARGET // 128 else 1)
 
 
 def _draw_bits(bitgen: np.random.BitGenerator, n: int, m: int, k: int) -> np.ndarray:
@@ -192,9 +184,10 @@ def _count_num(s1, s2, m: int, out=None) -> np.ndarray:
     return num
 
 
-def _map_chunks(fn, seed: int, sizes: list[int], m: int, k: int, workers: int | None) -> list:
+def _map_chunks(fn, seed: int, sizes: list[int], m: int, k: int, n_workers: int) -> list:
     """``fn(num, floats)`` of each chunk's replicate numerators (:func:`_count_num`), in
-    chunk order; ``floats`` is the float64 array of the worker's :func:`_scratch`.
+    chunk order, on ``n_workers`` threads (resolved by :func:`_plan`); ``floats`` is the
+    float64 array of the worker's :func:`_scratch`.
 
     Each worker takes the next chunk until none is left and passes it
     through its own scratch, so ``num`` and ``floats`` are overwritten by
@@ -205,7 +198,6 @@ def _map_chunks(fn, seed: int, sizes: list[int], m: int, k: int, workers: int | 
     """
     # the scratches are allocated on the calling thread: on the workers they went
     # to the workers' malloc arenas and raised the paper table's peak RSS ~0.5 MiB
-    n_workers = _pool_size(workers, sizes, m, k)
     scratches = [_scratch(sizes[0], k, (m + 63) // 64) for _ in range(n_workers)]
     results, chunks, lock = [None] * len(sizes), iter(range(len(sizes))), threading.Lock()
 
@@ -423,7 +415,7 @@ def _counter(kind: StatKind, sigma: CovMatrix, m: int):
     the reported t0 (4^-k); t0 is computed at most once, where none decides.
     """
     k, den = sigma.k, m * m
-    if kind is not StatKind.GENERALIZED:  # observed_statistic_exact rejects a non-StatKind
+    if kind is not StatKind.GENERALIZED:
         t0 = observed_statistic_exact(kind, sigma)
         # replicate value s / scale >= t0  <=>  s >= ceil(t0 scale); replicate
         # values are >= 0, so clamping at 0 keeps every count
@@ -472,8 +464,8 @@ def sample_null_statistics(stat: StatKind, m: int, k: int, count: int, seed: int
     ``det << 4^-k eps`` (the tally compares determinants instead).
     Arguments are checked as in :func:`mc_pvalues`.
     """
-    _, m, k, seed, sizes = _chunk_sizes(count, m, k, seed)
-    scale, fit = _scale(stat, k, m * m), _int_stats_fit(stat, m, k)  # _scale checks stat
+    _, m, k, seed, sizes, _ = _plan((stat,), count, m, k, seed, 1)
+    scale, fit = _scale(stat, k, m * m), _int_stats_fit(stat, m, k)
     dtype = np.int64 if fit else object
 
     def values(num, _):
@@ -481,7 +473,7 @@ def sample_null_statistics(stat: StatKind, m: int, k: int, count: int, seed: int
             return 4.0**-k - np.linalg.det(num.transpose(2, 0, 1) / float(m * m))
         return (_scaled_stat(stat, num.astype(dtype, copy=False), m * m) / scale).astype(np.float64)
 
-    return np.concatenate(_map_chunks(values, seed, sizes, m, k, workers=1))
+    return np.concatenate(_map_chunks(values, seed, sizes, m, k, 1))
 
 
 def mc_pvalues(
@@ -500,12 +492,10 @@ def mc_pvalues(
     compared with plug-in replicates ``num / m^2``, so it should be a
     plug-in estimate too.
     """
-    if not kinds:
-        raise ValueError("kinds must name at least one statistic")
-    replicates, m, k, seed, sizes = _chunk_sizes(replicates, m, sigma.k, seed)
+    replicates, m, k, seed, sizes, n_workers = _plan(kinds, replicates, m, sigma.k, seed, workers)
     counters = [_counter(kind, sigma, m) for kind in kinds]
     tallies = _map_chunks(lambda num, floats: [count(num, floats) for _, count in counters],
-                          seed, sizes, m, k, workers)
+                          seed, sizes, m, k, n_workers)
     out = []
     for kind, (observed, _), hits in zip(kinds, counters, zip(*tallies)):
         p = sum(hits) / replicates

@@ -543,6 +543,36 @@ def test_import_loads_each_module_on_first_use_of_its_names():
     assert done.returncode == 0, done.stderr
 
 
+@pytest.mark.parametrize("flag, name, text", [
+    ("--samples", "s.txt", SAMPLES_3), ("--cov", "c.csv", "0.24,0.04\n0.04,0.24\n")])
+def test_an_input_with_a_byte_order_mark_gives_the_same_report(flag, name, text, tmp_path,
+                                                              capsys, monkeypatch):
+    # some editors start a UTF-8 file with U+FEFF; the report records the path as
+    # given, so each copy is read by the same relative name
+    reports = []
+    for encoding in ("utf-8", "utf-8-sig"):  # the second writes the mark
+        (tmp_path / encoding).mkdir()
+        (tmp_path / encoding / name).write_text(text, encoding=encoding)
+        monkeypatch.chdir(tmp_path / encoding)
+        reports.append(run(["stats", flag, name, "--format", "json"], capsys))
+    assert (tmp_path / "utf-8-sig" / name).read_bytes().startswith(b"\xef\xbb\xbf")
+    assert reports[0][0] == 0 and reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("interrupted", ["command", "emit"])
+def test_ctrl_c_prints_one_line_and_exits_130(interrupted, tmp_path, capsys, monkeypatch):
+    # no traceback: the exit status a shell gives a process ended by SIGINT
+    def ctrl_c(*args):
+        raise KeyboardInterrupt
+
+    if interrupted == "command":
+        monkeypatch.setitem(cli.COMMANDS, "stats", ctrl_c)
+    else:
+        monkeypatch.setattr(cli, "emit", ctrl_c)
+    path = write(tmp_path, "c.csv", "0.25\n")
+    assert run(["stats", "--cov", path], capsys) == (130, "", "netvar: interrupted\n")
+
+
 def test_samples_and_cov_give_the_same_floats(tmp_path, capsys, schema):
     # 2 nodes, 5 graphs, the edge in 1: the covariance is 4/25 both ways
     samples = write(tmp_path, "s.txt", "nodes A B\ngraph\nA B\n" + "graph\n" * 4)

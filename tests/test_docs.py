@@ -1,3 +1,4 @@
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -45,3 +46,15 @@ def test_readme_command_lines_parse():
     parser = cli.build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line)[1:])
+
+
+def test_docstring_function_references_resolve():
+    # each :func:`name` in the package names a callable of the module it is written in
+    references = 0
+    for path in sorted(Path(netvar.__file__).parent.glob("*.py")):
+        module = importlib.import_module(
+            "netvar" if path.stem == "__init__" else f"netvar.{path.stem}")
+        for name in re.findall(r":func:`([^`]+)`", path.read_text(encoding="utf-8")):
+            references += 1
+            assert callable(getattr(module, name, None)), f"{path.name}: {name}"
+    assert references > 0

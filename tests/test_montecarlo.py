@@ -58,8 +58,7 @@ def test_small_chunks_run_on_one_thread():
     # on one thread; larger chunks get the requested workers, capped as
     # before, and the worker arguments are checked either way
     def pool(workers, m, k, replicates=100_000):
-        *_, sizes = montecarlo._chunk_sizes(replicates, m, k, 1)
-        return montecarlo._pool_size(workers, sizes, m, k)
+        return montecarlo._plan(ALL_KINDS, replicates, m, k, 1, workers)[-1]
 
     assert pool(2, 10, 2) == pool(8, 50, 2) == pool(2, 64, 3) == 1
     # 4096 replicates x 3 column pairs x 2 or 3 words, against 2^22 // 128 = 32768
@@ -155,9 +154,10 @@ def test_mc_pvalues_rejects_bad_arguments():
     ("replicates", 2.5, "replicate count"), ("m", 10.0, "sample count"),
     ("seed", 1.9, "seed"), ("workers", 1.5, "worker count")])
 def test_mc_pvalues_rejects_a_non_integral_argument(argument, value, name, monkeypatch):
-    # each is rejected by name before any draw: a float seed would run the
-    # stream of its integer part and report the float
+    # each is rejected by name before any observed value or draw: a float
+    # seed would run the stream of its integer part and report the float
     monkeypatch.setattr(montecarlo, "_draw_bits", None)  # no draw is made
+    monkeypatch.setattr(montecarlo, "_counter", None)  # no observed value is computed
     args = {"replicates": 2000, "m": 10, "seed": 1, "workers": 1, argument: value}
     message = f"{name} must be an integer, got {value}"
     with pytest.raises(TypeError, match=message):
@@ -172,6 +172,7 @@ def test_a_statistic_that_is_not_a_statkind_is_rejected(call, monkeypatch):
     # a name is not a StatKind: each dispatch on the kind used to fall
     # through to generalized, and a "total" run reported its p-value
     monkeypatch.setattr(montecarlo, "_draw_bits", None)  # no draw is made
+    monkeypatch.setattr(montecarlo, "_counter", None)  # no observed value is computed
     with pytest.raises(TypeError, match="statistic must be a StatKind, got 'total'"):
         if call == "mc_pvalues":
             mc_pvalues(S1, (StatKind.FROBENIUS, "total"), 2000, 10, seed=1)
@@ -307,7 +308,7 @@ def test_short_last_chunk_counts_equal_per_replicate_counts(last):
     k, m, seed = 28, 200, 3
     chunk = montecarlo._chunk_size(m, k)
     replicates = chunk + 1 if last == "one replicate" else 2 * chunk - 1
-    *_, sizes = montecarlo._chunk_sizes(replicates, m, k, seed)
+    sizes = montecarlo._plan(ALL_KINDS, replicates, m, k, seed, 1)[4]
     assert len(sizes) == 2 and sizes[-1] < chunk
     nums = [montecarlo._count_num(*montecarlo._draw_counts(seed, c, n, m, k), m)
             for c, n in enumerate(sizes)]
@@ -361,18 +362,27 @@ def test_agreement_with_asymptotics_far_from_null():
     assert asy.p_adjusted < 1e-9
 
 
+def threads(workers, chunks):
+    """The worker threads that ``_plan`` gives a run of ``chunks`` full chunks at k = 28,
+    m = 200, where each chunk is large enough for a thread of its own."""
+    replicates = chunks * montecarlo._chunk_size(200, 28)
+    return montecarlo._plan(ALL_KINDS, replicates, 200, 28, 1, workers)[-1]
+
+
 def test_resolve_workers_caps_at_chunks_and_env():
-    assert montecarlo._resolve_workers(8, 3) == 3
-    assert montecarlo._resolve_workers(2, 100) == 2
-    assert montecarlo._resolve_workers(None, 1) == 1
-    assert montecarlo._resolve_workers(16, 2) == 2
-    assert montecarlo._resolve_workers(3, 100) == 3
-    assert montecarlo._resolve_workers(5, 100) == 5
+    assert threads(8, 3) == 3
+    assert threads(2, 100) == 2
+    assert threads(None, 1) == 1
+    assert threads(16, 2) == 2
+    assert threads(3, 100) == 3
+    assert threads(5, 100) == 5
 
 
-def test_worker_count_below_one_is_rejected():
+def test_worker_count_below_one_is_rejected(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_draw_bits", None)  # no draw is made
+    monkeypatch.setattr(montecarlo, "_counter", None)  # no observed value is computed
     with pytest.raises(ValueError, match="worker count"):
-        montecarlo._resolve_workers(0, 10)
+        threads(0, 10)
     with pytest.raises(ValueError, match="worker count"):
         mc_pvalues(S1, (StatKind.TOTAL,), 100, 10, seed=1, workers=-2)
 
@@ -669,7 +679,7 @@ def test_each_worker_factors_every_chunk_in_one_float_copy(workers, monkeypatch)
     seen, bracket = [], montecarlo._cholesky_bracket
     monkeypatch.setattr(montecarlo, "_cholesky_bracket", lambda a: seen.append(a) or bracket(a))
     replicates = chunks * montecarlo._chunk_size(m, k)
-    assert montecarlo._pool_size(workers, [replicates // chunks] * chunks, m, k) == workers
+    assert montecarlo._plan(ALL_KINDS, replicates, m, k, 6, workers)[-1] == workers
     sigma = CovMatrix(np.identity(k) / 4)
     est = mc_pvalues(sigma, (StatKind.GENERALIZED,), replicates, m, seed=6, workers=workers)[0]
     assert est.p_value == 1.0 and len(seen) == chunks
@@ -680,15 +690,16 @@ def map_k28_chunks(first_call, workers):
     """``_map_chunks`` over 40 chunks at k = 28, m = 200, with a chunk function that
     runs ``first_call`` on its first call: what the pass raised, and the calls made."""
     k, m, calls = 28, 200, itertools.count()  # next() on a count is atomic
-    sizes = montecarlo._chunk_sizes(40 * montecarlo._chunk_size(m, k), m, k, 1)[-1]
-    assert len(sizes) == 40 and montecarlo._pool_size(workers, sizes, m, k) == workers
+    *_, sizes, n_workers = montecarlo._plan(ALL_KINDS, 40 * montecarlo._chunk_size(m, k), m, k,
+                                            1, workers)
+    assert len(sizes) == 40 and n_workers == workers
 
     def fn(num, floats):
         if next(calls) == 0:
             first_call()
 
     with pytest.raises(BaseException) as raised:
-        montecarlo._map_chunks(fn, 1, sizes, m, k, workers)
+        montecarlo._map_chunks(fn, 1, sizes, m, k, n_workers)
     return raised.value, next(calls)
 
 
@@ -874,10 +885,10 @@ def test_generalized_null_values_past_the_int64_bound():
     kind = StatKind.GENERALIZED
     assert not montecarlo._int_stats_fit(kind, m, k)
     values = sample_null_statistics(kind, m, k, count, seed)
-    *_, sizes = montecarlo._chunk_sizes(count, m, k, seed)
+    sizes = montecarlo._plan((kind,), count, m, k, seed, 1)[4]
     assert len(sizes) == 2  # the chunk boundary is crossed
-    num = np.concatenate(montecarlo._map_chunks(lambda num, _: num.copy(), seed, sizes, m, k,
-                                                workers=1), axis=-1)
+    num = np.concatenate(montecarlo._map_chunks(lambda num, _: num.copy(), seed, sizes, m, k, 1),
+                         axis=-1)
     scale = montecarlo._scale(kind, k, m * m)
     exact = [float(Fraction(int(s), scale))
              for s in montecarlo._scaled_stat(kind, num.astype(object), m * m)]
@@ -941,10 +952,10 @@ def test_huge_entries_report_overflowed_observed_statistics():
 def test_default_workers_follow_cpu_affinity(monkeypatch):
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
     monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert montecarlo._resolve_workers(None, 100) == 1
+    assert threads(None, 100) == 1
     monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {1, 3, 5}, raising=False)
-    assert montecarlo._resolve_workers(None, 100) == 3
-    assert montecarlo._resolve_workers(None, 2) == 2
-    assert montecarlo._resolve_workers(6, 100) == 6
+    assert threads(None, 100) == 3
+    assert threads(None, 2) == 2
+    assert threads(6, 100) == 6
     monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)  # not on every OS
-    assert montecarlo._resolve_workers(None, 100) == 8
+    assert threads(None, 100) == 8
