@@ -9,14 +9,15 @@ Subcommands::
     netvar classify  --samples F                 entropy classification
 
 Input is selected explicitly by flag (``--samples`` for the sample-set
-text format, ``--cov`` for a covariance CSV), never sniffed.  Every
-subcommand begins with one input step (:func:`_start`): load the input,
-check its covariance bounds, and start the report with the part all
-reports share (schema, command, input, warnings).  Statistics, bounds
-diagnostics and test results are the library's dataclasses, written with
-their fields in declaration order.  JSON output carries full float
-precision; the table view prints 7 significant digits.  Exit code is 0
-only when no errors occurred; warnings do not affect it.  Ctrl-C exits 130.
+text format, ``--cov`` for a covariance CSV), never sniffed.  :func:`main`
+runs one input step (:func:`_start`): load the input, check its covariance
+bounds, and start the report with the part all reports share (schema,
+command, input, warnings); then it runs the subparser's handler on them.
+Statistics, bounds diagnostics and test results are the library's
+dataclasses, written with their fields in declaration order.  JSON output
+carries full float precision; the table view prints 7 significant digits.
+Exit code is 0 only when no errors occurred; warnings do not affect it.
+Ctrl-C exits 130.
 """
 
 import argparse
@@ -25,10 +26,8 @@ import sys
 from dataclasses import asdict, dataclass
 from enum import Enum
 
-import numpy as np
-
 from . import asymptotic
-from .graphs import SampleSet, SampleSetError, parse_sample_set
+from .graphs import SampleSet, parse_sample_set
 from .moments import CovMatrix, Diagnostic, MomentEstimate, estimate_moments, validate_covariance
 from .variability import StatKind, classify_entropy, describe, frobenius_bounds
 
@@ -84,7 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, cov_input=True, need_m=False):
+    def add_common(p, run, cov_input=True, need_m=False):
+        p.set_defaults(run=run, need_m=need_m)
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--samples", metavar="FILE", help="sample-set text file")
         if cov_input:
@@ -99,19 +99,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "table"), default="table")
 
     p = sub.add_parser("moments", help="empirical edge moments")
-    add_common(p, cov_input=False)
+    add_common(p, cmd_moments, cov_input=False)
 
     p = sub.add_parser("stats", help="variability statistics")
-    add_common(p)
+    add_common(p, cmd_stats)
     p.add_argument("--rank-policy", choices=("strict", "reduce"), default="reduce")
 
     p = sub.add_parser("test", help="asymptotic significance tests")
-    add_common(p, need_m=True)
+    add_common(p, cmd_test, need_m=True)
     p.add_argument("--methods", type=_csv_list(METHOD_NAMES, "--methods"),
                    default=list(METHOD_NAMES), metavar="tt,tg1,tg2,tn")
 
     p = sub.add_parser("mc", help="Monte Carlo significance values")
-    add_common(p, need_m=True)
+    add_common(p, cmd_mc, need_m=True)
     p.add_argument("--mc-stat", type=_csv_list(tuple(MC_STATS), "--mc-stat"),
                    default=list(MC_STATS), metavar="vart,varg,varn")
     p.add_argument("--replicates", type=_positive_int("--replicates"), default=100_000)
@@ -121,24 +121,24 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Monte Carlo worker threads")
 
     p = sub.add_parser("classify", help="entropy classification of a sample set")
-    add_common(p, cov_input=False)
+    add_common(p, cmd_classify, cov_input=False)
 
     return parser
 
 
-def _start(command: str, args) -> tuple[Inputs, dict, Diagnostic | None]:
+def _start(args) -> tuple[Inputs, dict, Diagnostic | None]:
     """Load the input, check its covariance bounds and begin the report.
 
     Returns the inputs, the report's common part and the bounds diagnostic
     (None for ``classify``, which checks no bounds).
     """
-    if command == "mc" and args.estimator == "unbiased":
+    if args.command == "mc" and args.estimator == "unbiased":
         raise ValueError("mc takes no --estimator unbiased: its null replicates are plug-in "
                          "covariances (denominator m^2), so a bias-corrected observed value "
                          "gets uncalibrated p-values")
     samples = est = None
     if args.samples:
-        with open(args.samples, "r", encoding="utf-8-sig") as fh:
+        with open(args.samples, "r", encoding="utf-8") as fh:
             samples = parse_sample_set(fh)
         m = getattr(args, "m", None)
         if m is not None and m != samples.m:
@@ -148,14 +148,14 @@ def _start(command: str, args) -> tuple[Inputs, dict, Diagnostic | None]:
     else:
         if args.estimator is not None:
             raise ValueError("--estimator applies to --samples input only, not to --cov")
-        if command in ("test", "mc") and args.m is None:
+        if args.need_m and args.m is None:
             raise ValueError("--m is required with --cov for this command")
-        with open(args.cov, "r", encoding="utf-8-sig") as fh:
+        with open(args.cov, "r", encoding="utf-8") as fh:
             inputs = Inputs(args.cov, CovMatrix.from_csv_text(fh.read()), args.m, None, None)
     warnings = []
     report = {
         "schema_version": SCHEMA_VERSION,
-        "command": command,
+        "command": args.command,
         "input": {
             "source": "samples" if samples else "covariance",
             "path": inputs.path,
@@ -166,7 +166,7 @@ def _start(command: str, args) -> tuple[Inputs, dict, Diagnostic | None]:
         },
         "warnings": warnings,
     }
-    if command == "classify":
+    if args.command == "classify":
         return inputs, report, None
     diag = validate_covariance(inputs.sigma)
     if not diag.valid:
@@ -204,8 +204,7 @@ def _record(result) -> dict:
     return asdict(result, dict_factory=lambda items: {key: plain(v) for key, v in items})
 
 
-def cmd_moments(args) -> dict:
-    inputs, report, diag = _start("moments", args)
+def cmd_moments(args, inputs, report, diag) -> dict:
     est = inputs.estimate
     report["moments"] = {
         "p_hat": est.p_hat.tolist(),
@@ -222,8 +221,7 @@ def cmd_moments(args) -> dict:
     return report
 
 
-def cmd_stats(args) -> dict:
-    inputs, report, diag = _start("stats", args)
+def cmd_stats(args, inputs, report, diag) -> dict:
     values = describe(inputs.sigma, args.rank_policy)
     report["warnings"].extend(f"generalized variance rank-reduced to k_effective={sv.k_effective}"
                               for sv in values if sv.rank_deficient)
@@ -238,8 +236,7 @@ def cmd_stats(args) -> dict:
     return report
 
 
-def cmd_test(args) -> dict:
-    inputs, report, _ = _start("test", args)
+def cmd_test(args, inputs, report, _) -> dict:
     labels = {"tt": "t_T", "tg1": "t_G1", "tg2": "t_G2", "tn": "t_N"}
     report["tests"] = []
     for name in args.methods:
@@ -250,9 +247,8 @@ def cmd_test(args) -> dict:
     return report
 
 
-def cmd_mc(args) -> dict:
+def cmd_mc(args, inputs, report, _) -> dict:
     from . import montecarlo  # imported here only: the other commands skip its start-up
-    inputs, report, _ = _start("mc", args)
     kinds = tuple(MC_STATS[name] for name in args.mc_stat)
     estimates = montecarlo.mc_pvalues(
         inputs.sigma, kinds, args.replicates, inputs.m, args.seed, workers=args.workers
@@ -269,8 +265,7 @@ def cmd_mc(args) -> dict:
     return report
 
 
-def cmd_classify(args) -> dict:
-    inputs, report, _ = _start("classify", args)
+def cmd_classify(args, inputs, report, _) -> dict:
     summary = classify_entropy(inputs.samples)
     values = describe(inputs.sigma, "reduce")
     report["entropy"] = {
@@ -282,15 +277,6 @@ def cmd_classify(args) -> dict:
         "distance_from_max_entropy": {sv.kind.value: sv.complemented for sv in values},
     }
     return report
-
-
-COMMANDS = {
-    "moments": cmd_moments,
-    "stats": cmd_stats,
-    "test": cmd_test,
-    "mc": cmd_mc,
-    "classify": cmd_classify,
-}
 
 
 def _fmt(x) -> str:
@@ -368,9 +354,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         try:
-            with np.errstate(over="ignore"):  # only --force input reaches the float range
-                report = COMMANDS[args.command](args)
-        except (SampleSetError, ValueError, OSError) as exc:
+            report = args.run(args, *_start(args))
+        except (ValueError, OSError) as exc:
             print(f"netvar: error: {exc}", file=sys.stderr)
             return 1
         emit(report, args.format)

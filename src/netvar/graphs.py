@@ -115,17 +115,18 @@ class SampleSet:
     incidence: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.incidence, dtype=np.uint8)
-        if arr.ndim != 2 or arr.shape[1] < 1:
-            raise SampleSetError(f"incidence must be an m x k matrix, got shape {arr.shape}")
-        if self.nodes is not None and arr.shape[1] != self.nodes.k:
+        given = np.asarray(self.incidence)  # checked before the cast, which would wrap 256 to 0
+        if given.ndim != 2 or given.shape[1] < 1:
+            raise SampleSetError(f"incidence must be an m x k matrix, got shape {given.shape}")
+        if self.nodes is not None and given.shape[1] != self.nodes.k:
             raise SampleSetError(
-                f"incidence must be m x {self.nodes.k}, got shape {arr.shape}"
+                f"incidence must be m x {self.nodes.k}, got shape {given.shape}"
             )
-        if arr.shape[0] < 1:
+        if given.shape[0] < 1:
             raise SampleSetError("sample set needs at least one graph")
-        if not np.isin(arr, (0, 1)).all():
+        if not np.isin(given, (0, 1)).all():
             raise SampleSetError("incidence entries must be 0 or 1")
+        arr = np.ascontiguousarray(given, dtype=np.uint8)
         arr.setflags(write=False)
         object.__setattr__(self, "incidence", arr)
 
@@ -142,9 +143,9 @@ def parse_sample_set(stream: str | IO[str]) -> SampleSet:
     """Parse the sample-set text format into a :class:`SampleSet`.
 
     Arcs collapse onto their unordered endpoint pair, and duplicate edges
-    inside one block are idempotent.
+    inside one block are idempotent.  One leading byte-order mark is skipped.
     """
-    text = stream if isinstance(stream, str) else stream.read()
+    text = (stream if isinstance(stream, str) else stream.read()).removeprefix("\ufeff")
     nodes: NodeSet | None = None
     rows: list[np.ndarray] = []
     current: np.ndarray | None = None

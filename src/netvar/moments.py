@@ -65,7 +65,16 @@ class CovMatrix:
 
     @classmethod
     def from_exact(cls, num: np.ndarray, den: int) -> "CovMatrix":
-        """The covariance ``num / den``: int64 or Python-int ``num`` (made read-only), den > 0."""
+        """The covariance ``num / den``: an integer or Python-int (object) array ``num``
+        (made read-only) over an integer ``den >= 1``."""
+        if not (isinstance(num, np.ndarray) and num.dtype.kind in "iuO"):
+            what = num.dtype if isinstance(num, np.ndarray) else type(num).__name__
+            raise TypeError(f"num must be an integer or object array, got {what}")
+        if not isinstance(den, (int, np.integer)):
+            raise TypeError(f"den must be an integer, got {den!r}")
+        if den < 1:
+            raise ValueError(f"den must be >= 1, got {den}")
+        den = int(den)  # numpy ints overflow in exact arithmetic
         sigma = cls(_rounded(num, den))  # checks the shape and the asymmetry
         if not (num == num.T).all():
             obj = num.astype(object)  # Python ints: the sum cannot overflow
@@ -135,11 +144,12 @@ class CovMatrix:
 
     @classmethod
     def from_csv_text(cls, text: str) -> "CovMatrix":
-        """Parse k lines of k comma-separated decimals; decimals are exact."""
+        """Parse k lines of k comma-separated decimals; decimals are exact.  One
+        leading byte-order mark is skipped."""
         from decimal import Decimal, InvalidOperation
 
         rows, ratios = [], {}  # ratios: each distinct cell, parsed once, as (n, d)
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

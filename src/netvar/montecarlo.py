@@ -439,7 +439,7 @@ def _counter(kind: StatKind, sigma: CovMatrix, m: int):
     observed = 4.0**-k if hi + k * log(4) < -55 * log(2) else _float(exact()[0])
     if m <= k or sign0 < 0:  # X < 0 is below every replicate det >= 0; at m <= k
         # num = X^T (m I - 1 1^T) X has rank <= m - 1 < k: every replicate has det 0
-        hit = sign0 > 0 or (sign0 == 0 and exact()[1] >= 0)
+        hit = bool(sign0 > 0 or (sign0 == 0 and exact()[1] >= 0))
         return observed, lambda num, _: num.shape[-1] * hit
     if _int_stats_fit(kind, m, k):
         limit = min(exact()[1], INT64_MAX)  # int64 determinants stay below it

@@ -566,7 +566,7 @@ def test_ctrl_c_prints_one_line_and_exits_130(interrupted, tmp_path, capsys, mon
         raise KeyboardInterrupt
 
     if interrupted == "command":
-        monkeypatch.setitem(cli.COMMANDS, "stats", ctrl_c)
+        monkeypatch.setattr(cli, "cmd_stats", ctrl_c)
     else:
         monkeypatch.setattr(cli, "emit", ctrl_c)
     path = write(tmp_path, "c.csv", "0.25\n")

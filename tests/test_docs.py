@@ -1,7 +1,10 @@
+import argparse
 import importlib
 import re
 import shlex
 from pathlib import Path
+
+import pytest
 
 import netvar
 from netvar import cli
@@ -9,11 +12,13 @@ from netvar import cli
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig"])  # the second writes a mark
+def test_readme_library_example_runs(encoding, tmp_path, monkeypatch, capsys):
     text = README.read_text(encoding="utf-8")
     block = re.search(r"## Library\n+```python\n(.*?)```", text, re.S)
     assert block, "README has no Library code block"
-    (tmp_path / "graphs.txt").write_text("nodes A B C\ngraph\nA B\ngraph\nB C\nA C\ngraph\n")
+    (tmp_path / "graphs.txt").write_text("nodes A B C\ngraph\nA B\ngraph\nB C\nA C\ngraph\n",
+                                         encoding=encoding)
     monkeypatch.chdir(tmp_path)
     exec(compile(block.group(1), "README.md", "exec"), {})
     out = capsys.readouterr().out
@@ -46,6 +51,10 @@ def test_readme_command_lines_parse():
     parser = cli.build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line)[1:])
+    # and every subcommand is shown
+    subparsers = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert {line.split()[1] for line in lines} == set(subparsers.choices)
 
 
 def test_docstring_function_references_resolve():

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -118,10 +120,30 @@ def test_sample_set_validation():
     nodes = NodeSet(("A", "B"))
     with pytest.raises(SampleSetError, match="0 or 1"):
         SampleSet(nodes, np.array([[2]]))
+    for given in (np.array([[1.0], [0.0]]), np.array([[True], [False]])):
+        assert SampleSet(nodes, given).incidence.tolist() == [[1], [0]]
     with pytest.raises(SampleSetError, match="at least one graph"):
         SampleSet(nodes, np.zeros((0, 1), dtype=np.uint8))
     with pytest.raises(SampleSetError, match="need at least 2 nodes"):
         NodeSet(("A",))
+
+
+@pytest.mark.parametrize("value", [0.5, 1.9, 256, -255, np.nan])
+def test_incidence_values_are_checked_before_the_uint8_cast(value):
+    # the cast would read them as 0, 1, 0, 1 and 0 (NaN with a RuntimeWarning)
+    with pytest.raises(SampleSetError, match="incidence entries must be 0 or 1"):
+        SampleSet(NodeSet(("A", "B")), np.array([[0], [value]]))
+
+
+def test_a_leading_byte_order_mark_is_skipped():
+    text = "nodes A B C\ngraph\nA B\ngraph\nB C\n"
+    plain = parse_sample_set(text)
+    for marked in ("\ufeff" + text, io.StringIO("\ufeff" + text)):
+        samples = parse_sample_set(marked)
+        assert samples.nodes == plain.nodes
+        assert samples.incidence.tolist() == plain.incidence.tolist()
+    with pytest.raises(SampleSetError, match="line 1: expected 'nodes <label> ...' header"):
+        parse_sample_set("\ufeff\ufeff" + text)  # one mark only
 
 
 def test_incidence_is_immutable():

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -284,6 +285,15 @@ def test_csv_parsing_exact_decimals():
         CovMatrix.from_csv_text("# only a comment\n")
 
 
+def test_csv_skips_one_leading_byte_order_mark():
+    text = "0.24,0.04\n0.04,0.24\n"
+    plain, marked = CovMatrix.from_csv_text(text), CovMatrix.from_csv_text("\ufeff" + text)
+    assert marked.entries.tolist() == plain.entries.tolist()
+    assert (marked.exact[0].tolist(), marked.exact[1]) == (plain.exact[0].tolist(), plain.exact[1])
+    with pytest.raises(ValueError, match="line 1: invalid number"):
+        CovMatrix.from_csv_text("\ufeff\ufeff" + text)
+
+
 @pytest.mark.parametrize("estimator", ["plugin", "unbiased"])
 def test_entries_are_the_correctly_rounded_exact_value(estimator):
     # every float of an estimated covariance is its rational s_ij / den
@@ -323,6 +333,26 @@ def test_from_exact_rounds_once_and_symmetrizes_exactly():
         CovMatrix.from_exact(np.array([[10**400]], dtype=object), 1)
     with pytest.raises(TypeError):
         CovMatrix(np.eye(2), exact=(np.eye(2, dtype=np.int64), 1))
+
+
+@pytest.mark.parametrize("num, den, error, message", [
+    (np.array([[1]]), 0, ValueError, "den must be >= 1, got 0"),
+    (np.array([[1]]), -4, ValueError, "den must be >= 1, got -4"),
+    (np.array([[1]]), 4.0, TypeError, "den must be an integer, got 4.0"),
+    (np.array([[1]]), Fraction(4), TypeError, "den must be an integer, got Fraction"),
+    (np.array([[1.0]]), 4, TypeError, "num must be an integer or object array, got float64"),
+    ([[1]], 4, TypeError, "num must be an integer or object array, got list"),
+])
+def test_from_exact_rejects_bad_arguments_by_name(num, den, error, message):
+    # den = 0 divided by zero, and a float den or num built a covariance that
+    # failed only later, in the exact Monte Carlo arithmetic
+    with pytest.raises(error, match=f"^{re.escape(message)}"):
+        CovMatrix.from_exact(num, den)
+
+
+def test_from_exact_keeps_a_numpy_integer_den_as_a_python_int():
+    sigma = CovMatrix.from_exact(np.array([[1]]), np.int64(4))
+    assert type(sigma.exact[1]) is int and sigma.entries.tolist() == [[0.25]]
 
 
 def test_submatrix_slices_the_floats_and_the_exact_value():

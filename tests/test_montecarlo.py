@@ -232,6 +232,8 @@ def test_observed_beyond_every_replicate(k, m):
     total, generalized, frobenius = mc_pvalues(sigma, tuple(StatKind), 64, m, seed=1, workers=1)
     assert total.observed_statistic < 0 and generalized.observed_statistic < 0
     assert (total.p_value, generalized.p_value, frobenius.p_value) == (1.0, 1.0, 0.0)
+    # a Python float on every path, not a numpy scalar that reprs as np.float64(1.0)
+    assert {type(e.p_value) for e in (total, generalized, frobenius)} == {float}
 
 
 def test_k3_pvalue_matches_exhaustive_enumeration():

@@ -74,7 +74,7 @@ def test_strict_generalized_of_a_rank_one_matrix_at_the_float_range():
 
 
 def test_describe_at_the_float_range_overflows_without_a_warning():
-    # a library call has the CLI's np.errstate(over="ignore"): trace,
+    # each overflow site has its own np.errstate(over="ignore"): trace,
     # determinant and Frobenius distance overflow to inf with no
     # RuntimeWarning (an error in this suite), and the caller's state stays
     sigma = CovMatrix([[1e308, 0], [0, 1e308]])
