@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import chi_square_cdf, gamma_cdf, std_normal_cdf
-from .moments import CovMatrix
+from .moments import CovMatrix, sample_count
 from .variability import _clamp01, var_generalized
 
 
@@ -47,9 +47,7 @@ def test_total(sigma: CovMatrix, m: int) -> TestResult:
     The trace cannot exceed k/4, so the statistic is capped at m*k; the
     corrected significance conditions on that range.
     """
-    if m < 1:
-        raise ValueError(f"sample count must be >= 1, got {m}")
-    k = sigma.k
+    k, m = sigma.k, sample_count(m, sigma.k)
     stat = 4.0 * m * sigma.trace()
     df = m * k
     p_raw = chi_square_cdf(max(stat, 0.0), df)
@@ -64,9 +62,7 @@ def test_gen_gaussian(sigma: CovMatrix, m: int) -> TestResult:
     the raw one conditioned on that window (clamped to [0, 1] against
     boundary rounding).
     """
-    if m < 1:
-        raise ValueError(f"sample count must be >= 1, got {m}")
-    k = sigma.k
+    k, m = sigma.k, sample_count(m, sigma.k)
     stat = math.sqrt(m) * (var_generalized(sigma).ratio - 1.0)
     sd = math.sqrt(2.0 * k)
     p_raw = std_normal_cdf(min(max(stat / sd, -40.0), 40.0))  # Phi is 0 or 1 past |z| = 39
@@ -82,9 +78,7 @@ def test_gen_gamma(sigma: CovMatrix, m: int) -> TestResult:
     Gamma(k*(m+1-k)/2, 1); needs m + 1 > k for a positive shape.  The
     statistic is capped at m*k/2, which the correction conditions on.
     """
-    if m < 1:
-        raise ValueError(f"sample count must be >= 1, got {m}")
-    k = sigma.k
+    k, m = sigma.k, sample_count(m, sigma.k)
     shape = k * (m + 1 - k) / 2.0
     if shape <= 0:
         raise ValueError(f"gamma shape non-positive: need m + 1 > k, got m={m}, k={k}")
@@ -118,11 +112,8 @@ def test_nagao(sigma: CovMatrix, m: int) -> TestResult:
     The correction conditions on the statistic's attainable range
     [0, t_max]; see :func:`nagao_statistic_max`.
     """
-    if m < 1:
-        raise ValueError(f"sample count must be >= 1, got {m}")
-    k = sigma.k
-    with np.errstate(over="ignore"):  # eigenvalues past ~1e154 square to inf
-        stat = 8.0 * m * float(np.sum((sigma.eigenvalues - 0.25) ** 2))
+    k, m = sigma.k, sample_count(m, sigma.k)
+    stat = 8.0 * m * float(np.sum((sigma.eigenvalues - 0.25) ** 2))
     df = k * (k + 1) / 2.0
     p_raw = chi_square_cdf(stat, df, upper=True)
     t_max = nagao_statistic_max(m, k)

@@ -355,8 +355,8 @@ def main(argv=None) -> int:
     try:
         try:
             report = args.run(args, *_start(args))
-        except (ValueError, OSError) as exc:
-            print(f"netvar: error: {exc}", file=sys.stderr)
+        except (ValueError, OSError, MemoryError) as exc:
+            print(f"netvar: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
             return 1
         emit(report, args.format)
     except KeyboardInterrupt:

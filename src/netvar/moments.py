@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import isinf, lcm
+from operator import index
 from typing import Sequence
 
 import numpy as np
@@ -25,10 +26,29 @@ from .graphs import SampleSet
 SYMMETRY_TOL = 1e-12
 EIG_CLAMP_TOL = 1e-9
 BOUND_TOL = 1e-9
+MAX_SAMPLE_BITS = 2**32  # on m k: the tests' gamma shapes <= 2^31, an MC worker <= ~1.6 GiB
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int: Python and numpy integers pass, anything else is rejected."""
+    try:
+        return index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
+def sample_count(m, k: int) -> int:
+    """m, checked to be an integer >= 1 with ``m k <= MAX_SAMPLE_BITS``, as a Python int."""
+    m = _integer("sample count", m)
+    if m < 1:
+        raise ValueError(f"sample count must be >= 1, got {m}")
+    if m * k > MAX_SAMPLE_BITS:
+        raise ValueError(f"sample count {m} at k = {k} edges is past the bound m k <= 2^32")
+    return m
 
 
 class CovMatrix:
-    """Symmetric k x k covariance matrix with lazily cached eigenvalues.
+    """Symmetric k x k covariance matrix, entries in [-1, 1], with lazily cached eigenvalues.
 
     A covariance has one value, exact: ``num / den``, a read-only integer
     numerator array over one positive integer denominator.  Its float
@@ -51,14 +71,12 @@ class CovMatrix:
             raise ValueError(f"covariance matrix must be square, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise ValueError("covariance matrix must be at least 1 x 1")
-        if not np.isfinite(arr).all():
-            raise ValueError("covariance matrix entries must be finite")
-        with np.errstate(over="ignore"):  # entries near 1e308 apart: gap inf, rejected
-            gap = np.abs(arr - arr.T).max()
+        if not (inside := np.abs(arr) <= 1).all():  # NaN too
+            raise ValueError(f"covariance entries must lie in [-1, 1], got {arr[~inside][0]}")
+        gap = np.abs(arr - arr.T).max()
         if gap > SYMMETRY_TOL:
             raise ValueError(f"matrix asymmetric beyond {SYMMETRY_TOL}: max |M - M^T| = {gap}")
-        odd = arr != arr.T  # within 1e-12 of each other, so their sum cannot overflow
-        arr[odd] = (arr[odd] + arr.T[odd]) / 2
+        arr = (arr + arr.T) / 2  # exact where arr is symmetric: |entries| <= 1 do not overflow
         arr.setflags(write=False)
         self._entries = arr
         self._exact = None
@@ -115,8 +133,7 @@ class CovMatrix:
         return -EIG_CLAMP_TOL <= self.min_raw_eigenvalue < 0
 
     def trace(self) -> float:
-        with np.errstate(over="ignore"):  # a sum past the float range is inf
-            return float(np.trace(self._entries))
+        return float(np.trace(self._entries))
 
     @property
     def exact(self) -> tuple[np.ndarray, int]:
@@ -253,7 +270,6 @@ def estimate_moments(samples: SampleSet, estimator: str = "plugin") -> MomentEst
     return MomentEstimate(s1 / m, s2 / m, CovMatrix.from_exact(num, den), m, estimator)
 
 
-@np.errstate(over="ignore")  # products of entries near the float range are inf
 def validate_covariance(sigma: CovMatrix) -> Diagnostic:
     """Check the binary-vector covariance bounds, reporting every breach.
 

@@ -59,15 +59,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, inf, log, log1p, sqrt
-from operator import index
 
 import numpy as np
 import numpy.random
 
-from .moments import CovMatrix
+from .moments import CovMatrix, _integer, sample_count
 from .variability import StatKind
 
-CHUNK_TARGET = 1 << 22  # edge bits per chunk, caps worker memory
+CHUNK_TARGET = 1 << 22  # edge bits per chunk of at least one replicate of m k bits
 INT64_MAX = 2**63 - 1
 BAND_BLOCK = 64  # undecided replicates per Python-int determinant (bounds its memory)
 
@@ -91,31 +90,26 @@ def _chunk_size(m: int, k: int) -> int:
     return max(1, min(4096, CHUNK_TARGET // max(1, m * k)))
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as a Python int: Python and numpy integers pass, anything else is rejected."""
-    try:
-        return index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
-
-
 def _plan(kinds, replicates: int, m: int, k: int, seed: int, workers: int | None):
-    """The plan of a run, made before any work: every argument checked, the counts as
-    Python ints (numpy ints overflow in exact arithmetic), the replicates per chunk and
-    the worker threads: min(requested or usable CPUs, chunks), but one where a chunk's
-    popcount ANDs fewer than ``CHUNK_TARGET // 128`` words: two were slower there."""
+    """The plan of a run, made before any work: every argument checked (m by
+    :func:`sample_count`), the counts as Python ints (numpy ints overflow in exact
+    arithmetic), the replicates per chunk and the worker threads: min(requested or usable
+    CPUs, chunks), but one where a chunk's popcount ANDs fewer than ``CHUNK_TARGET // 128``
+    words: two were slower there.  At m k = 2^32 a worker holds ~1.6 GiB: one replicate's
+    scratch (17 m k / 64 bytes) and draw (8 m k / 64)."""
     if not kinds:
         raise ValueError("kinds must name at least one statistic")
     for kind in kinds:
         _scale(kind, 1, 1)  # rejects a kind that is not a StatKind
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    names = ("replicate count", "sample count", "dimension k", "worker count", "seed")
+    names = ("replicate count", "dimension k", "worker count", "seed")
     values = [_integer(*named) for named in zip(names, (
-        replicates, m, k, (cpus or 1) if workers is None else workers, seed))]
-    for name, value in zip(names[:4], values):
+        replicates, k, (cpus or 1) if workers is None else workers, seed))]
+    for name, value in zip(names[:3], values):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
-    replicates, m, k, w, seed = values
+    replicates, k, w, seed = values
+    m = sample_count(m, k)
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
     chunk = _chunk_size(m, k)
@@ -367,9 +361,7 @@ def _eigen_bracket(a: np.ndarray):
     rounded within eps/2, or 2^-1075 where subnormal), so ``prod(|lam| -+ eta)`` bound |det|."""
     k, fi = a.shape[-1], np.finfo(np.float64)
     lam, tol = np.linalg.eigvalsh(a), k**3 * fi.eps
-    with np.errstate(over="ignore"):  # entries past ~1e154: eta = inf, an open bracket
-        norm = np.linalg.norm(a, axis=(1, 2))[:, None]
-    mag, eta = np.abs(lam), tol * (norm + k * fi.tiny)
+    mag, eta = np.abs(lam), tol * (np.linalg.norm(a, axis=(1, 2))[:, None] + k * fi.tiny)
     upper = np.log((mag + eta).clip(fi.tiny))
     lower = np.log((mag - eta).clip(fi.smallest_subnormal))  # mag - eta > 0 where proven
     slack = tol * (np.abs(upper) + np.abs(lower)).sum(axis=1)  # rounding of the sums
@@ -402,7 +394,8 @@ def _count_det_at_most(num: np.ndarray, lo0: float, hi0: float, limit, floats) -
 
 
 def _float(t0: Fraction) -> float:
-    """t0 rounded to nearest; from 2^1024 - 2^970 on that is +-inf (IEEE overflow)."""
+    """t0 rounded to nearest; from 2^1024 - 2^970 on that is +-inf (IEEE overflow), as the
+    generalized t0 = 4^-k - det sigma of a forced Sylvester-Hadamard H_256 (det 2^1024) is."""
     return float(t0) if abs(t0) < 2**1024 - 2**970 else inf if t0 > 0 else -inf
 
 
@@ -423,7 +416,7 @@ def _counter(kind: StatKind, sigma: CovMatrix, m: int):
         if fit := _int_stats_fit(kind, m, k):
             cut = min(cut, INT64_MAX)  # int64 values stay below it
         dtype = np.int64 if fit else object  # Python ints never overflow
-        return _float(t0), lambda num, _: int(
+        return float(t0), lambda num, _: int(
             (_scaled_stat(kind, num.astype(dtype, copy=False), den) >= cut).sum())
     lock, box = threading.Lock(), []
 
@@ -441,8 +434,8 @@ def _counter(kind: StatKind, sigma: CovMatrix, m: int):
         # num = X^T (m I - 1 1^T) X has rank <= m - 1 < k: every replicate has det 0
         hit = bool(sign0 > 0 or (sign0 == 0 and exact()[1] >= 0))
         return observed, lambda num, _: num.shape[-1] * hit
-    if _int_stats_fit(kind, m, k):
-        limit = min(exact()[1], INT64_MAX)  # int64 determinants stay below it
+    if _int_stats_fit(kind, m, k):  # |s_ij| <= 1: det sigma <= 1 (k = 2), <= k^(k/2) (Hadamard)
+        limit = exact()[1]  # so limit <= m^2k det sigma < 2^63 wherever the fit holds
         return observed, lambda num, _: int((_int_det(num) <= limit).sum())
     # log|X| = log|det sigma| + 2k log m; widening by 4 eps (shift + |side|) covers
     # the float shift (within 2 eps: a log within 1 ulp, one product) and each sum

@@ -58,7 +58,7 @@ def var_total(sigma: CovMatrix) -> float:
     return sigma.trace()
 
 
-@np.errstate(over="ignore")  # a product past the float range is inf
+@np.errstate(over="ignore")  # 4 lambda = +-64 for a forced Sylvester-Hadamard H_256: 64^256
 def _eigen_product(lam: np.ndarray, scale: float) -> float:
     """Product of ``scale * lam``: 0 for no eigenvalues or one of exactly 0, even
     where another factor overflowed to inf."""
@@ -89,8 +89,7 @@ def var_frobenius(sigma: CovMatrix) -> float:
     (1/4)*I, so the raw value is large for stable structures; the
     normalization flips the orientation.
     """
-    with np.errstate(over="ignore"):  # eigenvalues past ~1e154 square to inf
-        return float(np.sum((sigma.eigenvalues - sigma.k / 4.0) ** 2))
+    return float(np.sum((sigma.eigenvalues - sigma.k / 4.0) ** 2))
 
 
 def frobenius_bounds(k: int) -> tuple[float, float]:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import jsonschema
 import pytest
 
 from netvar import cli, montecarlo
+from netvar.variability import StatKind
 
 MAX_ENT = "nodes A B\ngraph\nA B\ngraph\n"  # hand-built below where k=2 needed
 SAMPLES_3 = "nodes A B C\ngraph\nA B\nA C\ngraph\nA B\ngraph\n"
@@ -602,44 +604,94 @@ def netvar_json(argv, cwd):
     return done.returncode, json.loads(done.stdout)
 
 
-def test_strict_generalized_at_the_float_range_is_zero(tmp_path):
-    # rank 1 near the float range: eigenvalues [inf, 0] give det 0, not nan
-    write(tmp_path, "rank1.csv", "1e308,1e308\n1e308,1e308\n")
-    code, report = netvar_json(["stats", "--cov", "rank1.csv", "--force",
-                                "--rank-policy", "strict"], tmp_path)
-    assert code == 0
+S1 = "0.24,0.04\n0.04,0.24\n"
+ENTRY = "netvar: error: covariance entries must lie in [-1, 1], got {}\n"
+
+
+def past(m, k):
+    return f"sample count {m} at k = {k} edges is past the bound m k <= 2^32"
+
+
+DOMAIN_ROWS = [  # id, argv ("in" is the input file), its text, exit code, and the one
+    # error line, or (for a report) the per-method test errors
+    # entries: the ends of [-1, 1] are in under --force, the next floats out
+    ("entry-1", ["stats", "--cov", "in", "--force"], "1\n", 0, []),
+    ("entry-minus-1", ["mc", "--cov", "in", "--m", "10", "--force", "--replicates", "100"],
+     "-1\n", 0, []),
+    ("entry-past-1", ["stats", "--cov", "in", "--force"], "1.0000000000000002\n", 1,
+     ENTRY.format("1.0000000000000002")),
+    ("entry-past-minus-1", ["test", "--cov", "in", "--m", "10", "--force"],
+     "0,-1.0000000000000002\n-1.0000000000000002,0\n", 1, ENTRY.format("-1.0000000000000002")),
+    # a bias-corrected estimate from m = 2 reaches 1/2
+    ("unbiased-m2", ["stats", "--samples", "in", "--estimator", "unbiased"],
+     "nodes A B\ngraph\nA B\ngraph\n", 0, []),
+    # m k: 2^32 is in, 2^32 + 1 out (t_T's gamma shape is 2^31 at the bound)
+    ("test-mk-2^32", ["test", "--cov", "in", "--m", str(2**32)], "0.25\n", 0, []),
+    ("test-mk-past", ["test", "--cov", "in", "--m", str(2**32 + 1)], "0.25\n", 1,
+     [past(2**32 + 1, 1)]),
+    ("mc-mk-past", ["mc", "--cov", "in", "--m", str(2**32 + 1)], "0.25\n", 1,
+     f"netvar: error: {past(2**32 + 1, 1)}\n"),
+    # inputs that ended in a traceback, a RuntimeWarning or numpy's words
+    *((f"test-m-1e{len(str(m)) - 1}", ["test", "--cov", "in", "--m", str(m)], S1, 1, [past(m, 2)])
+      for m in (10**12, 10**16, 10**300, 10**400)),
+    *((f"mc-m-1e{len(str(m)) - 1}", ["mc", "--cov", "in", "--m", str(m)], S1, 1,
+       f"netvar: error: {past(m, 2)}\n") for m in (10**12, 10**300)),
+    ("test-1e300", ["test", "--cov", "in", "--m", "10", "--force"], "1e300\n", 1,
+     ENTRY.format("1e+300")),
+    ("mc-rank-one-1e308", ["mc", "--cov", "in", "--m", "10", "--force"],
+     "1e308,1e308\n1e308,1e308\n", 1, ENTRY.format("1e+308")),
+    ("stats-1e308", ["stats", "--cov", "in", "--force"], "1e308,0\n0,1e308\n", 1,
+     ENTRY.format("1e+308")),
+    ("test-1e200", ["test", "--cov", "in", "--m", "10", "--force"], "1e200,0\n0,0.1\n", 1,
+     ENTRY.format("1e+200")),
+]
+
+
+@pytest.mark.parametrize("argv, text, code, want",
+                         [pytest.param(*row, id=name) for name, *row in DOMAIN_ROWS])
+def test_the_admissible_domain_on_both_sides_of_each_bound(argv, text, code, want, tmp_path,
+                                                           capsys, monkeypatch):
+    # every input ends in a report (here: its per-method test errors) or in
+    # one error line, with no traceback and no RuntimeWarning (an error here)
+    (tmp_path / "in").write_text(text)
+    monkeypatch.chdir(tmp_path)
+    got, out, err = run(argv + ["--format", "json"], capsys)
+    if err:
+        assert (got, out, err) == (code, "", want)
+    else:
+        errors = {t["error"] for t in json.loads(out).get("tests", ()) if "error" in t}
+        assert (got, sorted(errors)) == (code, want)
+
+
+def test_the_sample_bound_of_a_monte_carlo_plan():
+    # checked before any scratch is allocated: a worker at the bound holds ~1.6 GiB
+    for m, k in ((2**32, 1), (2**31, 2)):
+        assert montecarlo._plan(tuple(StatKind), 1, m, k, 0, 2)[2:] == (k, 0, [1], 1)
+    with pytest.raises(ValueError, match=re.escape(past(2**32 + 1, 1))):
+        montecarlo._plan((StatKind.TOTAL,), 1, 2**32 + 1, 1, 0, 1)
+
+
+@pytest.mark.parametrize("error", [MemoryError("Unable to allocate 1.6 GiB"), MemoryError()],
+                         ids=["message", "bare"])
+def test_out_of_memory_is_one_error_line(error, tmp_path, capsys, monkeypatch):
+    def scratch(*args):
+        raise error
+
+    monkeypatch.setattr(montecarlo, "_scratch", scratch)
+    path = write(tmp_path, "c.csv", "0.25\n")
+    assert run(["mc", "--cov", path, "--m", "10"], capsys) == (
+        1, "", f"netvar: error: {str(error) or 'MemoryError'}\n")
+
+
+def test_forced_rank_one_matrix_at_the_domain_end(tmp_path, capsys, schema):
+    # eigenvalues [2, 0]: the zero makes the strict determinant and its
+    # ratio 0, so t_G1 = -sqrt(m) and t_G2 = 0; the tests run as a user runs them
+    path = write(tmp_path, "rank1.csv", "1,1\n1,1\n")
+    code, report, _ = json_report(["stats", "--cov", path, "--force", "--rank-policy", "strict"],
+                                  capsys, schema)
     gen = next(s for s in report["statistics"] if s["kind"] == "generalized")
-    assert gen["raw"] == 0.0 and gen["normalized"] == 0.0
-
-
-def test_force_on_huge_finite_entries(tmp_path):
-    # entries near the float range: the matrix stays finite, the statistics
-    # that overflow report +-inf with no numpy warning, the tail of an inf
-    # t_G1 is 1 and of an inf t_N is 0, and the MC observed statistics
-    # overflow to +-inf
-    write(tmp_path, "big.csv", "1e308,0\n0,1e308\n")
-    write(tmp_path, "mixed.csv", "1e200,0\n0,0.1\n")
-    mc = {"big.csv": [(1.0, -math.inf), (1.0, -math.inf), (0.0, math.inf)],
-          "mixed.csv": [(1.0, -1e200), (1.0, -1e199), (0.0, math.inf)]}
-    for name, want in mc.items():
-        code, report = netvar_json(["mc", "--cov", name, "--m", "10", "--replicates", "100",
-                                    "--force"], tmp_path)
-        assert code == 0
-        assert [(e["p_value"], e["observed_statistic"]) for e in report["mc"]] == want
-        code, report = netvar_json(["stats", "--cov", name, "--m", "10", "--force"], tmp_path)
-        assert code == 0
-        frob = next(s for s in report["statistics"] if s["kind"] == "frobenius")
-        assert frob["raw"] == math.inf and frob["normalized"] == 0.0
-        code, report = netvar_json(["test", "--cov", name, "--m", "10", "--force"], tmp_path)
-        assert code == 0  # no method reported an error
-        tests = {t["method"]: t for t in report["tests"]}
-        assert tests["t_G1"]["p_raw"] == tests["t_G1"]["p_adjusted"] == 1.0
-        assert tests["t_N"]["statistic"] == math.inf and tests["t_N"]["p_raw"] == 0.0
-    # rank 1 near the float range: eigenvalues [inf, 0]; the zero makes the
-    # determinant ratio 0 (singular), not inf * 0 = nan
-    write(tmp_path, "rank1.csv", "1e308,1e308\n1e308,1e308\n")
+    assert (code, gen["raw"], gen["normalized"]) == (0, 0.0, 0.0)
     code, report = netvar_json(["test", "--cov", "rank1.csv", "--m", "10", "--force"], tmp_path)
-    assert code == 0
-    assert not [t for t in report["tests"] if "error" in t]
     tests = {t["method"]: t for t in report["tests"]}
+    assert code == 0 and not [t for t in report["tests"] if "error" in t]
     assert tests["t_G1"]["statistic"] == -math.sqrt(10) and tests["t_G2"]["statistic"] == 0.0

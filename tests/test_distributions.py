@@ -55,6 +55,18 @@ def test_gamma_tails_against_mpmath(a, x):
     assert reg_upper_gamma(a, x) == pytest.approx(hi, rel=1e-10, abs=1e-13)
 
 
+@pytest.mark.parametrize("a", [1e5, 306250.0, 1e6, 2.0**31])
+def test_gamma_at_large_shapes_against_mpmath(a):
+    # x = a + f sqrt(a), the bulk: exp(a log x - x - lgamma(a)) lost about
+    # a log(a) eps there (2e-10 at t_T's shape 306250 on a v50 input, 8e-7 at
+    # 2^31, the largest shape of the tests)
+    for f in (-1.0, 0.0):
+        x = a + f * math.sqrt(a)
+        upper = mp_upper(a, x)
+        assert reg_upper_gamma(a, x) == pytest.approx(upper, rel=0, abs=1e-12)
+        assert reg_lower_gamma(a, x) == pytest.approx(1.0 - upper, rel=0, abs=1e-12)
+
+
 def test_extreme_lower_tail_keeps_relative_accuracy():
     # deep lower tail of the order 1e-201; must not underflow or lose digits
     val = reg_lower_gamma(199.0, 7.5725738)

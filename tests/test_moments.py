@@ -261,7 +261,7 @@ def test_exact_entries_fallback_for_float_matrices():
     m = CovMatrix(SIGMA1)
     exact = m.exact_entries()
     assert exact[0][0] == Fraction(6.0 / 25.0)  # binary value of the float entry
-    ent = [[0.1, -3e-300, 0.0], [-3e-300, 2.5e10, 5e-324], [0.0, 5e-324, 0.25]]
+    ent = [[0.1, -3e-300, 0.0], [-3e-300, -1.0, 5e-324], [0.0, 5e-324, 0.25]]
     assert CovMatrix(ent).exact_entries() == tuple(tuple(map(Fraction, r)) for r in ent)
 
 
@@ -269,14 +269,17 @@ def test_csv_parsing_exact_decimals():
     m = CovMatrix.from_csv_text("0.24, 0.04\n0.04, 0.24\n")
     assert m.exact_entries()[0][0] == Fraction(24, 100)
     assert m.k == 2
-    # numerators are int64 while every |n| < 2^63, Python ints past it
+    # numerators are int64 while every |n| < 2^63, Python ints past it: here
+    # over the common denominator 10^19 that the cell 1e-19 sets
     num, den = CovMatrix.from_csv_text("0.2401,-0.0004\n-0.0004,0.1\n").exact
     assert num.dtype == np.int64 and den == 10**4
     assert num.tolist() == [[2401, -4], [-4, 1000]]
-    for cell, dtype in [("1234567890123456789", np.int64), ("9223372036854775807", np.int64),
-                        ("9223372036854775808", object), ("-9223372036854775808", object)]:
-        num, den = CovMatrix.from_csv_text(f"{cell}\n").exact
-        assert num.dtype == dtype and num.tolist() == [[int(cell)]] and den == 1
+    tiny = "0.0000000000000000001"
+    for cell, dtype in [("0.1234567890123456789", np.int64), ("0.9223372036854775807", np.int64),
+                        ("0.9223372036854775808", object), ("-0.9223372036854775808", object)]:
+        n = int(cell.replace(".", ""))  # 10^19 times the cell
+        num, den = CovMatrix.from_csv_text(f"{cell},{tiny}\n{tiny},0\n").exact
+        assert num.dtype == dtype and num.tolist() == [[n, 1], [1, 0]] and den == 10**19
     with pytest.raises(ValueError, match="square"):
         CovMatrix.from_csv_text("0.1,0.2\n0.2\n")
     with pytest.raises(ValueError, match="invalid number"):
@@ -366,19 +369,24 @@ def test_submatrix_slices_the_floats_and_the_exact_value():
     assert floats.exact_entries() == ((Fraction(0.3),),)
 
 
-def test_huge_finite_entries_symmetrize_without_overflow():
-    # entries near the float range stay finite; an overflow warning is an error here
-    for sigma in (CovMatrix([[1e308, -1e308], [-1e308, 1.7e308]]),
-                  CovMatrix.from_csv_text("1e308,-1e308\n-1e308,1.7e308\n")):
-        assert sigma.entries.tolist() == [[1e308, -1e308], [-1e308, 1.7e308]]
-    with pytest.raises(ValueError, match=r"asymmetric beyond 1e-12: max \|M - M\^T\| = inf"):
-        CovMatrix([[0.0, 1e308], [-1e308, 0.0]])
+def test_entries_at_the_domain_ends_symmetrize_and_past_them_are_rejected():
+    # the largest entries, +-1, stay exact; past them, CSV and library input
+    # get the same check, before the asymmetry check
+    for sigma in (CovMatrix([[1.0, -1.0], [-1.0, 1.0]]), CovMatrix.from_csv_text("1,-1\n-1,1\n")):
+        assert sigma.entries.tolist() == [[1.0, -1.0], [-1.0, 1.0]]
+    with pytest.raises(ValueError, match=r"asymmetric beyond 1e-12: max \|M - M\^T\| = 2.0"):
+        CovMatrix([[0.0, 1.0], [-1.0, 0.0]])
+    for text in ("1e308,-1e308\n-1e308,1.7e308\n", "0,1e308\n-1e308,0\n"):
+        with pytest.raises(ValueError, match=r"entries must lie in \[-1, 1\], got -?1e\+308"):
+            CovMatrix.from_csv_text(text)
+        with pytest.raises(ValueError, match=r"entries must lie in \[-1, 1\], got -?1e\+308"):
+            CovMatrix([[float(v) for v in row.split(",")] for row in text.split()])
 
 
 def test_empty_and_non_finite_matrices_rejected():
     with pytest.raises(ValueError, match="at least 1 x 1"):
         CovMatrix(np.zeros((0, 0)))
-    with pytest.raises(ValueError, match="entries must be finite"):
+    with pytest.raises(ValueError, match=r"entries must lie in \[-1, 1\], got nan"):
         CovMatrix([[0.1, np.nan], [np.nan, 0.1]])
-    with pytest.raises(ValueError, match="entries must be finite"):
+    with pytest.raises(ValueError, match=r"entries must lie in \[-1, 1\], got inf"):
         CovMatrix([[np.inf]])

@@ -225,10 +225,11 @@ def test_generalized_at_m_not_above_k_is_decided_by_rank():
 def test_observed_beyond_every_replicate(k, m):
     # a forced covariance with trace above k/4 and determinant above 4^-k has
     # negative total and generalized statistics: every replicate reaches them.
-    # Generalized goes through the rank rule (m <= k), int64 Bareiss with a
-    # limit past int64 (k = 2, m = 55108) and the float stages (k = 3, 6);
-    # its Frobenius distance is beyond every replicate's
-    sigma = CovMatrix(np.diag([100.0] * k))
+    # Generalized goes through the rank rule (m <= k), int64 Bareiss with the
+    # largest limit of its domain (k = 2, m = 55108: m^4 det I, just below
+    # 2^63) and the float stages (k = 3, 6); its Frobenius distance is beyond
+    # every replicate's
+    sigma = CovMatrix(np.identity(k))
     total, generalized, frobenius = mc_pvalues(sigma, tuple(StatKind), 64, m, seed=1, workers=1)
     assert total.observed_statistic < 0 and generalized.observed_statistic < 0
     assert (total.p_value, generalized.p_value, frobenius.p_value) == (1.0, 1.0, 0.0)
@@ -776,12 +777,13 @@ def test_generalized_large_k_compares_log_determinants(monkeypatch):
         assert (est.p_value, est.observed_statistic) == (0.0, 4.0**-k)
 
 
-def test_generalized_huge_forced_entry_leaves_the_bracket_open():
-    # an entry past ~1e154 overflows the Frobenius norm in the observed
-    # bracket: the bracket stays open, with no warning, and t0 decides
-    sigma = CovMatrix.from_csv_text("1e300\n")
-    est = mc_pvalues(sigma, (StatKind.GENERALIZED,), 10, 10, seed=1)[0]
-    assert (est.p_value, est.observed_statistic) == (1.0, -1e300)
+def test_generalized_forced_entry_at_the_domain_end():
+    # an entry past 1 is rejected before any Monte Carlo work; at 1 the
+    # observed bracket is finite (it overflowed past ~1e154), and t0 = 1/4 - 1
+    with pytest.raises(ValueError, match=r"must lie in \[-1, 1\], got 1e\+300"):
+        CovMatrix.from_csv_text("1e300\n")
+    est = mc_pvalues(CovMatrix.from_csv_text("1\n"), (StatKind.GENERALIZED,), 10, 10, seed=1)[0]
+    assert (est.p_value, est.observed_statistic) == (1.0, -0.75)
 
 
 @pytest.mark.parametrize("e", [53, 56])
@@ -940,15 +942,17 @@ def test_stream_pin(k, m, tallies):
     assert tuple(round(e.p_value * e.replicates) for e in ests) == tallies
 
 
-def test_huge_entries_report_overflowed_observed_statistics():
-    # the exact p-values stand; the observed statistics overflow to +-inf as
-    # IEEE arithmetic does
-    for sigma in (CovMatrix.from_csv_text("1e308,0\n0,1e308\n"), CovMatrix([[1e200, 0], [0, 0.1]])):
-        for m in (1, 10, 100_000):
-            ests = mc_pvalues(sigma, ALL_KINDS, 200, m, seed=3)
-            assert [e.p_value for e in ests] == [1.0, 1.0, 0.0]
-            assert ests[2].observed_statistic == np.inf
-    assert ests[0].observed_statistic == -1e200
+def test_only_the_generalized_observed_statistic_overflows():
+    # inside the entry domain total and Frobenius t0 are at most 5k/4 and
+    # 25k^2/16; generalized t0 = 4^-k - det sigma reaches -2^1024 (a forced
+    # H_256) and rounds as IEEE overflow does, and the old float-range inputs
+    # are rejected
+    edge = 2**1024 - 2**970  # the first value that rounds to inf
+    rounded = [montecarlo._float(Fraction(t0)) for t0 in (-edge + 1, -edge, edge)]
+    assert rounded == [-sys.float_info.max, -np.inf, np.inf]
+    for text in ("1e308,0\n0,1e308\n", "1e200,0\n0,0.1\n"):
+        with pytest.raises(ValueError, match=r"must lie in \[-1, 1\]"):
+            CovMatrix.from_csv_text(text)
 
 
 def test_default_workers_follow_cpu_affinity(monkeypatch):

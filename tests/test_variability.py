@@ -62,44 +62,65 @@ def test_var_generalized_reduce_spectral_truncation():
     assert gen.value == pytest.approx(0.3, rel=1e-12)
 
 
-def test_strict_generalized_of_a_rank_one_matrix_at_the_float_range():
-    # eigenvalues [inf, 0]: the zero makes the determinant 0, not inf * 0 = nan
-    sigma = CovMatrix([[1e308, 1e308], [1e308, 1e308]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        gen = var_generalized(sigma, "strict")
-        described = describe(sigma, "strict")[1]  # its trace overflows to inf quietly
+def hadamard(doublings: int) -> np.ndarray:
+    """Sylvester's Hadamard matrix of order 2^doublings: entries +-1, eigenvalues +-2^(d/2)."""
+    h = np.ones((1, 1))
+    for _ in range(doublings):
+        h = np.block([[h, h], [h, -h]])
+    return h
+
+
+H256 = CovMatrix(hadamard(8))  # forced, at the ends of [-1, 1]: prod(4 lambda) = 64^256
+
+
+def test_strict_generalized_of_a_singular_matrix_past_the_float_range():
+    # 0 + H_256 (k = 257): the other 256 factors of 4 lambda pass the float
+    # range, and the exact zero eigenvalue makes the determinant 0, not nan
+    entries = np.zeros((257, 257))
+    entries[1:, 1:] = hadamard(8)
+    sigma = CovMatrix(entries)
+    assert (sigma.eigenvalues == 0).sum() == 1
+    gen = var_generalized(sigma, "strict")
+    described = describe(sigma, "strict")[1]
     assert gen.value == 0.0 and gen.ratio == 0.0
     assert described.raw == 0.0 and described.normalized == 0.0
 
 
-def test_describe_at_the_float_range_overflows_without_a_warning():
-    # each overflow site has its own np.errstate(over="ignore"): trace,
-    # determinant and Frobenius distance overflow to inf with no
-    # RuntimeWarning (an error in this suite), and the caller's state stays
-    sigma = CovMatrix([[1e308, 0], [0, 1e308]])
-    for policy in ("strict", "reduce"):
-        values = describe(sigma, policy)
-        assert [(v.raw, v.normalized) for v in values] == [(np.inf, 1.0), (np.inf, 1.0),
-                                                           (np.inf, 0.0)]
+def test_statistics_at_the_float_range_overflow_without_a_warning():
+    # inside the entry domain only prod(4 lambda) overflows: to inf for a forced
+    # H_256, with no RuntimeWarning (an error in this suite), and the caller's
+    # state stays; the trace (0) and the Frobenius distance stay finite, and
+    # both determinant tests read the infinite ratio as p = 1
+    total, gen, frob = describe(H256, "strict")
+    assert var_generalized(H256, "strict").ratio == np.inf and gen.normalized == 1.0
+    assert (total.raw, total.normalized, frob.normalized) == (0.0, 0.0, 0.0)
+    assert frob.raw == pytest.approx(128 * (48**2 + 80**2), rel=1e-12)  # lambda = +-16
+    for test in (asymptotic.test_gen_gaussian, asymptotic.test_gen_gamma):
+        result = test(H256, 300)
+        assert (result.statistic, result.p_raw, result.p_adjusted) == (np.inf, 1.0, 1.0)
     assert np.geterr()["over"] == "warn"
 
 
 @pytest.mark.parametrize("entries", [[[1e308, 0], [0, 1e308]], [[1e308, 1e308], [1e308, 1e308]],
                                      [[1e200, 0], [0, 0.1]]])
+def test_entries_past_the_domain_are_rejected(entries):
+    with pytest.raises(ValueError, match=r"entries must lie in \[-1, 1\], got 1e\+(308|200)"):
+        CovMatrix(entries)
+
+
 @pytest.mark.parametrize("statistic", [
     validate_covariance, var_total, var_generalized, var_frobenius,
-    *(lambda sigma, test=test: test(sigma, 10) for test in (
+    *(lambda sigma, test=test: test(sigma, 300) for test in (
         asymptotic.test_total, asymptotic.test_gen_gaussian, asymptotic.test_gen_gamma,
         asymptotic.test_nagao)),
 ], ids=["validate", "total", "generalized", "frobenius", "t_T", "t_G1", "t_G2", "t_N"])
-def test_library_calls_at_the_float_range_overflow_without_a_warning(entries, statistic):
-    # the trace, products of entries or eigenvalues, and squared eigenvalues
-    # overflow to inf quietly, as in the CLI, and the caller's state stays
+def test_library_calls_at_the_domain_ends_run_without_a_warning(statistic):
+    # a forced H_256: the determinant ratio overflows quietly, as in the CLI,
+    # nothing else overflows, and the caller's state stays
     before = np.geterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        statistic(CovMatrix(entries))
+        statistic(H256)
     assert np.geterr() == before
 
 
