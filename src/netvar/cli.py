@@ -169,9 +169,10 @@ def _start(args) -> tuple[Inputs, dict, Diagnostic | None]:
     if args.command == "classify":
         return inputs, report, None
     diag = validate_covariance(inputs.sigma)
-    if not diag.valid:
-        lines = "; ".join(f"{_located(v.kind, v.where)}: {v.value:.7g} vs bound {v.bound:.7g}"
-                          for v in diag.violations)
+    if not diag.valid:  # the first 10 violations (a diagnostics block lists every one)
+        more = len(diag.violations) - 10
+        lines = "; ".join([f"{_located(v.kind, v.where)}: {v.value:.7g} vs bound {v.bound:.7g}"
+                           for v in diag.violations[:10]] + [f"and {more} more"] * (more > 0))
         if samples:
             # estimated covariances only breach the bounds through the
             # bias-corrected estimator; report, do not refuse
@@ -343,9 +344,8 @@ def _emit_table(report, out):
 
 def emit(report: dict, fmt: str, out=None) -> None:
     out = out or sys.stdout
-    if fmt == "json":
-        json.dump(report, out, indent=2)
-        out.write("\n")
+    if fmt == "json":  # one write: json.dump's many small writes are each a syscall unbuffered
+        out.write(json.dumps(report, indent=2) + "\n")
     else:
         _emit_table(report, out)
 

@@ -84,7 +84,7 @@ class CovMatrix:
     @classmethod
     def from_exact(cls, num: np.ndarray, den: int) -> "CovMatrix":
         """The covariance ``num / den``: an integer or Python-int (object) array ``num``
-        (made read-only) over an integer ``den >= 1``."""
+        (made read-only) over an integer ``den >= 1``, each ``|num_ij| <= den``."""
         if not (isinstance(num, np.ndarray) and num.dtype.kind in "iuO"):
             what = num.dtype if isinstance(num, np.ndarray) else type(num).__name__
             raise TypeError(f"num must be an integer or object array, got {what}")
@@ -93,6 +93,11 @@ class CovMatrix:
         if den < 1:
             raise ValueError(f"den must be >= 1, got {den}")
         den = int(den)  # numpy ints overflow in exact arithmetic
+        if (outside := (num < -den) | (num > den)).any():  # [-1, 1] exactly, not its floats
+            n = int(num[outside][0])  # by its float where that is past 1, else exactly
+            near = abs(n) <= den * int(np.finfo(np.float64).max)  # n / den cannot overflow
+            got = n / den if near and abs(n / den) > 1 else f"{n}/{den}"
+            raise ValueError(f"covariance entries must lie in [-1, 1], got {got}")
         sigma = cls(_rounded(num, den))  # checks the shape and the asymmetry
         if not (num == num.T).all():
             obj = num.astype(object)  # Python ints: the sum cannot overflow

@@ -42,14 +42,13 @@ observed one.  Two implementation guarantees matter here:
 Replicates draw their edge bits straight from the generator's raw 64-bit
 output: each column is ``ceil(m/64)`` words and bits past m are cleared.
 Every array of a chunk has its n replicates on the last axis (words
-``(n_words, k, n)``, s1 ``(k, n)``, s2 and num ``(k, k, n)``), so numpy
-loops run over the replicates, not over k.  Row i of the cross sums
-``s2[i, j] = x_i . x_j`` is column i ANDed with columns i.., popcounted
-and summed over the words, then mirrored: no bit is unpacked and no float
-formed.  A chunk is one pass (draw, s2, ``num`` in place of s2, its float
-copy, the counts) through arrays that its worker allocates once (:func:`_scratch`).
-Chunks too small to pay for a second thread's GIL hand-offs run on one
-(:func:`_plan`).
+``(n_words, k, n)``, num ``(k, k, n)``), so numpy loops run over the
+replicates, not over k.  :func:`_numerators` forms num from the words in
+one pass over the rows of the cross sums ``s2[i, j] = x_i . x_j``, each a
+popcount of ANDed words: no bit is unpacked and no float formed.  A chunk
+is one pass (draw, num, its float copy, the counts) through arrays that
+its worker allocates once (:func:`_scratch`).  Chunks too small to pay
+for a second thread's GIL hand-offs run on one (:func:`_plan`).
 """
 
 import os
@@ -136,50 +135,43 @@ def _draw_bits(bitgen: np.random.BitGenerator, n: int, m: int, k: int) -> np.nda
 
 def _scratch(n: int, k: int, n_words: int):
     """Flat arrays for up to n replicates of n_words-word columns: the words, their AND and
-    its popcount (:func:`_bit_counts`), s2 (or num in its place) and num's float64 copy
+    its popcount, num (:func:`_numerators`) and num's float64 copy
     (:func:`_count_det_at_most`; ``np.empty`` commits no page until that writes it)."""
     size = n_words * k * n
     return (np.empty(size, np.uint64), np.empty(size, np.uint64), np.empty(size, np.uint8),
             np.empty(k * k * n, np.int64), np.empty(k * k * n))
 
 
-def _bit_counts(words: np.ndarray, scratch=None):
-    """Column sums s1 (k, n) and cross sums s2 (k, k, n), int64, from the packed bits
-    (n, k, n_words) of :func:`_draw_bits`, copied replicates-last (n_words, k, n).
+def _numerators(words: np.ndarray, m: int, scratch=None) -> np.ndarray:
+    """``num = m s2 - s1 s1^T`` (k, k, n), int64: m^2 times the plug-in covariances of the
+    packed bits (n, k, n_words) of :func:`_draw_bits`, copied replicates-last (n_words, k, n).
 
-    Row i of s2 is column i ANDed with columns i.. (n_words, k - i, n), popcounted,
-    summed over the words and mirrored below the diagonal.  All arrays, s2 too,
-    are views into ``scratch`` (:func:`_scratch` for >= n replicates) if given.
+    Row i of the cross sums ``s2[i, j] = x_i . x_j`` is column i ANDed with columns i..
+    (n_words, k - i, n), popcounted and summed over the words.  Rows go from the last to
+    the first: the first sum of row i is ``x_i . x_i = s1[i]`` (binary data), so s1[i:]
+    is known when the row becomes ``m s2[i, i:] - s1[i] s1[i:]`` in place; it is then
+    mirrored below the diagonal.  All arrays, num too, are views into ``scratch``
+    (:func:`_scratch` for >= n replicates) if given.
     """
     n, k, n_words = words.shape
-    by_word, pairs, counts, s2, _ = scratch or _scratch(n, k, n_words)
-    by_word, s2 = by_word[:words.size].reshape(n_words, k, n), s2[:k * k * n].reshape(k, k, n)
+    by_word, pairs, counts, num, _ = scratch or _scratch(n, k, n_words)
+    by_word, num = by_word[:words.size].reshape(n_words, k, n), num[:k * k * n].reshape(k, k, n)
     np.copyto(by_word, words.transpose(2, 1, 0))
-    for i in range(k):
+    s1 = np.empty((k, n), np.int64)
+    for i in range(k - 1, -1, -1):
         rows = by_word[:, i:]
         pair = np.bitwise_and(rows[:, :1], rows, out=pairs[:rows.size].reshape(rows.shape))
         count = np.bitwise_count(pair, out=counts[:rows.size].reshape(rows.shape))
-        count.sum(axis=0, dtype=np.int64, out=s2[i, i:])
-        s2[i + 1:, i] = s2[i, i + 1:]
-    s1 = s2.diagonal().T.copy()  # binary data: x_i . x_i = sum(x_i)
-    return s1, s2
-
-
-def _draw_counts(seed: int, chunk_index: int, n: int, m: int, k: int, scratch=None):
-    """Count arrays (s1, s2) for the n replicates of one chunk (see :func:`_bit_counts`)."""
-    return _bit_counts(_draw_bits(_chunk_rng(seed, chunk_index), n, m, k), scratch)
-
-
-def _count_num(s1, s2, m: int, out=None) -> np.ndarray:
-    """``m s2 - s1 s1^T`` per replicate: m^2 times the plug-in covariance, int64, in ``out``."""
-    num = np.multiply(s2, m, out=out)
-    for i in range(len(s1)):  # row by row: no (k, k, n) temporary
-        num[i] -= s1[i] * s1
+        row = count.sum(axis=0, dtype=np.int64, out=num[i, i:])
+        s1[i] = row[0]
+        row *= m
+        row -= s1[i] * s1[i:]
+        num[i + 1:, i] = row[1:]
     return num
 
 
 def _map_chunks(fn, seed: int, sizes: list[int], m: int, k: int, n_workers: int) -> list:
-    """``fn(num, floats)`` of each chunk's replicate numerators (:func:`_count_num`), in
+    """``fn(num, floats)`` of each chunk's replicate numerators (:func:`_numerators`), in
     chunk order, on ``n_workers`` threads (resolved by :func:`_plan`); ``floats`` is the
     float64 array of the worker's :func:`_scratch`.
 
@@ -206,8 +198,8 @@ def _map_chunks(fn, seed: int, sizes: list[int], m: int, k: int, n_workers: int)
             if c is None:
                 return
             try:
-                s1, s2 = _draw_counts(seed, c, sizes[c], m, k, scratch)
-                results[c] = fn(_count_num(s1, s2, m, out=s2), scratch[4])
+                num = _numerators(_draw_bits(_chunk_rng(seed, c), sizes[c], m, k), m, scratch)
+                results[c] = fn(num, scratch[4])
             except BaseException:
                 stop()
                 raise
@@ -423,7 +415,10 @@ def _counter(kind: StatKind, sigma: CovMatrix, m: int):
     def exact():  # (t0, limit), computed once by the first caller on any thread
         with lock:
             if not box:  # det <= den^k (4^-k - t0), floored; det >= 0, so -1 for any limit < 0
-                t0 = observed_statistic_exact(kind, sigma)
+                # a zero row makes det sigma = 0 with no Bareiss (a zero diagonal entry does
+                # not: a forced matrix may be indefinite)
+                zero_row = not (sigma.exact[0] != 0).any(axis=1).all()
+                t0 = Fraction(1, 4**k) if zero_row else observed_statistic_exact(kind, sigma)
                 box.extend((t0, max(floor(den**k * (Fraction(1, 4**k) - t0)), -1)))
         return box
 

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from netvar import cli, montecarlo
@@ -488,6 +490,53 @@ def test_whole_matrix_violations_print_without_index(tmp_path, capsys, schema):
     ]
 
 
+def test_a_bounds_message_lists_the_first_ten_violations(tmp_path, capsys, schema):
+    # k diagonal entries of 0.3 breach their range and, together, the trace
+    # bound: ten violations are listed in full, eleven as the first ten and a
+    # count; the diagnostics block of stats lists every one
+    def diagonal(k):
+        return "".join(",".join("0.3" if i == j else "0" for j in range(k)) + "\n"
+                       for i in range(k))
+
+    def listed(k):
+        return "; ".join(f"diagonal_range[{i}]: 0.3 vs bound 0.25" for i in range(k))
+
+    nine, ten = write(tmp_path, "d9.csv", diagonal(9)), write(tmp_path, "d10.csv", diagonal(10))
+    _, report, _ = json_report(["stats", "--cov", nine, "--force"], capsys, schema)
+    assert report["warnings"] == ["covariance bounds violated, continuing under --force: "
+                                  f"{listed(9)}; trace_bound: 2.7 vs bound 2.25"]
+    _, report, _ = json_report(["stats", "--cov", ten, "--force"], capsys, schema)
+    assert report["warnings"] == ["covariance bounds violated, continuing under --force: "
+                                  f"{listed(10)}; and 1 more"]
+    assert len(report["diagnostics"]["violations"]) == 11
+    assert run(["stats", "--cov", ten], capsys) == (1, "", (
+        f"netvar: error: covariance violates its bounds ({listed(10)}; and 1 more); "
+        "use --force to proceed\n"))
+
+
+def test_a_forced_hadamard_report_stays_small(tmp_path, capsys):
+    # Sylvester's H_256 (entries +-1) breaks its bounds 57,409 times; the
+    # warning names ten of them, not megabytes of them
+    h = np.ones((1, 1), dtype=np.int64)
+    for _ in range(8):
+        h = np.block([[h, h], [h, -h]])
+    path = write(tmp_path, "h256.csv", "".join(",".join(map(str, r)) + "\n" for r in h.tolist()))
+    code, out, _ = run(["test", "--cov", path, "--m", "300", "--force", "--format", "json"],
+                       capsys)
+    (warning,) = json.loads(out)["warnings"]
+    assert code == 0 and len(out) < 4096
+    assert warning.endswith("diagonal_range[9]: 1 vs bound 0.25; and 57399 more")
+
+
+def test_a_json_report_is_one_write():
+    # each write of an unbuffered stream (PYTHONUNBUFFERED=1) is a system call
+    report = {"schema_version": "1", "warnings": ["w"], "mc": [{"p_value": 0.5, "x": None}]}
+    text, writes = io.StringIO(), []
+    json.dump(report, text, indent=2)
+    cli.emit(report, "json", type("Out", (), {"write": lambda self, s: writes.append(s)})())
+    assert writes == [text.getvalue() + "\n"]
+
+
 def test_test_table_per_method_error_row(tmp_path, capsys):
     path = write(tmp_path, "s1.csv", "0.24,0.04\n0.04,0.24\n")
     code, out, _ = run(["test", "--cov", path, "--m", "1", "--methods", "tg2,tt"], capsys)
@@ -622,6 +671,9 @@ DOMAIN_ROWS = [  # id, argv ("in" is the input file), its text, exit code, and t
      ENTRY.format("1.0000000000000002")),
     ("entry-past-minus-1", ["test", "--cov", "in", "--m", "10", "--force"],
      "0,-1.0000000000000002\n-1.0000000000000002,0\n", 1, ENTRY.format("-1.0000000000000002")),
+    # past 1 exactly, though its float is 1: named by its exact value
+    ("entry-past-1-exactly", ["stats", "--cov", "in", "--force"], "1.00000000000000001\n", 1,
+     ENTRY.format("100000000000000001/100000000000000000")),
     # a bias-corrected estimate from m = 2 reaches 1/2
     ("unbiased-m2", ["stats", "--samples", "in", "--estimator", "unbiased"],
      "nodes A B\ngraph\nA B\ngraph\n", 0, []),

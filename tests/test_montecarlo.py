@@ -23,6 +23,17 @@ QI2 = CovMatrix.from_csv_text("0.25,0\n0,0.25\n")
 ALL_KINDS = (StatKind.TOTAL, StatKind.GENERALIZED, StatKind.FROBENIUS)
 
 
+def numerators(seed, chunk, n, m, k):
+    """The numerators (k, k, n) of the first n replicates of chunk ``chunk`` of the stream."""
+    words = montecarlo._draw_bits(montecarlo._chunk_rng(seed, chunk), n, m, k)
+    return montecarlo._numerators(words, m)
+
+
+def covariance(num, m):
+    """The exact covariance ``num / m^2`` of one replicate's numerators (k, k), as Fractions."""
+    return [[Fraction(v, m * m) for v in row] for row in num.tolist()]
+
+
 def test_observed_statistic_exact_rationals():
     assert observed_statistic_exact(StatKind.TOTAL, S1) == Fraction(1, 50)
     assert observed_statistic_exact(StatKind.GENERALIZED, S1) == Fraction(13, 2000)
@@ -289,13 +300,13 @@ def test_pvalue_counts_equal_oracle_counts_on_the_same_draws(k, m):
     sigma = estimate_moments(SampleSet(None, rows)).sigma
     ests = mc_pvalues(sigma, ALL_KINDS, replicates, m, seed)
     chunk = montecarlo._chunk_size(m, k)
-    draws = [montecarlo._draw_counts(seed, c, min(chunk, replicates - c * chunk), m, k)
+    draws = [numerators(seed, c, min(chunk, replicates - c * chunk), m, k)
              for c in range((replicates + chunk - 1) // chunk)]
     ties = 0
     for est in ests:
         t0 = statistic(est.stat.value, sigma.exact_entries())
-        values = [statistic(est.stat.value, replicate_covariance(s1[..., r], s2[..., r], m))
-                  for s1, s2 in draws for r in range(s1.shape[-1])]
+        values = [statistic(est.stat.value, covariance(num[..., r], m))
+                  for num in draws for r in range(num.shape[-1])]
         assert est.p_value == sum(v >= t0 for v in values) / replicates, est.stat
         ties += sum(v == t0 for v in values)
     assert ties > 0  # the exact comparison is exercised
@@ -313,8 +324,7 @@ def test_short_last_chunk_counts_equal_per_replicate_counts(last):
     replicates = chunk + 1 if last == "one replicate" else 2 * chunk - 1
     sizes = montecarlo._plan(ALL_KINDS, replicates, m, k, seed, 1)[4]
     assert len(sizes) == 2 and sizes[-1] < chunk
-    nums = [montecarlo._count_num(*montecarlo._draw_counts(seed, c, n, m, k), m)
-            for c, n in enumerate(sizes)]
+    nums = [numerators(seed, c, n, m, k) for c, n in enumerate(sizes)]
     own = nums[-1][..., -1]
     sigma = CovMatrix.from_exact(own, m * m)
     floats = np.empty(k * k)  # one replicate's float copy
@@ -347,8 +357,7 @@ def test_null_pvalues_roughly_uniform():
     # replicate set: the p-values land close to uniform on [0, 1]
     held = sample_null_statistics(StatKind.FROBENIUS, 30, 2, 2000, seed=200)
     bits = montecarlo._draw_bits(np.random.default_rng(201).bit_generator, 200, 30, 2)
-    s1, s2 = montecarlo._bit_counts(bits)
-    scaled = montecarlo._scaled_stat(StatKind.FROBENIUS, montecarlo._count_num(s1, s2, 30), 900)
+    scaled = montecarlo._scaled_stat(StatKind.FROBENIUS, montecarlo._numerators(bits, 30), 900)
     stats = scaled / montecarlo._scale(StatKind.FROBENIUS, 2, 900)
     pvals = [(held >= t).mean() for t in stats]
     freq, _ = np.histogram(pvals, bins=10, range=(0.0, 1.0))
@@ -402,16 +411,17 @@ def test_integer_statistics_match_exact_oracle(k, m):
     positions = np.arange(64 * words.shape[2]).reshape(words.shape[2], 64)
     bits = (words[..., :, None] >> (positions % 64).astype(np.uint64)) & np.uint64(1)
     assert not bits.reshape(n, k, -1)[:, :, m:].any()
-    # counts agree with an integer recomputation from the shifted-out bits
+    # numerators agree with an integer recomputation from the shifted-out bits
     x = bits.reshape(n, k, -1)[:, :, :m].astype(np.int64)
-    s1, s2 = montecarlo._bit_counts(words)
-    assert s1.dtype == s2.dtype == np.int64
-    assert (s1.T == x.sum(axis=2)).all() and (s1 <= m).all()
-    assert (s2.transpose(2, 0, 1) == x @ x.transpose(0, 2, 1)).all()
+    s1 = x.sum(axis=2)
+    num = montecarlo._numerators(words, m)
+    assert num.dtype == np.int64 and num.shape == (k, k, n)
+    expected = m * (x @ x.transpose(0, 2, 1)) - s1[:, :, None] * s1[:, None, :]
+    assert (num.transpose(2, 0, 1) == expected).all()
     if k > 28:
         return  # the Fraction determinant oracle is slow past here
     # each statistic's integer form is scale x the independent Fraction oracle
-    num, den = montecarlo._count_num(s1, s2, m), m * m
+    den = m * m
     for kind in ALL_KINDS:
         if kind is StatKind.GENERALIZED:
             got = [montecarlo._scaled_stat(kind, num[..., r].astype(object), den) for r in range(4)]
@@ -421,7 +431,7 @@ def test_integer_statistics_match_exact_oracle(k, m):
             assert got.dtype == np.int64
         scale = montecarlo._scale(kind, k, den)
         for r in range(4):
-            exact = statistic(kind.value, replicate_covariance(s1[..., r], s2[..., r], m))
+            exact = statistic(kind.value, covariance(num[..., r], m))
             assert int(got[r]) == scale * exact
 
 
@@ -438,8 +448,10 @@ def test_integer_path_bounds():
         b = m * m // 4
         # worst-case replicate numerators: all columns equal with S = m/2
         # (every entry m^2/4), and the diagonal m^2/4 I (scaled statistic 0)
-        s1 = np.full((k, 1), m // 2)
-        equal = montecarlo._count_num(s1, np.full((k, k, 1), m // 2), m)
+        column = np.zeros(64 * ((m + 63) // 64), np.uint8)
+        column[:m // 2] = 1
+        words = np.tile(np.packbits(column, bitorder="little").view("<u8"), (1, k, 1))
+        equal = montecarlo._numerators(words, m)
         assert (equal == b).all()
         diagonal = np.diag(np.full(k, b))[..., None]
         # +-b in the leading block of the 4 x 4 Hadamard matrix: the largest
@@ -524,13 +536,11 @@ def test_generalized_band_recheck_past_the_int64_bound(monkeypatch):
     k, m, replicates, seed = 5, 21, 3000, 11
     assert not montecarlo._int_stats_fit(StatKind.GENERALIZED, m, k)
     assert replicates <= montecarlo._chunk_size(m, k)  # one chunk holds every replicate
-    s1, s2 = montecarlo._draw_counts(seed, 0, replicates, m, k)
-    num = montecarlo._count_num(s1, s2, m)
+    num = numerators(seed, 0, replicates, m, k)
     sigma = CovMatrix.from_exact(num[..., 3], m * m)
     est = mc_pvalues(sigma, (StatKind.GENERALIZED,), replicates, m, seed)[0]
-    t0 = statistic("generalized", replicate_covariance(s1[..., 3], s2[..., 3], m))
-    values = [statistic("generalized", replicate_covariance(s1[..., r], s2[..., r], m))
-              for r in range(replicates)]
+    t0 = statistic("generalized", covariance(num[..., 3], m))
+    values = [statistic("generalized", covariance(num[..., r], m)) for r in range(replicates)]
     assert sum(v == t0 for v in values) >= 1
     assert round(est.p_value * replicates) == sum(v >= t0 for v in values)
     # with every Cholesky bracket left open, the eigenvalue brackets decide the same
@@ -541,7 +551,7 @@ def test_generalized_band_recheck_past_the_int64_bound(monkeypatch):
     # bracket of every singular replicate reaching 0; at k = 7, m = 8 there
     # are several re-check blocks of them, and only they hit
     k, m, replicates = 7, 8, 600
-    num = montecarlo._count_num(*montecarlo._draw_counts(seed, 0, replicates, m, k), m)
+    num = numerators(seed, 0, replicates, m, k)
     dup = np.r_[0, 0, 2:k]
     sigma = CovMatrix.from_exact(num[..., 3][np.ix_(dup, dup)], m * m)
     est = mc_pvalues(sigma, (StatKind.GENERALIZED,), replicates, m, seed)[0]
@@ -562,7 +572,7 @@ def test_generalized_float_count_equals_bareiss(k, m, n):
     # the Python-int Bareiss count, at a limit in the bulk (a replicate's
     # own det, a tie), just below it, and at the singular limit 0, where
     # only det = 0 hits
-    num = montecarlo._count_num(*montecarlo._draw_counts(8, 0, n, m, k), m)
+    num = numerators(8, 0, n, m, k)
     exact = montecarlo._int_det(num.astype(object))
     nonzero = np.sort(exact[exact != 0])
     median = int(nonzero[len(nonzero) // 2])
@@ -607,7 +617,7 @@ def test_cholesky_bracket_contains_the_exact_log_det(k, m, n, monkeypatch):
     # det falls on both sides of it
     import inspect
 
-    num = montecarlo._count_num(*montecarlo._draw_counts(8, 0, n, m, k), m)
+    num = numerators(8, 0, n, m, k)
     num[0, :, 0] = num[:, 0, 0] = 0  # edge 0 constant in replicate 0
     exact = montecarlo._int_det(num.astype(object))
     lo, hi, shifted = _factored_bracket(montecarlo._cholesky_bracket, num, monkeypatch)
@@ -637,7 +647,7 @@ def test_one_cholesky_per_chunk_even_where_replicates_are_singular(k, m, n, monk
     # factorization never fails, so a chunk takes one batched Cholesky.  Far
     # below the observed bracket every replicate hits, without eigvalsh or
     # the exact limit
-    num = montecarlo._count_num(*montecarlo._draw_counts(8, 0, n, m, k), m)
+    num = numerators(8, 0, n, m, k)
     assert (montecarlo._int_det(num[..., :200].astype(object)) == 0).any()
     calls, cholesky = [], np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(len(a)) or cholesky(a))
@@ -777,6 +787,53 @@ def test_generalized_large_k_compares_log_determinants(monkeypatch):
         assert (est.p_value, est.observed_statistic) == (0.0, 4.0**-k)
 
 
+@pytest.mark.parametrize("k, m", [(3, 10), (7, 8), (28, 20)])
+def test_a_zero_row_decides_the_observed_generalized_value_without_bareiss(k, m, monkeypatch):
+    # a never-present edge gives sigma a zero row, so det sigma = 0 and t0 =
+    # 4^-k; within the int64 bound (k = 3), past it (k = 7) and at m <= k the
+    # tally and the reported value are the exact observed value's, and
+    # neither it nor a Bareiss determinant of the observed matrix is computed
+    replicates = 200
+    rows = np.random.default_rng(k).integers(0, 2, size=(m, k), dtype=np.uint8)
+    rows[:, 1] = 0
+    sigma = estimate_moments(SampleSet(None, rows)).sigma
+    t0 = observed_statistic_exact(StatKind.GENERALIZED, sigma)
+    assert t0 == Fraction(1, 4**k)
+    if m <= k:  # every replicate is singular
+        hits = replicates
+    else:
+        num = numerators(1, 0, replicates, m, k)
+        hits = int((montecarlo._int_det(num.astype(object)) == 0).sum())
+        assert 0 < hits < replicates
+    int_det = montecarlo._int_det
+
+    def replicates_only(a):
+        assert a.ndim == 3, "a Bareiss determinant of the observed matrix"
+        return int_det(a)
+
+    monkeypatch.setattr(montecarlo, "_int_det", replicates_only)
+    monkeypatch.setattr(montecarlo, "observed_statistic_exact", None)
+    est = mc_pvalues(sigma, (StatKind.GENERALIZED,), replicates, m, seed=1)[0]
+    assert (est.p_value, est.observed_statistic) == (hits / replicates, float(t0))
+
+
+def test_a_zero_row_with_one_nonzero_entry_goes_to_bareiss(monkeypatch):
+    # a zero diagonal entry is no certificate: with one nonzero entry in its
+    # row the forced matrix is indefinite, det sigma = -1/400, and the exact
+    # observed value comes from a Bareiss determinant of the observed matrix;
+    # no replicate det is below 0, so p = 0
+    zero_row = CovMatrix.from_csv_text("0,0,0\n0,0.25,0\n0,0,0.25\n")
+    mutant = CovMatrix.from_csv_text("0,0.1,0\n0.1,0.25,0\n0,0,0.25\n")
+    observed, int_det = [], montecarlo._int_det
+    monkeypatch.setattr(montecarlo, "_int_det", lambda a: observed.append(a.ndim == 2) or int_det(a))
+    for sigma, t0, bareiss in ((zero_row, Fraction(1, 64), False),
+                               (mutant, Fraction(1, 64) + Fraction(1, 400), True)):
+        observed.clear()
+        est = mc_pvalues(sigma, (StatKind.GENERALIZED,), 100, 10, seed=1)[0]
+        assert (est.observed_statistic, any(observed)) == (float(t0), bareiss)
+    assert est.p_value == 0.0
+
+
 def test_generalized_forced_entry_at_the_domain_end():
     # an entry past 1 is rejected before any Monte Carlo work; at 1 the
     # observed bracket is finite (it overflowed past ~1e154), and t0 = 1/4 - 1
@@ -825,7 +882,7 @@ def test_generalized_exact_tie_above_k64(monkeypatch):
 
     k, m, replicates, seed = 66, 70, 10, 4
     assert replicates <= montecarlo._chunk_size(m, k)  # one chunk holds every replicate
-    num = montecarlo._count_num(*montecarlo._draw_counts(seed, 0, replicates, m, k), m)
+    num = numerators(seed, 0, replicates, m, k)
     dets = montecarlo._int_det(num.astype(object))
     calls = []
     exact = montecarlo.observed_statistic_exact
