@@ -257,11 +257,13 @@ def cmd_mc(args, inputs, report, _) -> dict:
     report["mc"] = [{
         **_record(est),
         "estimator": "proportion",
-        "p_value_upper_bound": 1.0 / est.replicates if est.below_resolution else None,
+        # rule of three: 3/R > ln 20 / R > 1 - 0.05^(1/R), the one-sided 95% Clopper-Pearson limit
+        "p_value_upper_bound": min(1.0, 3 / est.replicates) if est.below_resolution else None,
     } for est in estimates]
     report["warnings"].extend(
-        f"{est.stat.value}: no replicate reached the observed statistic; "
-        f"p < {1.0 / est.replicates:.7g}" for est in estimates if est.below_resolution
+        f"{e['stat']}: no replicate reached the observed statistic; "
+        f"p < {e['p_value_upper_bound']:.7g} at 95% confidence"
+        for e in report["mc"] if e["p_value_upper_bound"] is not None
     )
     return report
 

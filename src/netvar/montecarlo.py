@@ -11,14 +11,14 @@ statistic (large means far from the null):
 The p-value is the proportion of replicates whose statistic is >= the
 observed one.  Two implementation guarantees matter here:
 
-1. Determinism and thread-count invariance.  Work is split into chunks
-   whose size depends only on (m, k); chunk c draws from a counter-based
-   generator keyed by (seed, c), so every replicate's randomness is a
-   pure function of (seed, replicate index) and the tally is identical
-   for any number of workers.  One run plan (:func:`_plan`: every
-   argument checked, the chunks and the worker threads fixed, before any
-   work) and one loop over the chunks (:func:`_map_chunks`) serve both
-   :func:`mc_pvalues` and :func:`sample_null_statistics`.
+1. Determinism and thread-count invariance.  Work is split into chunks whose
+   size depends only on (m, k); chunk c draws from a counter-based generator
+   keyed by (seed, c), so every replicate's randomness is a pure function of
+   (seed, replicate index) and the tally is identical for any number of
+   workers.  One run plan (:func:`_plan`: every argument checked, the chunks
+   and workers fixed, before any work) and one chunk loop (:func:`_map_chunks`:
+   the calling thread is its first worker, so one worker starts no thread)
+   serve both :func:`mc_pvalues` and :func:`sample_null_statistics`.
 
 2. Exact ties.  Replicate statistics are rationals with denominator a
    power of m, and an observed covariance can sit exactly on one of them
@@ -53,8 +53,6 @@ for a second thread's GIL hand-offs run on one (:func:`_plan`).
 
 import os
 import threading
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, inf, log, log1p, sqrt
@@ -81,7 +79,7 @@ class McEstimate:
 
     @property
     def below_resolution(self) -> bool:
-        """True when no replicate reached the observed statistic (p < 1/R)."""
+        """True when no replicate reached the observed statistic (no hits, p = 0)."""
         return self.p_value == 0.0
 
 
@@ -172,44 +170,46 @@ def _numerators(words: np.ndarray, m: int, scratch=None) -> np.ndarray:
 
 def _map_chunks(fn, seed: int, sizes: list[int], m: int, k: int, n_workers: int) -> list:
     """``fn(num, floats)`` of each chunk's replicate numerators (:func:`_numerators`), in
-    chunk order, on ``n_workers`` threads (resolved by :func:`_plan`); ``floats`` is the
-    float64 array of the worker's :func:`_scratch`.
+    chunk order, on ``n_workers`` workers (:func:`_plan`): the calling thread and the threads
+    it starts, each taking the next chunk until none is left through its own :func:`_scratch`,
+    whose float64 array is ``floats``: fn must not keep ``num`` or ``floats``.  An exception
+    in any worker (a failed start too) or Ctrl-C on the calling thread is recorded: no chunk
+    starts after it, the calling thread waits for each started worker to end its current
+    chunk and joins it, and the first exception recorded is re-raised."""
+    # scratches made here: in the workers' malloc arenas they raised the paper table's RSS ~0.5 MiB
+    workers = [(_scratch(sizes[0], k, (m + 63) // 64), threading.Event()) for _ in range(n_workers)]
+    results, errors, lock = [None] * len(sizes), [], threading.Lock()
+    chunks = iter(range(len(sizes)))
 
-    Each worker takes the next chunk until none is left and passes it
-    through its own scratch, so ``num`` and ``floats`` are overwritten by
-    the worker's next chunk: fn must not keep them.  An exception in any
-    worker, or Ctrl-C on the calling thread, stops the pass: no chunk
-    starts after it, every worker returns after its current chunk, and
-    the exception is re-raised.
-    """
-    # the scratches are allocated on the calling thread: on the workers they went
-    # to the workers' malloc arenas and raised the paper table's peak RSS ~0.5 MiB
-    scratches = [_scratch(sizes[0], k, (m + 63) // 64) for _ in range(n_workers)]
-    results, chunks, lock = [None] * len(sizes), iter(range(len(sizes))), threading.Lock()
-
-    def stop():
-        with lock:
-            deque(chunks, maxlen=0)
-
-    def worker(scratch):
-        while True:
-            with lock:
-                c = next(chunks, None)
-            if c is None:
-                return
-            try:
+    def worker(scratch, done, threads=()):
+        try:
+            for thread in threads:
+                thread.start()
+            while True:
+                with lock:
+                    if errors or (c := next(chunks, None)) is None:
+                        return
                 num = _numerators(_draw_bits(_chunk_rng(seed, c), sizes[c], m, k), m, scratch)
                 results[c] = fn(num, scratch[4])
-            except BaseException:
-                stop()
-                raise
+        except BaseException as exc:  # on the calling thread, Ctrl-C too
+            errors.append(exc)  # atomic: no lock, which Ctrl-C could interrupt
+        finally:
+            done.set()
 
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        try:
-            list(pool.map(worker, scratches))  # re-raises a worker's exception
-        except BaseException:  # KeyboardInterrupt while waiting here
-            stop()
-            raise
+    threads = [threading.Thread(target=worker, args=args) for args in workers[1:]]
+    worker(*workers[0], threads)  # worker 0 starts the others: a failed start is recorded
+    for thread, (_, done) in zip(threads, workers[1:]):
+        if thread.ident is None:  # its start failed
+            continue
+        # an Event: a join that Ctrl-C interrupts marks a running thread stopped (Python < 3.13)
+        while not done.is_set():
+            try:
+                done.wait()
+            except BaseException as exc:  # Ctrl-C while waiting: recorded, then waited again
+                errors.append(exc)
+        thread.join()
+    if errors:
+        raise errors[0]
     return results
 
 

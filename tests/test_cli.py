@@ -270,8 +270,9 @@ def test_mc_below_resolution_annotation(tmp_path, capsys, schema):
     )
     entry = report["mc"][0]
     assert entry["p_value"] == 0.0
-    assert entry["p_value_upper_bound"] == pytest.approx(1 / 2000)
-    assert any("p <" in w for w in report["warnings"])
+    # the rule of three: above the one-sided 95% Clopper-Pearson limit 1 - 0.05^(1/R)
+    assert entry["p_value_upper_bound"] == 3 / 2000 > 1 - 0.05 ** (1 / 2000)
+    assert any("p < 0.0015 at 95% confidence" in w for w in report["warnings"])
 
 
 @pytest.mark.parametrize("fmt, ext", [("json", "json"), ("table", "txt")])
@@ -558,8 +559,9 @@ def test_import_leaves_numpy_random_unloaded():
 
 
 def test_import_leaves_montecarlo_unloaded():
-    # only `mc` uses montecarlo (with its thread pool and the logging that
-    # concurrent.futures loads); the package loads it on first use of its names
+    # only `mc` uses montecarlo; the package loads it on first use of its names,
+    # and montecarlo itself starts its worker threads without concurrent.futures
+    # (which loads logging)
     src = str(Path(cli.__file__).resolve().parents[1])
     code = (
         "import sys, netvar.cli\n"
@@ -567,6 +569,8 @@ def test_import_leaves_montecarlo_unloaded():
         "assert not loaded, loaded\n"
         "import netvar\n"
         "assert netvar.mc_pvalues is netvar.montecarlo.mc_pvalues\n"
+        "loaded = {'concurrent.futures', 'logging'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
         "star = {}\n"
         "exec('from netvar import *', star)\n"
         "assert set(netvar.__all__) <= set(star) and not hasattr(netvar, 'no_such_name')\n"

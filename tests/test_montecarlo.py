@@ -1,7 +1,9 @@
+import functools
 import itertools
 import signal
 import sys
 import threading
+from bisect import bisect_left
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import isqrt, log
@@ -280,6 +282,46 @@ def test_k3_pvalue_matches_exhaustive_enumeration():
         est = mc_pvalues(sigma, (kind,), 40_000, m, seed=17)[0]
         band = 3.3 * np.sqrt(max(alpha * (1 - alpha), 1e-9) / 40_000)
         assert abs(est.p_value - alpha) <= band, (kind, est.p_value, alpha)
+
+
+@functools.cache
+def k3_null(m):
+    """Every distinct replicate numerator (3, 3, n) at k = 3 and m samples (one per multiset
+    of m rows from the 8 edge patterns), and each statistic's oracle values of them."""
+    patterns = np.array(list(itertools.product((0, 1), repeat=3)))
+    counts = np.array([np.bincount(rows, minlength=8)
+                       for rows in itertools.combinations_with_replacement(range(8), m)])
+    s1, s2 = counts @ patterns, np.einsum("np,pi,pj->nij", counts, patterns, patterns)
+    num = np.unique((m * s2 - s1[:, :, None] * s1[:, None, :]).reshape(-1, 9), axis=0)
+    num = np.ascontiguousarray(num.reshape(-1, 3, 3).transpose(1, 2, 0))
+    covs = [covariance(num[..., r], m) for r in range(num.shape[-1])]
+    return num, {kind: [statistic(kind.value, cov) for cov in covs] for kind in ALL_KINDS}
+
+
+@pytest.mark.parametrize("int64", [True, False])
+def test_every_k3_count_path_counts_every_reachable_replicate_exactly(int64, monkeypatch):
+    # k = 3, m = 1..8: all reachable replicates counted in one batch against observed
+    # values that sit on replicate values (the smallest, quartiles and largest of each
+    # statistic: ties) and one off-grid decimal CSV.  Without int64, generalized goes
+    # through the rank rule (m <= 3), then the Cholesky and eigen brackets and Python-int
+    # Bareiss, and total and Frobenius through object arrays
+    if not int64:
+        monkeypatch.setattr(montecarlo, "_int_stats_fit", lambda *_: False)
+    off_grid = CovMatrix.from_csv_text("0.2301,0.0413,-0.0207\n0.0413,0.2189,0.0131\n"
+                                       "-0.0207,0.0131,0.1877\n")
+    distinct = {1: 1, 2: 14, 3: 36, 4: 131, 5: 317, 6: 744, 7: 1488, 8: 2766}
+    for m, n in distinct.items():
+        num, oracle = k3_null(m)
+        assert num.shape == (3, 3, n)
+        for kind, values in oracle.items():
+            ranked, by_value = sorted(range(n), key=values.__getitem__), sorted(values)
+            observed = [CovMatrix.from_exact(num[..., ranked[q * (n - 1) // 4]].copy(), m * m)
+                        for q in range(5)]
+            for sigma in observed + [off_grid]:
+                t0 = statistic(kind.value, sigma.exact_entries())
+                expected = n - bisect_left(by_value, t0)
+                count = montecarlo._counter(kind, sigma, m)[1](num, np.empty(num.size))
+                assert count == expected, (m, kind, sigma)
 
 
 @pytest.mark.parametrize("k, m", [(2, 10), (3, 10), (3, 300), (4, 40), (1, 56_000)])
@@ -731,9 +773,10 @@ def test_an_error_stops_every_worker_after_its_current_chunk(workers):
 @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs signal.pthread_kill")
 @pytest.mark.parametrize("workers", [1, 2])
 def test_ctrl_c_stops_every_worker_after_its_current_chunk(workers):
-    # a real SIGINT to the main thread, blocked on a lock in pool.map
-    # (_thread.interrupt_main does not wake it).  Like a terminal's Ctrl-C, its
-    # sender then holds no GIL: it waits until the main thread has taken it
+    # a real SIGINT to the main thread, which runs a chunk of its own or waits for
+    # a lock or another worker (_thread.interrupt_main does not wake a wait).  Like
+    # a terminal's Ctrl-C, its sender then holds no GIL: it waits until the main
+    # thread has taken it
     main, handled = threading.main_thread().ident, threading.Event()
 
     def on_sigint(*_):
@@ -750,6 +793,102 @@ def test_ctrl_c_stops_every_worker_after_its_current_chunk(workers):
     finally:
         signal.signal(signal.SIGINT, previous)
     assert isinstance(raised, KeyboardInterrupt) and calls <= workers + 1
+
+
+@pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs signal.pthread_kill")
+def test_ctrl_c_while_waiting_ends_the_pass_after_the_other_workers_chunk(monkeypatch):
+    # the calling thread has run out of chunks and waits for the other worker's:
+    # a SIGINT then is recorded, the wait is repeated until that chunk ends, and
+    # the pass raises KeyboardInterrupt with no thread of it left running.  (A
+    # Thread.join that Ctrl-C interrupts marks the thread stopped before Python
+    # 3.13, so a repeated join returns while the thread still runs)
+    main = threading.main_thread().ident
+    started, waiting, handled = threading.Event(), threading.Event(), threading.Event()
+    done = []
+
+    class Event(threading.Event):
+        def wait(self, timeout=None):
+            if threading.get_ident() == main and main in done:
+                waiting.set()  # the calling thread's wait for the other worker
+            return super().wait(timeout)
+
+    def on_sigint(*_):
+        handled.set()
+        raise KeyboardInterrupt
+
+    def fn(num, floats):
+        if threading.get_ident() == main:
+            started.wait(60)  # each worker holds one of the two chunks
+        else:
+            started.set()
+            waiting.wait(60)
+            signal.pthread_kill(main, signal.SIGINT)
+            handled.wait(60)
+        done.append(threading.get_ident())
+
+    k, m = 28, 200
+    *_, sizes, n_workers = montecarlo._plan(ALL_KINDS, 2 * montecarlo._chunk_size(m, k), m, k,
+                                            1, 2)
+    assert len(sizes) == n_workers == 2
+    before = threading.active_count()
+    monkeypatch.setattr(threading, "Event", Event)
+    previous = signal.signal(signal.SIGINT, on_sigint)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            montecarlo._map_chunks(fn, 1, sizes, m, k, n_workers)
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    assert waiting.is_set() and handled.is_set() and len(done) == 2
+    assert threading.active_count() == before
+
+
+def test_a_thread_that_cannot_start_stops_the_pass(monkeypatch):
+    # the second of two threads fails to start: the first stops after its current
+    # chunk, the calling thread takes no chunk, and the start's error is raised
+    starts, error = itertools.count(), RuntimeError("can't start new thread")
+
+    class Thread(threading.Thread):
+        def start(self):
+            if next(starts) == 1:
+                raise error
+            super().start()
+
+    before = threading.active_count()
+    monkeypatch.setattr(threading, "Thread", Thread)
+    raised, calls = map_k28_chunks(lambda: None, 3)
+    assert raised is error and calls <= 2 and threading.active_count() == before
+
+
+def test_one_worker_starts_no_thread(monkeypatch):
+    expected = [mc_pvalues(S2, ALL_KINDS, 5000, 100, seed=4, workers=1),
+                sample_null_statistics(StatKind.FROBENIUS, 100, 2, 5000, 4)]
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a one-worker pass started a thread")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    got = [mc_pvalues(S2, ALL_KINDS, 5000, 100, seed=4, workers=1),
+           sample_null_statistics(StatKind.FROBENIUS, 100, 2, 5000, 4)]
+    assert got[0] == expected[0] and (got[1] == expected[1]).all()
+
+
+def test_two_workers_start_one_thread(monkeypatch):
+    # the calling thread is the first worker
+    starts = itertools.count()
+
+    class Thread(threading.Thread):
+        def start(self):
+            next(starts)
+            super().start()
+
+    k, m = 28, 200
+    replicates = 2 * montecarlo._chunk_size(m, k)
+    assert montecarlo._plan(ALL_KINDS, replicates, m, k, 1, 2)[-1] == 2
+    sigma = CovMatrix(np.identity(k) / 4)
+    expected = mc_pvalues(sigma, ALL_KINDS, replicates, m, seed=1, workers=1)
+    monkeypatch.setattr(threading, "Thread", Thread)
+    assert mc_pvalues(sigma, ALL_KINDS, replicates, m, seed=1, workers=2) == expected
+    assert next(starts) == 1
 
 
 def test_generalized_just_above_m_equal_k_is_fast():
