@@ -327,7 +327,8 @@ def _emit_table(report, out):
         for e in report["mc"]:
             p = _fmt(e["p_value"]) if not e["p_value_upper_bound"] else \
                 f"<{_fmt(e['p_value_upper_bound'])}"
-            print(f"{e['stat']:12s} {p:>12s} {e['stderr']:12.7g} "
+            err = "-" if e["stderr"] is None else _fmt(e["stderr"])
+            print(f"{e['stat']:12s} {p:>12s} {err:>12s} "
                   f"{e['observed_statistic']:14.7g} {e['replicates']:9d} {e['seed']:6d}",
                   file=out)
     if report.get("entropy"):

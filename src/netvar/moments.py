@@ -24,8 +24,7 @@ import numpy as np
 from .graphs import SampleSet
 
 SYMMETRY_TOL = 1e-12
-EIG_CLAMP_TOL = 1e-9
-BOUND_TOL = 1e-9
+BOUND_TOL = 1e-9  # the slack of every bound; an eigenvalue within it below 0 is clamped
 MAX_SAMPLE_BITS = 2**32  # on m k: the tests' gamma shapes <= 2^31, an MC worker <= ~1.6 GiB
 
 
@@ -59,10 +58,10 @@ class CovMatrix:
 
     Asymmetry up to 1e-12 in absolute value is accepted and symmetrized:
     floats to the midpoint of each unequal pair, an exact value to
-    ``(num + num^T) / (2 den)``.  Eigenvalues are computed on first use and
-    cached (threads racing on the first use may each compute them, but all
-    get the first value stored), sorted in descending order, and clamped to
-    0 when within -1e-9; the raw minimum is kept for diagnostics.
+    ``(num + num^T) / (2 den)``.  One ``eigvalsh`` of the entries is computed
+    on first use and cached as ``raw_eigenvalues`` (threads racing on the first
+    use may each compute it, but all get the first value stored); ``eigenvalues``
+    are those in descending order, clamped to 0 when within ``BOUND_TOL`` below it.
     """
 
     def __init__(self, entries):
@@ -115,27 +114,30 @@ class CovMatrix:
     def k(self) -> int:
         return self._entries.shape[0]
 
+    # cached_property has no lock from Python 3.12 on: the first value stored wins
     @cached_property
-    def _spectrum(self) -> tuple[np.ndarray, float]:
-        raw = np.linalg.eigvalsh(self._entries)[::-1]
-        clamped = np.where((raw < 0) & (raw >= -EIG_CLAMP_TOL), 0.0, raw)
-        clamped.setflags(write=False)
-        # cached_property has no lock from Python 3.12 on: the first value stored wins
-        return self.__dict__.setdefault("_spectrum", (clamped, float(raw.min())))
+    def raw_eigenvalues(self) -> np.ndarray:
+        """``eigvalsh`` of the entries, the one eigendecomposition: ascending, unclamped."""
+        raw = np.linalg.eigvalsh(self._entries)
+        raw.setflags(write=False)
+        return self.__dict__.setdefault("raw_eigenvalues", raw)
 
-    @property
+    @cached_property
     def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues in descending order, tiny negatives clamped to 0."""
-        return self._spectrum[0]
+        """Eigenvalues in descending order, those in [-BOUND_TOL, 0) clamped to 0."""
+        raw = self.raw_eigenvalues[::-1]
+        lam = np.where((raw < 0) & (raw >= -BOUND_TOL), 0.0, raw)
+        lam.setflags(write=False)
+        return self.__dict__.setdefault("eigenvalues", lam)
 
     @property
     def min_raw_eigenvalue(self) -> float:
-        return self._spectrum[1]
+        return float(self.raw_eigenvalues[0])
 
     @property
     def clamped(self) -> bool:
-        """True when the eigensolver emitted values in [-1e-9, 0)."""
-        return -EIG_CLAMP_TOL <= self.min_raw_eigenvalue < 0
+        """True when the eigensolver emitted values in [-BOUND_TOL, 0)."""
+        return -BOUND_TOL <= self.min_raw_eigenvalue < 0
 
     def trace(self) -> float:
         return float(np.trace(self._entries))
@@ -278,9 +280,9 @@ def estimate_moments(samples: SampleSet, estimator: str = "plugin") -> MomentEst
 def validate_covariance(sigma: CovMatrix) -> Diagnostic:
     """Check the binary-vector covariance bounds, reporting every breach.
 
-    Checks: diagonal within [0, 1/4], off-diagonal within the
-    Cauchy-Schwarz envelope and within 1/4 in absolute value, eigenvalues
-    above -1e-9, and trace at most k/4; all with ``BOUND_TOL`` slack.
+    Checks: diagonal within [0, 1/4], off-diagonal within the Cauchy-Schwarz envelope
+    and within 1/4 in absolute value, eigenvalues at least 0 (within the slack: clamped),
+    and trace at most k/4; all with ``BOUND_TOL`` slack.
     """
     ent = sigma.entries
     k = sigma.k

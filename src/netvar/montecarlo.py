@@ -73,7 +73,7 @@ class McEstimate:
     stat: StatKind
     p_value: float
     replicates: int
-    stderr: float
+    stderr: float | None  # sqrt(p (1 - p) / R), None with no hit (0 would claim no uncertainty)
     seed: int
     observed_statistic: float
 
@@ -346,13 +346,14 @@ def _cholesky_bracket(a: np.ndarray):
     return logdet - err + drop, logdet + err
 
 
-def _eigen_bracket(a: np.ndarray):
-    """Proven ``(sign, lo, hi)``, ``lo <= log|det a| <= hi``, for symmetric float a (n, k, k),
-    lo = -inf unless det a != 0 is proven: eigenvalues lie within ``eta = tol (|a|_F + k tiny)``
-    of ``eigvalsh``'s, ``tol = k^3 eps`` a generous backward-error constant (Weyl; entries
-    rounded within eps/2, or 2^-1075 where subnormal), so ``prod(|lam| -+ eta)`` bound |det|."""
+def _eigen_bracket(a: np.ndarray, lam: np.ndarray):
+    """Proven ``(sign, lo, hi)``, ``lo <= log|det a| <= hi``, for symmetric float a (n, k, k)
+    with ``eigvalsh(a) = lam`` (unclamped), lo = -inf unless det a != 0 is proven: eigenvalues
+    lie within ``eta = tol (|a|_F + k tiny)`` of lam, ``tol = k^3 eps`` a generous backward-error
+    constant (Weyl; entries rounded within eps/2, or 2^-1075 where subnormal), so
+    ``prod(|lam| -+ eta)`` bound |det|."""
     k, fi = a.shape[-1], np.finfo(np.float64)
-    lam, tol = np.linalg.eigvalsh(a), k**3 * fi.eps
+    tol = k**3 * fi.eps
     mag, eta = np.abs(lam), tol * (np.linalg.norm(a, axis=(1, 2))[:, None] + k * fi.tiny)
     upper = np.log((mag + eta).clip(fi.tiny))
     lower = np.log((mag - eta).clip(fi.smallest_subnormal))  # mag - eta > 0 where proven
@@ -372,7 +373,8 @@ def _count_det_at_most(num: np.ndarray, lo0: float, hi0: float, limit, floats) -
     np.copyto(a, num.transpose(2, 0, 1))  # exact while |num_ij| <= m^2/4 < 2^53
     lo, hi = _cholesky_bracket(a)
     if (rest := np.flatnonzero((hi >= lo0) & (lo <= hi0))).size:
-        _, lo_e, hi_e = _eigen_bracket(a[rest])  # far cheaper than a transposing copy of num
+        left = a[rest]  # far cheaper than a transposing copy of num
+        _, lo_e, hi_e = _eigen_bracket(left, np.linalg.eigvalsh(left))
         lo[rest], hi[rest] = np.maximum(lo[rest], lo_e), np.minimum(hi[rest], hi_e)
     hits, unsure = int((hi < lo0).sum()), (hi >= lo0) & (lo <= hi0)
     if unsure.any():
@@ -422,7 +424,7 @@ def _counter(kind: StatKind, sigma: CovMatrix, m: int):
                 box.extend((t0, max(floor(den**k * (Fraction(1, 4**k) - t0)), -1)))
         return box
 
-    sign0, lo, hi = (v[0] for v in _eigen_bracket(sigma.entries[None]))
+    (sign0,), (lo,), (hi,) = _eigen_bracket(sigma.entries[None], sigma.raw_eigenvalues[None])
     # t0 rounds to 4^-k where |det sigma| 4^k < 2^-54 (a margin of 2 for this sum's rounding)
     observed = 4.0**-k if hi + k * log(4) < -55 * log(2) else _float(exact()[0])
     if m <= k or sign0 < 0:  # X < 0 is below every replicate det >= 0; at m <= k
@@ -487,6 +489,6 @@ def mc_pvalues(
     out = []
     for kind, (observed, _), hits in zip(kinds, counters, zip(*tallies)):
         p = sum(hits) / replicates
-        stderr = sqrt(p * (1.0 - p) / replicates)
+        stderr = sqrt(p * (1.0 - p) / replicates) if p else None
         out.append(McEstimate(kind, p, replicates, stderr, seed, observed))
     return out

@@ -269,7 +269,7 @@ def test_mc_below_resolution_annotation(tmp_path, capsys, schema):
         capsys, schema,
     )
     entry = report["mc"][0]
-    assert entry["p_value"] == 0.0
+    assert entry["p_value"] == 0.0 and entry["stderr"] is None
     # the rule of three: above the one-sided 95% Clopper-Pearson limit 1 - 0.05^(1/R)
     assert entry["p_value_upper_bound"] == 3 / 2000 > 1 - 0.05 ** (1 / 2000)
     assert any("p < 0.0015 at 95% confidence" in w for w in report["warnings"])

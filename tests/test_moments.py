@@ -192,6 +192,17 @@ def test_eigenvalue_cache_is_race_free():
     assert all(r is results[0] for r in results)  # computed once, shared
 
 
+def test_one_boundary_between_clamped_and_negative_eigenvalues():
+    # BOUND_TOL is both the clamp and the eigenvalue bound's slack: an eigenvalue
+    # at -1e-9 is clamped to 0 and valid, one at -2e-9 is kept and a violation
+    at = CovMatrix(np.diag([-1e-9, 0.25]))
+    assert at.clamped and at.eigenvalues.tolist() == [0.25, 0.0] and validate_covariance(at)
+    past = CovMatrix(np.diag([-2e-9, 0.25]))
+    assert not past.clamped and past.eigenvalues.tolist() == [0.25, -2e-9]
+    kinds = [v.kind for v in validate_covariance(past).violations]
+    assert "negative_eigenvalue" in kinds
+
+
 def test_eigenvalue_clamping():
     # exactly singular: solver noise may dip a hair below zero
     m = CovMatrix([[0.2, 0.2], [0.2, 0.2]])

@@ -14,7 +14,7 @@ import pytest
 from mc_null_exact import determinant, replicate_covariance, statistic
 from netvar import asymptotic, montecarlo
 from netvar.graphs import SampleSet
-from netvar.moments import CovMatrix, estimate_moments
+from netvar.moments import CovMatrix, estimate_moments, validate_covariance
 from netvar.montecarlo import mc_pvalues, observed_statistic_exact, sample_null_statistics
 from netvar.variability import StatKind
 
@@ -132,9 +132,10 @@ def test_pvalue_times_r_is_integer():
     for est in mc_pvalues(S2, ALL_KINDS, 7919, 20, seed=1):
         n = est.p_value * est.replicates
         assert n == round(n)
-        assert est.stderr == pytest.approx(
+        # no hit (p = 0) has no standard error
+        assert est.stderr == (pytest.approx(
             np.sqrt(est.p_value * (1 - est.p_value) / est.replicates)
-        )
+        ) if est.p_value else None)
 
 
 def test_below_resolution_annotation():
@@ -142,6 +143,8 @@ def test_below_resolution_annotation():
     est = mc_pvalues(S2, (StatKind.TOTAL,), 2000, 50, seed=2)[0]
     assert est.p_value == 0.0
     assert est.below_resolution
+    # sqrt(p (1 - p) / R) = 0 would claim no uncertainty: there is no standard error
+    assert est.stderr is None
 
 
 def test_mc_pvalues_rejects_bad_arguments():
@@ -285,34 +288,26 @@ def test_k3_pvalue_matches_exhaustive_enumeration():
 
 
 @functools.cache
-def k3_null(m):
-    """Every distinct replicate numerator (3, 3, n) at k = 3 and m samples (one per multiset
-    of m rows from the 8 edge patterns), and each statistic's oracle values of them."""
-    patterns = np.array(list(itertools.product((0, 1), repeat=3)))
-    counts = np.array([np.bincount(rows, minlength=8)
-                       for rows in itertools.combinations_with_replacement(range(8), m)])
+def reachable_null(k, m):
+    """Every distinct replicate numerator (k, k, n) at k edges and m samples (one per
+    multiset of m rows from the 2^k edge patterns), and each statistic's oracle values."""
+    patterns = np.array(list(itertools.product((0, 1), repeat=k)))
+    counts = np.array([np.bincount(rows, minlength=2**k)
+                       for rows in itertools.combinations_with_replacement(range(2**k), m)])
     s1, s2 = counts @ patterns, np.einsum("np,pi,pj->nij", counts, patterns, patterns)
-    num = np.unique((m * s2 - s1[:, :, None] * s1[:, None, :]).reshape(-1, 9), axis=0)
-    num = np.ascontiguousarray(num.reshape(-1, 3, 3).transpose(1, 2, 0))
+    num = np.unique((m * s2 - s1[:, :, None] * s1[:, None, :]).reshape(-1, k * k), axis=0)
+    num = np.ascontiguousarray(num.reshape(-1, k, k).transpose(1, 2, 0))
     covs = [covariance(num[..., r], m) for r in range(num.shape[-1])]
     return num, {kind: [statistic(kind.value, cov) for cov in covs] for kind in ALL_KINDS}
 
 
-@pytest.mark.parametrize("int64", [True, False])
-def test_every_k3_count_path_counts_every_reachable_replicate_exactly(int64, monkeypatch):
-    # k = 3, m = 1..8: all reachable replicates counted in one batch against observed
-    # values that sit on replicate values (the smallest, quartiles and largest of each
-    # statistic: ties) and one off-grid decimal CSV.  Without int64, generalized goes
-    # through the rank rule (m <= 3), then the Cholesky and eigen brackets and Python-int
-    # Bareiss, and total and Frobenius through object arrays
-    if not int64:
-        monkeypatch.setattr(montecarlo, "_int_stats_fit", lambda *_: False)
-    off_grid = CovMatrix.from_csv_text("0.2301,0.0413,-0.0207\n0.0413,0.2189,0.0131\n"
-                                       "-0.0207,0.0131,0.1877\n")
-    distinct = {1: 1, 2: 14, 3: 36, 4: 131, 5: 317, 6: 744, 7: 1488, 8: 2766}
+def count_every_reachable_replicate(k, distinct, off_grid):
+    """Counts all reachable replicates at k and each m of ``distinct`` (m: n distinct
+    numerators) in one batch against observed values that sit on replicate values (the
+    smallest, quartiles and largest of each statistic: ties) and the off-grid ``off_grid``."""
     for m, n in distinct.items():
-        num, oracle = k3_null(m)
-        assert num.shape == (3, 3, n)
+        num, oracle = reachable_null(k, m)
+        assert num.shape == (k, k, n)
         for kind, values in oracle.items():
             ranked, by_value = sorted(range(n), key=values.__getitem__), sorted(values)
             observed = [CovMatrix.from_exact(num[..., ranked[q * (n - 1) // 4]].copy(), m * m)
@@ -322,6 +317,33 @@ def test_every_k3_count_path_counts_every_reachable_replicate_exactly(int64, mon
                 expected = n - bisect_left(by_value, t0)
                 count = montecarlo._counter(kind, sigma, m)[1](num, np.empty(num.size))
                 assert count == expected, (m, kind, sigma)
+
+
+@pytest.mark.parametrize("int64", [True, False])
+def test_every_k3_count_path_counts_every_reachable_replicate_exactly(int64, monkeypatch):
+    # k = 3, m = 1..8, an off-grid decimal CSV included.  Without int64, generalized
+    # goes through the rank rule (m <= 3), then the Cholesky and eigen brackets and
+    # Python-int Bareiss, and total and Frobenius through object arrays
+    if not int64:
+        monkeypatch.setattr(montecarlo, "_int_stats_fit", lambda *_: False)
+    off_grid = CovMatrix.from_csv_text("0.2301,0.0413,-0.0207\n0.0413,0.2189,0.0131\n"
+                                       "-0.0207,0.0131,0.1877\n")
+    distinct = {1: 1, 2: 14, 3: 36, 4: 131, 5: 317, 6: 744, 7: 1488, 8: 2766}
+    count_every_reachable_replicate(3, distinct, off_grid)
+
+
+@pytest.mark.parametrize("int64", [True, False])
+def test_every_k4_count_path_counts_every_reachable_replicate_exactly(int64, monkeypatch):
+    # the k = 3 check at k = 4, m = 1..5 (m = 6 has 22845 distinct numerators: a ~4 s
+    # oracle).  With int64 generalized takes the rank rule (m <= 4) and int64 Bareiss
+    # (m = 5); without it the Cholesky and eigen brackets and Python-int Bareiss at m = 5
+    if not int64:
+        monkeypatch.setattr(montecarlo, "_int_stats_fit", lambda *_: False)
+    off_grid = CovMatrix.from_csv_text("0.2301,0.0413,-0.0207,0.0102\n"
+                                       "0.0413,0.2189,0.0131,-0.0311\n"
+                                       "-0.0207,0.0131,0.1877,0.0244\n"
+                                       "0.0102,-0.0311,0.0244,0.2033\n")
+    count_every_reachable_replicate(4, {1: 1, 2: 41, 3: 221, 4: 1423, 5: 6181}, off_grid)
 
 
 @pytest.mark.parametrize("k, m", [(2, 10), (3, 10), (3, 300), (4, 40), (1, 56_000)])
@@ -709,7 +731,7 @@ def test_only_the_observed_matrix_reaches_eigvalsh_at_k7_m8(monkeypatch):
     sigma = CovMatrix(np.identity(k) / 4)
     sizes = _counted_eigvalsh(monkeypatch)
     est = mc_pvalues(sigma, (StatKind.GENERALIZED,), replicates, m, seed=8, workers=1)[0]
-    assert (sizes, est.p_value) == ([1], 1.0)
+    assert (sizes, est.p_value) == ([k], 1.0)
 
 
 def test_no_replicate_reaches_eigvalsh_at_k28_m200(monkeypatch):
@@ -721,7 +743,17 @@ def test_no_replicate_reaches_eigvalsh_at_k28_m200(monkeypatch):
     replicates = 2 * montecarlo._chunk_size(m, k)
     sizes = _counted_eigvalsh(monkeypatch)
     mc_pvalues(sigma, (StatKind.GENERALIZED,), replicates, m, seed=5, workers=1)
-    assert sizes == [1]
+    assert sizes == [k]
+
+
+def test_validation_and_the_observed_bracket_share_one_eigvalsh(monkeypatch):
+    # validate_covariance and the generalized observed bracket both read the
+    # covariance's one eigendecomposition (k = 2, m = 10: replicates go to Bareiss)
+    sigma = CovMatrix.from_csv_text("0.24,0.04\n0.04,0.24\n")  # fresh: nothing cached
+    sizes = _counted_eigvalsh(monkeypatch)
+    assert validate_covariance(sigma)
+    mc_pvalues(sigma, (StatKind.GENERALIZED,), 1000, 10, seed=3, workers=1)
+    assert sizes == [2]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
