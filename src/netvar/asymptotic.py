@@ -86,7 +86,7 @@ def test_gen_gamma(sigma: CovMatrix, m: int) -> TestResult:
     if ratio < sys.float_info.min and lam.min() > 0:  # underflowed (k = 1225 under the null)
         root = 4.0 * math.exp(float(np.mean(np.log(lam))))  # geometric mean of 4*lambda
     else:
-        root = max(ratio, 0.0) ** (1.0 / k)  # indefinite forced inputs act as singular
+        root = max(ratio, 0.0) ** (1.0 / k)  # a negative ratio (forced input) acts as singular
     stat = (m * k / 2.0) * root
     p_raw = gamma_cdf(stat, shape)
     p_adj = _clamp01(p_raw / gamma_cdf(m * k / 2.0, shape))

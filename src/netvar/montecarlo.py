@@ -28,16 +28,16 @@ observed one.  Two implementation guarantees matter here:
    (:func:`_scaled_stat`); replicates have ``num = m s2 - s1 s1^T`` over
    ``den = m^2``.  :func:`_counter` derives each comparison once per call
    from the exact observed value t0 (:func:`observed_statistic_exact`).
-   Total and Frobenius compare with ``ceil(t0 * scale)``: in int64 while
-   ``k m^2`` and ``k^2 m^4 < 2^63``, in Python ints past that.
-   Generalized compares ``det(num) <= floor(den^k (4^-k - t0))``: by rank
-   at m <= k, where every replicate is singular; else by Bareiss
-   (:func:`_int_det`) in int64 while it provably fits
-   (:func:`_int_stats_fit`: k = 2 up to m = 55108, k = 3 up to 362, k = 4
-   up to 54); past that by proven log-determinant brackets from one shifted
-   Cholesky per chunk, which cannot fail, eigenvalues for the replicates it
-   leaves open, Python ints for the rest and t0 only where none decides.
-   ``p_value * R`` is the exact count >= t0.
+   Every statistic decided in integers compares with ``cut = ceil(t0 scale)``: total
+   and Frobenius always (int64 while ``k m^2`` and ``k^2 m^4 < 2^63``, Python ints past
+   that), generalized while its int64 Bareiss determinant (:func:`_int_det`) provably
+   fits (:func:`_int_stats_fit`: k = 1 up to m = 3037000499, 2 up to 55108, 3 up to 362,
+   4 up to 54, 5 up to 20, 6 up to 11, 7 up to 7, 8 up to 5, 9 up to 4, 10-11 up to 3,
+   12-16 up to 2 and 17-31 at m = 1).  Past that, generalized compares ``det(num) <=
+   floor(den^k (4^-k - t0))``: by rank at m <= k, where every replicate is singular; else
+   by proven log-determinant brackets from one shifted Cholesky per chunk, which cannot
+   fail, eigenvalues for the replicates it leaves open, Python ints for the rest and t0
+   only where none decides.  ``p_value * R`` is the exact count >= t0.
 
 Replicates draw their edge bits straight from the generator's raw 64-bit
 output: each column is ``ceil(m/64)`` words and bits past m are cleared.
@@ -242,9 +242,10 @@ def _int_stats_fit(kind: StatKind, m: int, k: int) -> bool:
     is at most ``H_j = j^(j/2) B^j`` by Hadamard's inequality, and the
     largest intermediate is the last step's ``a d - b c`` of (k-1)-order
     minors, at most ``2 H_{k-1}^2 = 2 (k-1)^(k-1) m^(4(k-1)) / 16^(k-1)``.
-    Both bounds fit for k = 2 up to m = 55108, k = 3 up to m = 362 and
-    k = 4 up to m = 54.  (``4^k`` itself fits whenever ``m^2k`` does,
-    except at m = 1.)
+    Both bounds fit for k = 1 up to m = isqrt(2^63 - 1) = 3037000499, k = 2
+    up to 55108, 3 up to 362, 4 up to 54, 5 up to 20, 6 up to 11, 7 up to 7,
+    8 up to 5, 9 up to 4, 10-11 up to 3, 12-16 up to 2 and 17-31 at m = 1,
+    where ``4^k`` itself must fit (it does whenever ``m^2k`` does at m > 1).
     """
     if kind is StatKind.TOTAL:
         return k * m * m <= INT64_MAX
@@ -279,6 +280,8 @@ def _int_det(num: np.ndarray):
             dead = stuck[a[i, i, stuck] == 0]
             if dead.size:
                 singular[dead] = True
+                if singular.all():  # every replicate at m <= k is: nothing is left to do
+                    break
                 a[:, :, dead] = np.identity(k, dtype=a.dtype)[:, :, None]
                 prev[dead] = 1
         pivot = a[i, i].copy()
@@ -311,9 +314,12 @@ def _scaled_stat(kind: StatKind, num: np.ndarray, den: int):
 
 
 def observed_statistic_exact(kind: StatKind, sigma: CovMatrix) -> Fraction:
-    """Observed statistic as an exact rational (same form as the replicates)."""
+    """Observed statistic as an exact rational (same form as the replicates); generalized is
+    4^-k with no Bareiss where a row of num is zero (a zero diagonal entry is not enough)."""
     num, den = sigma.exact
     scale = _scale(kind, sigma.k, den)  # first: it rejects a kind that is not a StatKind
+    if kind is StatKind.GENERALIZED and not (num != 0).any(axis=1).all():
+        return Fraction(1, 4**sigma.k)  # det sigma = 0; a forced matrix may be indefinite
     return Fraction(_scaled_stat(kind, num.astype(object), den), scale)
 
 
@@ -395,32 +401,27 @@ def _float(t0: Fraction) -> float:
 
 def _counter(kind: StatKind, sigma: CovMatrix, m: int):
     """The observed statistic as a float, and a function ``count(num, floats)`` of the
-    replicates of one chunk (:func:`_map_chunks`) at or above it.
-
-    Generalized counts ``det(num) <= floor(X)``, ``X = det(m^2 sigma)``.  A bracket
-    of ``det sigma`` decides the sign of X and, where ``|det sigma| 4^k < 2^-54``,
-    the reported t0 (4^-k); t0 is computed at most once, where none decides.
+    replicates of one chunk (:func:`_map_chunks`) at or above it: scaled statistic >=
+    ``cut`` wherever :func:`_scaled_stat` decides in integers.  Past that, generalized
+    counts ``det(num) <= floor(X)``, ``X = det(m^2 sigma)``.  A bracket of ``det sigma``
+    decides the sign of X and, where ``|det sigma| 4^k < 2^-54``, the reported t0 (4^-k);
+    t0 is computed at most once, where none decides.
     """
     k, den = sigma.k, m * m
-    if kind is not StatKind.GENERALIZED:
+    if (fit := _int_stats_fit(kind, m, k)) or kind is not StatKind.GENERALIZED:
         t0 = observed_statistic_exact(kind, sigma)
-        # replicate value s / scale >= t0  <=>  s >= ceil(t0 scale); replicate
-        # values are >= 0, so clamping at 0 keeps every count
-        cut = max(ceil(t0 * _scale(kind, k, den)), 0)
-        if fit := _int_stats_fit(kind, m, k):
-            cut = min(cut, INT64_MAX)  # int64 values stay below it
+        # replicate value s / scale >= t0  <=>  s >= ceil(t0 scale); replicate values are
+        # >= 0 and int64 values < INT64_MAX, so clamping at both ends keeps every count
+        cut = min(max(ceil(t0 * _scale(kind, k, den)), 0), INT64_MAX if fit else inf)
         dtype = np.int64 if fit else object  # Python ints never overflow
-        return float(t0), lambda num, _: int(
+        return _float(t0), lambda num, _: int(
             (_scaled_stat(kind, num.astype(dtype, copy=False), den) >= cut).sum())
     lock, box = threading.Lock(), []
 
     def exact():  # (t0, limit), computed once by the first caller on any thread
         with lock:
             if not box:  # det <= den^k (4^-k - t0), floored; det >= 0, so -1 for any limit < 0
-                # a zero row makes det sigma = 0 with no Bareiss (a zero diagonal entry does
-                # not: a forced matrix may be indefinite)
-                zero_row = not (sigma.exact[0] != 0).any(axis=1).all()
-                t0 = Fraction(1, 4**k) if zero_row else observed_statistic_exact(kind, sigma)
+                t0 = observed_statistic_exact(kind, sigma)
                 box.extend((t0, max(floor(den**k * (Fraction(1, 4**k) - t0)), -1)))
         return box
 
@@ -431,9 +432,6 @@ def _counter(kind: StatKind, sigma: CovMatrix, m: int):
         # num = X^T (m I - 1 1^T) X has rank <= m - 1 < k: every replicate has det 0
         hit = bool(sign0 > 0 or (sign0 == 0 and exact()[1] >= 0))
         return observed, lambda num, _: num.shape[-1] * hit
-    if _int_stats_fit(kind, m, k):  # |s_ij| <= 1: det sigma <= 1 (k = 2), <= k^(k/2) (Hadamard)
-        limit = exact()[1]  # so limit <= m^2k det sigma < 2^63 wherever the fit holds
-        return observed, lambda num, _: int((_int_det(num) <= limit).sum())
     # log|X| = log|det sigma| + 2k log m; widening by 4 eps (shift + |side|) covers
     # the float shift (within 2 eps: a log within 1 ulp, one product) and each sum
     shift, eps = 2 * k * log(m), np.finfo(np.float64).eps

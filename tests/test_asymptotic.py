@@ -7,6 +7,8 @@ import pytest
 from netvar import asymptotic
 from netvar.graphs import SampleSet
 from netvar.moments import CovMatrix, estimate_moments
+from netvar.montecarlo import mc_pvalues
+from netvar.variability import StatKind
 
 mp.mp.dps = 40
 
@@ -85,6 +87,23 @@ def test_gen_gamma_zero_matrix_and_shape_guard():
     assert r.statistic == 0.0 and r.p_raw == 0.0
     with pytest.raises(ValueError, match="gamma shape non-positive"):
         asymptotic.test_gen_gamma(S1, 1)  # m + 1 == k
+
+
+def test_forced_determinant_tests_read_the_sign_of_the_ratio():
+    # the tests read det(sigma) / 4^-k, not the eigenvalues' signs: under
+    # --force diag(-0.1, -0.1) has ratio 0.16, as diag(0.1, 0.1) does, and
+    # every determinant statistic equals the positive matrix's.  Only a
+    # negative ratio (an odd number of negative eigenvalues) acts as singular
+    negative, positive = (CovMatrix(np.diag([v, v])) for v in (-0.1, 0.1))
+    for test in (asymptotic.test_gen_gaussian, asymptotic.test_gen_gamma):
+        assert test(negative, 10) == test(positive, 10)
+    assert asymptotic.test_gen_gamma(negative, 10).statistic == pytest.approx(4.0, abs=1e-12)
+    t_g1 = asymptotic.test_gen_gaussian(negative, 10).statistic
+    assert t_g1 == pytest.approx(-2.656313, abs=5e-7)
+    (got,), (expected,) = (mc_pvalues(s, (StatKind.GENERALIZED,), 2000, 10, seed=1)
+                           for s in (negative, positive))
+    assert got == expected and got.observed_statistic == 1 / 16 - 0.01 and got.p_value > 0
+    assert asymptotic.test_gen_gamma(CovMatrix(np.diag([-0.1, 0.1])), 10).statistic == 0.0
 
 
 def test_nagao_sigma1_m10():

@@ -241,10 +241,10 @@ def test_generalized_at_m_not_above_k_is_decided_by_rank():
 def test_observed_beyond_every_replicate(k, m):
     # a forced covariance with trace above k/4 and determinant above 4^-k has
     # negative total and generalized statistics: every replicate reaches them.
-    # Generalized goes through the rank rule (m <= k), int64 Bareiss with the
-    # largest limit of its domain (k = 2, m = 55108: m^4 det I, just below
-    # 2^63) and the float stages (k = 3, 6); its Frobenius distance is beyond
-    # every replicate's
+    # Generalized goes through the integer threshold at k = 2 (m = 1, 10 and
+    # 55108, the largest m of its int64 domain; t0 < 0 clamps cut at 0) and
+    # the float stages (k = 3, 6); its Frobenius distance is beyond every
+    # replicate's
     sigma = CovMatrix(np.identity(k))
     total, generalized, frobenius = mc_pvalues(sigma, tuple(StatKind), 64, m, seed=1, workers=1)
     assert total.observed_statistic < 0 and generalized.observed_statistic < 0
@@ -321,9 +321,10 @@ def count_every_reachable_replicate(k, distinct, off_grid):
 
 @pytest.mark.parametrize("int64", [True, False])
 def test_every_k3_count_path_counts_every_reachable_replicate_exactly(int64, monkeypatch):
-    # k = 3, m = 1..8, an off-grid decimal CSV included.  Without int64, generalized
-    # goes through the rank rule (m <= 3), then the Cholesky and eigen brackets and
-    # Python-int Bareiss, and total and Frobenius through object arrays
+    # k = 3, m = 1..8, an off-grid decimal CSV included.  With int64 every statistic
+    # takes the integer threshold.  Without it, generalized goes through the rank rule
+    # (m <= 3), then the Cholesky and eigen brackets and Python-int Bareiss, and total
+    # and Frobenius through object arrays
     if not int64:
         monkeypatch.setattr(montecarlo, "_int_stats_fit", lambda *_: False)
     off_grid = CovMatrix.from_csv_text("0.2301,0.0413,-0.0207\n0.0413,0.2189,0.0131\n"
@@ -335,8 +336,9 @@ def test_every_k3_count_path_counts_every_reachable_replicate_exactly(int64, mon
 @pytest.mark.parametrize("int64", [True, False])
 def test_every_k4_count_path_counts_every_reachable_replicate_exactly(int64, monkeypatch):
     # the k = 3 check at k = 4, m = 1..5 (m = 6 has 22845 distinct numerators: a ~4 s
-    # oracle).  With int64 generalized takes the rank rule (m <= 4) and int64 Bareiss
-    # (m = 5); without it the Cholesky and eigen brackets and Python-int Bareiss at m = 5
+    # oracle).  With int64 every statistic takes the integer threshold; without it
+    # generalized takes the rank rule (m <= 4), and the Cholesky and eigen brackets and
+    # Python-int Bareiss at m = 5
     if not int64:
         monkeypatch.setattr(montecarlo, "_int_stats_fit", lambda *_: False)
     off_grid = CovMatrix.from_csv_text("0.2301,0.0413,-0.0207,0.0102\n"
@@ -346,13 +348,14 @@ def test_every_k4_count_path_counts_every_reachable_replicate_exactly(int64, mon
     count_every_reachable_replicate(4, {1: 1, 2: 41, 3: 221, 4: 1423, 5: 6181}, off_grid)
 
 
-@pytest.mark.parametrize("k, m", [(2, 10), (3, 10), (3, 300), (4, 40), (1, 56_000)])
+@pytest.mark.parametrize("k, m", [(2, 10), (3, 10), (3, 300), (4, 40), (5, 20), (6, 11),
+                                  (1, 56_000)])
 def test_pvalue_counts_equal_oracle_counts_on_the_same_draws(k, m):
     # an on-grid observed covariance (estimated at the replicates' m) has
     # ties with positive probability; p * R must be exactly the oracle's
     # count of replicates at or above it, over the very same draws
     replicates, seed = 2000, 5
-    # generalized is decided by the int64 Bareiss determinant in every case
+    # generalized is decided by the int64 integer threshold in every case
     assert montecarlo._int_stats_fit(StatKind.GENERALIZED, m, k)
     if k == 1:
         # half ones gives sigma = 1/4 exactly; Frobenius is past int64 here,
@@ -505,22 +508,30 @@ def test_integer_path_bounds():
     assert not montecarlo._int_stats_fit(StatKind.FROBENIUS, 11_000, 28)
     assert montecarlo._int_stats_fit(StatKind.TOTAL, 11_000, 28)
     # generalized: m^2k and the Bareiss intermediates (Hadamard-bounded
-    # minors of entries <= m^2/4) fit in int64 up to these m
-    for k, m in ((2, 55_108), (3, 362), (4, 54)):
+    # minors of entries <= m^2/4) fit in int64 up to these m, and from k = 32
+    # on at no m (4^k does not fit)
+    largest = {1: isqrt(montecarlo.INT64_MAX), 2: 55_108, 3: 362, 4: 54, 5: 20, 6: 11, 7: 7,
+               8: 5, 9: 4, 10: 3, 11: 3, **dict.fromkeys(range(12, 17), 2),
+               **dict.fromkeys(range(17, 32), 1), 32: 0}
+    for k, m in largest.items():
+        assert montecarlo._int_stats_fit(StatKind.GENERALIZED, m, k) == (m > 0)
+        assert not montecarlo._int_stats_fit(StatKind.GENERALIZED, m + 1, k)
+    for k, m in ((2, 55_108), (3, 362), (4, 54), (5, 20), (6, 11)):
         assert montecarlo._int_stats_fit(StatKind.GENERALIZED, m, k)
         assert not montecarlo._int_stats_fit(StatKind.GENERALIZED, m + 1, k)
         b = m * m // 4
         # worst-case replicate numerators: all columns equal with S = m/2
-        # (every entry m^2/4), and the diagonal m^2/4 I (scaled statistic 0)
+        # (every entry m^2/4, floored at odd m), and the diagonal b I
         column = np.zeros(64 * ((m + 63) // 64), np.uint8)
         column[:m // 2] = 1
         words = np.tile(np.packbits(column, bitorder="little").view("<u8"), (1, k, 1))
         equal = montecarlo._numerators(words, m)
         assert (equal == b).all()
         diagonal = np.diag(np.full(k, b))[..., None]
-        # +-b in the leading block of the 4 x 4 Hadamard matrix: the largest
-        # determinant (2 b^2, 4 b^3, 16 b^4) that entries <= b allow
-        hadamard = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
+        # +-b in the leading block of the 8 x 8 Sylvester-Hadamard matrix:
+        # |det| = 2 b^2, 4 b^3, 16 b^4 (the largest that entries <= b allow),
+        # 32 b^5 and 128 b^6
+        hadamard = functools.reduce(np.kron, [np.array([[1, 1], [1, -1]])] * 3)
         signs = hadamard[:k, :k] * b
         for num in (equal, diagonal, signs[..., None]):
             assert montecarlo._int_det(num)[0] == montecarlo._int_det(num.astype(object))[0]
@@ -530,7 +541,8 @@ def test_integer_path_bounds():
             got = montecarlo._scaled_stat(StatKind.GENERALIZED, num, m * m)
             assert got.dtype == np.int64
             assert got[0] == montecarlo._scaled_stat(StatKind.GENERALIZED, num.astype(object), m * m)[0]
-        assert montecarlo._scaled_stat(StatKind.GENERALIZED, diagonal, m * m)[0] == 0
+        got = montecarlo._scaled_stat(StatKind.GENERALIZED, diagonal, m * m)[0]
+        assert got == m ** (2 * k) - (4 * b) ** k  # 0 at even m
     assert not montecarlo._int_stats_fit(StatKind.GENERALIZED, 200, 28)
 
 
@@ -747,13 +759,16 @@ def test_no_replicate_reaches_eigvalsh_at_k28_m200(monkeypatch):
 
 
 def test_validation_and_the_observed_bracket_share_one_eigvalsh(monkeypatch):
-    # validate_covariance and the generalized observed bracket both read the
-    # covariance's one eigendecomposition (k = 2, m = 10: replicates go to Bareiss)
-    sigma = CovMatrix.from_csv_text("0.24,0.04\n0.04,0.24\n")  # fresh: nothing cached
+    # validate_covariance and the generalized observed bracket (k = 7, m = 8 is
+    # past the int64 bound) both read the covariance's one eigendecomposition;
+    # no replicate reaches eigvalsh there (the quarter identity's test above)
+    k = 7
+    sigma = CovMatrix.from_csv_text("".join(  # fresh: nothing cached
+        ",".join("0.25" if i == j else "0" for j in range(k)) + "\n" for i in range(k)))
     sizes = _counted_eigvalsh(monkeypatch)
     assert validate_covariance(sigma)
-    mc_pvalues(sigma, (StatKind.GENERALIZED,), 1000, 10, seed=3, workers=1)
-    assert sizes == [2]
+    mc_pvalues(sigma, (StatKind.GENERALIZED,), 1000, 8, seed=3, workers=1)
+    assert sizes == [k]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -958,16 +973,24 @@ def test_generalized_large_k_compares_log_determinants(monkeypatch):
         assert (est.p_value, est.observed_statistic) == (0.0, 4.0**-k)
 
 
-@pytest.mark.parametrize("k, m", [(3, 10), (7, 8), (28, 20)])
+@pytest.mark.parametrize("k, m", [(3, 10), (7, 8), (28, 20), (300, 20)])
 def test_a_zero_row_decides_the_observed_generalized_value_without_bareiss(k, m, monkeypatch):
     # a never-present edge gives sigma a zero row, so det sigma = 0 and t0 =
-    # 4^-k; within the int64 bound (k = 3), past it (k = 7) and at m <= k the
-    # tally and the reported value are the exact observed value's, and
-    # neither it nor a Bareiss determinant of the observed matrix is computed
+    # 4^-k; within the int64 bound (k = 3), past it (k = 7) and at m <= k
+    # (k = 28, and k = 300, where an object Bareiss of sigma takes seconds)
+    # the exact observed value itself, the tally and the reported value need
+    # no Bareiss determinant of the observed matrix
     replicates = 200
     rows = np.random.default_rng(k).integers(0, 2, size=(m, k), dtype=np.uint8)
     rows[:, 1] = 0
     sigma = estimate_moments(SampleSet(None, rows)).sigma
+    int_det = montecarlo._int_det
+
+    def replicates_only(a):
+        assert a.ndim == 3, "a Bareiss determinant of the observed matrix"
+        return int_det(a)
+
+    monkeypatch.setattr(montecarlo, "_int_det", replicates_only)
     t0 = observed_statistic_exact(StatKind.GENERALIZED, sigma)
     assert t0 == Fraction(1, 4**k)
     if m <= k:  # every replicate is singular
@@ -976,14 +999,6 @@ def test_a_zero_row_decides_the_observed_generalized_value_without_bareiss(k, m,
         num = numerators(1, 0, replicates, m, k)
         hits = int((montecarlo._int_det(num.astype(object)) == 0).sum())
         assert 0 < hits < replicates
-    int_det = montecarlo._int_det
-
-    def replicates_only(a):
-        assert a.ndim == 3, "a Bareiss determinant of the observed matrix"
-        return int_det(a)
-
-    monkeypatch.setattr(montecarlo, "_int_det", replicates_only)
-    monkeypatch.setattr(montecarlo, "observed_statistic_exact", None)
     est = mc_pvalues(sigma, (StatKind.GENERALIZED,), replicates, m, seed=1)[0]
     assert (est.p_value, est.observed_statistic) == (hits / replicates, float(t0))
 
