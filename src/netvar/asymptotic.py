@@ -27,7 +27,7 @@ import numpy as np
 
 from .distributions import chi_square_cdf, gamma_cdf, std_normal_cdf
 from .moments import CovMatrix, sample_count
-from .variability import _clamp01, var_generalized
+from .variability import _clamp01, _frobenius, exact_sums, var_generalized
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,8 @@ def test_total(sigma: CovMatrix, m: int) -> TestResult:
     corrected significance conditions on that range.
     """
     k, m = sigma.k, sample_count(m, sigma.k)
-    stat = 4.0 * m * sigma.trace()
+    trace, _, den = exact_sums(sigma)
+    stat = 4 * m * trace / den  # correctly rounded
     df = m * k
     p_raw = chi_square_cdf(max(stat, 0.0), df)
     p_adj = _clamp01(p_raw / chi_square_cdf(df, df))
@@ -94,26 +95,21 @@ def test_gen_gamma(sigma: CovMatrix, m: int) -> TestResult:
 
 
 def nagao_statistic_max(m: int, k: int) -> float:
-    """Largest attainable Nagao statistic over admissible eigenvalues.
-
-    The squared distance sum((lambda - 1/4)^2) is convex, so its maximum
-    over the admissible set (lambda >= 0, sum <= k/4) sits at a vertex:
-    all mass on one eigenvalue gives k*(k-1)/16 for k >= 2, while for
-    k = 1 the best vertex is the origin with value 1/16.
-    """
+    """Largest attainable Nagao statistic over admissible eigenvalues: sum((lambda - 1/4)^2)
+    is convex, so its maximum over lambda >= 0, sum <= k/4 sits at a vertex: all mass on one
+    eigenvalue gives k*(k-1)/16 for k >= 2; for k = 1 the origin gives 1/16."""
     peak = k * (k - 1) / 16.0 if k >= 2 else 1.0 / 16.0
     return 8.0 * m * peak
 
 
 def test_nagao(sigma: CovMatrix, m: int) -> TestResult:
-    """Sphericity-style distance test: 8*m*sum((lambda - 1/4)^2), upper tail.
-
-    Reference distribution chi-square with k*(k+1)/2 degrees of freedom.
-    The correction conditions on the statistic's attainable range
-    [0, t_max]; see :func:`nagao_statistic_max`.
-    """
+    """Sphericity-style distance test: 8*m*sum((lambda - 1/4)^2), upper tail, the exact
+    ``m _frobenius(a=1) / (2 den^2)`` correctly rounded.  Reference distribution chi-square
+    with k*(k+1)/2 degrees of freedom; the correction conditions on the attainable range
+    [0, t_max] (:func:`nagao_statistic_max`)."""
     k, m = sigma.k, sample_count(m, sigma.k)
-    stat = 8.0 * m * float(np.sum((sigma.eigenvalues - 0.25) ** 2))
+    trace, squares, den = exact_sums(sigma)
+    stat = m * _frobenius(k, trace, squares, den, 1) / (2 * den * den)
     df = k * (k + 1) / 2.0
     p_raw = chi_square_cdf(stat, df, upper=True)
     t_max = nagao_statistic_max(m, k)

@@ -139,9 +139,6 @@ class CovMatrix:
         """True when the eigensolver emitted values in [-BOUND_TOL, 0)."""
         return -BOUND_TOL <= self.min_raw_eigenvalue < 0
 
-    def trace(self) -> float:
-        return float(np.trace(self._entries))
-
     @property
     def exact(self) -> tuple[np.ndarray, int]:
         """Exact value as ``(num, den)``: integer numerators over one denominator."""
@@ -282,7 +279,7 @@ def validate_covariance(sigma: CovMatrix) -> Diagnostic:
 
     Checks: diagonal within [0, 1/4], off-diagonal within the Cauchy-Schwarz envelope
     and within 1/4 in absolute value, eigenvalues at least 0 (within the slack: clamped),
-    and trace at most k/4; all with ``BOUND_TOL`` slack.
+    and the exact trace, correctly rounded, at most k/4; all with ``BOUND_TOL`` slack.
     """
     ent = sigma.entries
     k = sigma.k
@@ -293,9 +290,7 @@ def validate_covariance(sigma: CovMatrix) -> Diagnostic:
         violations.append(Violation("diagonal_range", (i,), float(d[i]), 0.25))
     dpos = np.where(d < 0.0, 0.0, d)  # keeps -0.0, like max(d, 0.0)
     # an entry breaches a bound iff |e_ij| > min(sqrt(d_i d_j), 1/4) + BOUND_TOL
-    lim = np.sqrt(np.outer(dpos, dpos))
-    np.minimum(lim, 0.25, out=lim)
-    lim += BOUND_TOL
+    lim = np.minimum(np.sqrt(np.outer(dpos, dpos)), 0.25) + BOUND_TOL
     rows, cols = np.nonzero(np.abs(ent) > lim)  # row-major, so pair-major over i < j
     for i, j in zip(rows.tolist(), cols.tolist()):
         if i >= j:
@@ -310,8 +305,8 @@ def validate_covariance(sigma: CovMatrix) -> Diagnostic:
     raw_min = sigma.min_raw_eigenvalue
     if raw_min < -BOUND_TOL:
         violations.append(Violation("negative_eigenvalue", (), raw_min, 0.0))
-    tr = sigma.trace()
-    if tr > k / 4.0 + BOUND_TOL:
+    from .variability import var_total  # variability imports this module
+    if (tr := var_total(sigma)) > k / 4.0 + BOUND_TOL:
         violations.append(Violation("trace_bound", (), tr, k / 4.0))
 
     return Diagnostic(valid=not violations, violations=tuple(violations))

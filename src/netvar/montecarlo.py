@@ -23,32 +23,26 @@ observed one.  Two implementation guarantees matter here:
 2. Exact ties.  Replicate statistics are rationals with denominator a
    power of m, and an observed covariance can sit exactly on one of them
    with positive probability (it does for decimal CSV input and for any
-   covariance estimated from a sample set).  Each statistic has one
-   integer form in a covariance's exact value ``num / den``
-   (:func:`_scaled_stat`); replicates have ``num = m s2 - s1 s1^T`` over
-   ``den = m^2``.  :func:`_counter` derives each comparison once per call
-   from the exact observed value t0 (:func:`observed_statistic_exact`).
-   Every statistic decided in integers compares with ``cut = ceil(t0 scale)``: total
-   and Frobenius always (int64 while ``k m^2`` and ``k^2 m^4 < 2^63``, Python ints past
-   that), generalized while its int64 Bareiss determinant (:func:`_int_det`) provably
-   fits (:func:`_int_stats_fit`: k = 1 up to m = 3037000499, 2 up to 55108, 3 up to 362,
-   4 up to 54, 5 up to 20, 6 up to 11, 7 up to 7, 8 up to 5, 9 up to 4, 10-11 up to 3,
-   12-16 up to 2 and 17-31 at m = 1).  Past that, generalized compares ``det(num) <=
-   floor(den^k (4^-k - t0))``: by rank at m <= k, where every replicate is singular; else
-   by proven log-determinant brackets from one shifted Cholesky per chunk, which cannot
-   fail, eigenvalues for the replicates it leaves open, Python ints for the rest and t0
-   only where none decides.  ``p_value * R`` is the exact count >= t0.
+   covariance estimated from a sample set).  Each statistic has one integer form in a
+   covariance's exact value ``num / den`` (:func:`_scaled_stat`; total and Frobenius from
+   tr num and sum num_ij^2, as :func:`exact_sums` gives the observed ones); replicates
+   have ``num = m s2 - s1 s1^T`` over ``den = m^2``.  :func:`_counter` derives each
+   comparison once per call from the exact observed value t0
+   (:func:`observed_statistic_exact`).  Total and Frobenius compare with ``cut =
+   ceil(t0 scale)`` (int64 while ``k m^2`` and ``k^2 m^4 < 2^63``, Python ints past that),
+   and so does generalized at m > k while its int64 Bareiss determinant (:func:`_int_det`)
+   provably fits (:func:`_int_stats_fit`: k <= 6).  Else generalized compares ``det(num)
+   <= floor(den^k (4^-k - t0))``: by rank at m <= k, where every replicate is singular;
+   else by proven log-determinant brackets from one shifted Cholesky per chunk, which
+   cannot fail, eigenvalues for the replicates it leaves open, Python ints for the rest
+   and t0 only where none decides.  ``p_value * R`` is the exact count >= t0.
 
-Replicates draw their edge bits straight from the generator's raw 64-bit
-output: each column is ``ceil(m/64)`` words and bits past m are cleared.
-Every array of a chunk has its n replicates on the last axis (words
-``(n_words, k, n)``, num ``(k, k, n)``), so numpy loops run over the
-replicates, not over k.  :func:`_numerators` forms num from the words in
-one pass over the rows of the cross sums ``s2[i, j] = x_i . x_j``, each a
-popcount of ANDed words: no bit is unpacked and no float formed.  A chunk
-is one pass (draw, num, its float copy, the counts) through arrays that
-its worker allocates once (:func:`_scratch`).  Chunks too small to pay
-for a second thread's GIL hand-offs run on one (:func:`_plan`).
+Replicates draw their edge bits straight from the generator's raw 64-bit output
+(:func:`_draw_bits`).  Every array of a chunk has its n replicates on the last axis, so
+numpy loops run over the replicates, not over k; :func:`_numerators` forms num from the
+words by popcounts, with no bit unpacked and no float formed.  A chunk is one pass (draw,
+num, its float copy, the counts) through arrays that its worker allocates once
+(:func:`_scratch`).  Chunks too small to pay for a second thread's GIL hand-offs run on one.
 """
 
 import os
@@ -61,10 +55,9 @@ import numpy as np
 import numpy.random
 
 from .moments import CovMatrix, _integer, sample_count
-from .variability import StatKind
+from .variability import INT64_MAX, StatKind, _frobenius, _sums, exact_sums
 
 CHUNK_TARGET = 1 << 22  # edge bits per chunk of at least one replicate of m k bits
-INT64_MAX = 2**63 - 1
 BAND_BLOCK = 64  # undecided replicates per Python-int determinant (bounds its memory)
 
 
@@ -231,11 +224,11 @@ def _int_stats_fit(kind: StatKind, m: int, k: int) -> bool:
 
     A replicate's ``num = m s2 - s1 s1^T`` is m^2 times a covariance of
     binary columns, so ``|num_ij| <= B = m^2/4``.  Total is k terms
-    ``(2S - m)^2 <= m^2``.  Frobenius is k^2 terms ``<= m^4``, computed as
-    ``16 sum(num^2) + den (k den - 8 tr num)`` with ``den = m^2``: the sum
-    is ``0 <= 16 sum(num^2) <= k^2 m^4``; ``0 <= tr num <= k m^2/4``, so
-    ``|den (k den - 8 tr num)| <= k m^4``; and the result is ``<= k^2 m^4``,
-    so ``k^2 m^4 <= INT64_MAX`` covers every intermediate.  Generalized is
+    ``(2S - m)^2 <= m^2``.  Frobenius is k^2 terms ``<= m^4``, computed by
+    :func:`_frobenius` (a = 1) as ``16 sum(num^2) + den (k den - 8 tr num)``,
+    ``den = m^2``: ``0 <= 16 sum(num^2) <= k^2 m^4``; ``0 <= tr num <= k m^2/4``,
+    so ``|den (k den - 8 tr num)| <= k m^4``; the result is ``<= k^2 m^4``, so
+    ``k^2 m^4 <= INT64_MAX`` covers every intermediate.  Generalized is
     ``m^2k - 4^k det(num)``: num is positive semidefinite, so
     ``0 <= 4^k det(num) <= 4^k prod(diag) <= m^2k``.  Its Bareiss
     elimination (:func:`_int_det`) holds only minors of num; a j x j minor
@@ -246,6 +239,7 @@ def _int_stats_fit(kind: StatKind, m: int, k: int) -> bool:
     up to 55108, 3 up to 362, 4 up to 54, 5 up to 20, 6 up to 11, 7 up to 7,
     8 up to 5, 9 up to 4, 10-11 up to 3, 12-16 up to 2 and 17-31 at m = 1,
     where ``4^k`` itself must fit (it does whenever ``m^2k`` does at m > 1).
+    :func:`_counter` decides m <= k by rank, so it runs the Bareiss at k <= 6.
     """
     if kind is StatKind.TOTAL:
         return k * m * m <= INT64_MAX
@@ -280,8 +274,6 @@ def _int_det(num: np.ndarray):
             dead = stuck[a[i, i, stuck] == 0]
             if dead.size:
                 singular[dead] = True
-                if singular.all():  # every replicate at m <= k is: nothing is left to do
-                    break
                 a[:, :, dead] = np.identity(k, dtype=a.dtype)[:, :, None]
                 prev[dead] = 1
         pivot = a[i, i].copy()
@@ -296,29 +288,28 @@ def _int_det(num: np.ndarray):
     return det.reshape(batch)[()]
 
 
-def _scaled_stat(kind: StatKind, num: np.ndarray, den: int):
-    """``_scale(kind, k, den)`` times the statistic of the covariance ``num / den``.
-
-    total: ``k den - 4 tr(num)``; frobenius: ``sum_ij (4 num_ij - den delta_ij)^2``;
-    generalized: ``den^k - 4^k det(num)``.  On one matrix (k, k) or a batch
-    (k, k, n); int64 for replicates within :func:`_int_stats_fit`, and
-    object arrays of Python ints, which never overflow, otherwise.
-    """
+def _scaled_stat(kind: StatKind, num: np.ndarray, den: int, sums=None):
+    """``_scale(kind, k, den)`` times the statistic of the covariance ``num / den``: total
+    ``k den - 4 tr num`` and Frobenius :func:`_frobenius` at a = 1 from ``sums = (tr num, sum
+    num_ij^2)``, :func:`_sums` of num unless given; generalized ``den^k - 4^k det(num)``.  On
+    a matrix (k, k) or a batch (k, k, n): int64 for replicates within :func:`_int_stats_fit`,
+    object arrays of Python ints, which never overflow, otherwise."""
     k = len(num)
-    if kind is StatKind.TOTAL:
-        return k * den - 4 * num.diagonal().sum(axis=-1)
-    if kind is StatKind.FROBENIUS:  # expanded: no (k, k, n) temporary
-        trace = num.diagonal().sum(axis=-1)
-        return 16 * np.einsum("ij...,ij...->...", num, num) + den * (k * den - 8 * trace)
-    return den**k - 4**k * _int_det(num)
+    if kind is StatKind.GENERALIZED:
+        return den**k - 4**k * _int_det(num)
+    trace, squares = sums or _sums(num, kind is StatKind.FROBENIUS)
+    return k * den - 4 * trace if kind is StatKind.TOTAL else _frobenius(k, trace, squares, den, 1)
 
 
 def observed_statistic_exact(kind: StatKind, sigma: CovMatrix) -> Fraction:
-    """Observed statistic as an exact rational (same form as the replicates); generalized is
-    4^-k with no Bareiss where a row of num is zero (a zero diagonal entry is not enough)."""
+    """Observed statistic as an exact rational (same form as the replicates): total and
+    Frobenius from :func:`exact_sums`; generalized is 4^-k with no Bareiss where a row of
+    num is zero (a zero diagonal entry is not enough)."""
     num, den = sigma.exact
     scale = _scale(kind, sigma.k, den)  # first: it rejects a kind that is not a StatKind
-    if kind is StatKind.GENERALIZED and not (num != 0).any(axis=1).all():
+    if kind is not StatKind.GENERALIZED:
+        return Fraction(_scaled_stat(kind, num, den, exact_sums(sigma)[:2]), scale)
+    if not (num != 0).any(axis=1).all():
         return Fraction(1, 4**sigma.k)  # det sigma = 0; a forced matrix may be indefinite
     return Fraction(_scaled_stat(kind, num.astype(object), den), scale)
 
@@ -402,13 +393,13 @@ def _float(t0: Fraction) -> float:
 def _counter(kind: StatKind, sigma: CovMatrix, m: int):
     """The observed statistic as a float, and a function ``count(num, floats)`` of the
     replicates of one chunk (:func:`_map_chunks`) at or above it: scaled statistic >=
-    ``cut`` wherever :func:`_scaled_stat` decides in integers.  Past that, generalized
-    counts ``det(num) <= floor(X)``, ``X = det(m^2 sigma)``.  A bracket of ``det sigma``
-    decides the sign of X and, where ``|det sigma| 4^k < 2^-54``, the reported t0 (4^-k);
-    t0 is computed at most once, where none decides.
-    """
+    ``cut`` wherever :func:`_scaled_stat` decides in integers.  Else generalized counts
+    ``det(num) <= floor(X)``, ``X = det(m^2 sigma)``: by rank at m <= k, on both sides of
+    :func:`_int_stats_fit`, else by brackets.  A bracket of ``det sigma`` decides the sign of
+    X and, where ``|det sigma| 4^k < 2^-54``, the reported t0 (4^-k); t0 is computed at most
+    once, where none decides."""
     k, den = sigma.k, m * m
-    if (fit := _int_stats_fit(kind, m, k)) or kind is not StatKind.GENERALIZED:
+    if (fit := _int_stats_fit(kind, m, k)) and m > k or kind is not StatKind.GENERALIZED:
         t0 = observed_statistic_exact(kind, sigma)
         # replicate value s / scale >= t0  <=>  s >= ceil(t0 scale); replicate values are
         # >= 0 and int64 values < INT64_MAX, so clamping at both ends keeps every count
@@ -443,14 +434,11 @@ def _counter(kind: StatKind, sigma: CovMatrix, m: int):
 def sample_null_statistics(stat: StatKind, m: int, k: int, count: int, seed: int) -> np.ndarray:
     """The first ``count`` null statistics of the :func:`mc_pvalues` stream.
 
-    Where a statistic is decided in integers (total and Frobenius always,
-    generalized within :func:`_int_stats_fit`) the values are its exact
-    integer forms divided by the scale, i.e. the correctly rounded
-    replicate values while both are below 2^53, so
-    ``stats >= observed_statistic`` agrees with the tally.  Past the bound
-    generalized is the float ``4^-k - det``, which has no resolution once
-    ``det << 4^-k eps`` (the tally compares determinants instead).
-    Arguments are checked as in :func:`mc_pvalues`.
+    Total, Frobenius and generalized within :func:`_int_stats_fit` are exact integer forms
+    over the scale, correctly rounded while both are below 2^53, so ``stats >=
+    observed_statistic`` agrees with the tally.  Past it generalized is the float ``4^-k -
+    det``, which has no resolution once ``det << 4^-k eps`` (the tally compares determinants
+    instead).  Arguments are checked as in :func:`mc_pvalues`.
     """
     _, m, k, seed, sizes, _ = _plan((stat,), count, m, k, seed, 1)
     scale, fit = _scale(stat, k, m * m), _int_stats_fit(stat, m, k)

@@ -12,6 +12,7 @@ from netvar.moments import (
     marginal_subvector,
     validate_covariance,
 )
+from netvar.variability import var_total
 
 SIGMA1 = np.array([[6.0, 1.0], [1.0, 6.0]]) / 25.0
 SIGMA2 = np.array([[66.0, -21.0], [-21.0, 126.0]]) / 625.0
@@ -263,9 +264,9 @@ def test_trace_equals_sum_of_marginal_variances():
         rows = rng.integers(0, 2, size=(int(rng.integers(1, 25)), 3), dtype=np.uint8)
         est = estimate_moments(make_samples(rows))
         m, s = est.m, rows.sum(axis=0).tolist()
-        # bitwise: the float sum of the correctly rounded variances s (m - s) / m^2
-        expected = sum(float(Fraction(si * (m - si), m * m)) for si in s)
-        assert est.sigma.trace() == expected
+        # bitwise: the exact sum of the variances s (m - s) / m^2, correctly rounded
+        expected = float(sum(Fraction(si * (m - si), m * m) for si in s))
+        assert var_total(est.sigma) == expected
 
 
 def test_exact_entries_fallback_for_float_matrices():

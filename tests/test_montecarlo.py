@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from mc_null_exact import determinant, replicate_covariance, statistic
-from netvar import asymptotic, montecarlo
+from netvar import asymptotic, montecarlo, variability
 from netvar.graphs import SampleSet
 from netvar.moments import CovMatrix, estimate_moments, validate_covariance
 from netvar.montecarlo import mc_pvalues, observed_statistic_exact, sample_null_statistics
@@ -771,6 +771,24 @@ def test_validation_and_the_observed_bracket_share_one_eigvalsh(monkeypatch):
     assert sizes == [k]
 
 
+def test_trace_and_frobenius_statistics_need_no_eigenvalues(monkeypatch):
+    # total, Frobenius, t_T and t_N read the exact sums of num / den, not the
+    # spectrum: on fresh covariances (CSV, sample-set and float-built) none of
+    # them, nor the exact observed values of Monte Carlo, calls eigvalsh
+    sizes = _counted_eigvalsh(monkeypatch)
+    rows = np.random.default_rng(5).integers(0, 2, size=(30, 6), dtype=np.uint8)
+    for fresh in (lambda: CovMatrix.from_csv_text("0.24,0.04\n0.04,0.24\n"),
+                  lambda: estimate_moments(SampleSet(None, rows)).sigma,
+                  lambda: CovMatrix(np.identity(5) / 3)):
+        for statistic in (variability.var_total, variability.var_frobenius,
+                          lambda sigma: asymptotic.test_total(sigma, 30),
+                          lambda sigma: asymptotic.test_nagao(sigma, 30),
+                          lambda sigma: observed_statistic_exact(StatKind.TOTAL, sigma),
+                          lambda sigma: observed_statistic_exact(StatKind.FROBENIUS, sigma)):
+            statistic(fresh())
+    assert sizes == []
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_each_worker_factors_every_chunk_in_one_float_copy(workers, monkeypatch):
     # the float copy of num is in its worker's scratch, reused chunk after
@@ -1001,6 +1019,31 @@ def test_a_zero_row_decides_the_observed_generalized_value_without_bareiss(k, m,
         assert 0 < hits < replicates
     est = mc_pvalues(sigma, (StatKind.GENERALIZED,), replicates, m, seed=1)[0]
     assert (est.p_value, est.observed_statistic) == (hits / replicates, float(t0))
+
+
+@pytest.mark.parametrize("k, m", [(10, 3), (16, 2)])
+def test_generalized_at_m_at_most_k_counts_by_rank_inside_the_int64_range(k, m, monkeypatch):
+    # at m <= k every replicate is singular, so its scaled generalized statistic
+    # is den^k: inside the int64 range too the count is decided by rank, and no
+    # replicate reaches a Bareiss determinant.  Every replicate hits when det
+    # sigma >= 0 (sample-set input, forced positive definite) and none when it
+    # is negative (forced indefinite)
+    assert montecarlo._int_stats_fit(StatKind.GENERALIZED, m, k)
+    int_det = montecarlo._int_det
+
+    def observed_only(a):
+        assert a.ndim == 2, "a Bareiss determinant of replicates"
+        return int_det(a)
+
+    monkeypatch.setattr(montecarlo, "_int_det", observed_only)
+    rows = (np.random.default_rng(k).random((m, k)) < 0.5).astype(np.uint8)
+    indefinite = np.identity(k) / 5
+    indefinite[0, 0] = -0.01
+    for sigma, p in ((estimate_moments(SampleSet(None, rows)).sigma, 1.0),
+                     (CovMatrix(np.identity(k) / 5), 1.0), (CovMatrix(indefinite), 0.0)):
+        est = mc_pvalues(sigma, ALL_KINDS, 2000, m, seed=1, workers=1)
+        t0 = observed_statistic_exact(StatKind.GENERALIZED, sigma)
+        assert (est[1].p_value, est[1].observed_statistic) == (p, float(t0))
 
 
 def test_a_zero_row_with_one_nonzero_entry_goes_to_bareiss(monkeypatch):

@@ -9,6 +9,7 @@ from netvar import asymptotic, montecarlo
 from netvar.graphs import SampleSet
 from netvar.moments import CovMatrix, estimate_moments, validate_covariance
 from netvar.variability import (
+    INT64_MAX,
     StatKind,
     classify_entropy,
     describe,
@@ -165,6 +166,64 @@ def test_var_frobenius_eigen_equals_entrywise():
         m = CovMatrix((a + a.T) / 2.0)
         direct = float(((m.entries - (k / 4.0) * np.eye(k)) ** 2).sum())
         assert var_frobenius(m) == pytest.approx(direct, abs=1e-9)
+
+
+def exact_statistics(sigma, m):
+    """Total, Frobenius, t_T and t_N of ``sigma.exact`` in plain Fractions, each correctly
+    rounded: the Frobenius distances are summed entry by entry, with no closed form."""
+    num, den = sigma.exact
+    k, s = sigma.k, [[Fraction(int(v), den) for v in row] for row in num.tolist()]
+    trace = sum(s[i][i] for i in range(k))
+
+    def distance(c):  # squared Frobenius distance from c I
+        return sum((s[i][j] - c * (i == j)) ** 2 for i in range(k) for j in range(k))
+
+    return (float(trace), float(distance(Fraction(k, 4))), float(4 * m * trace),
+            float(8 * m * distance(Fraction(1, 4))))
+
+
+def fair_coins(seed, m=200, k=28):
+    rows = np.random.default_rng([seed, k]).random((m, k)) < 0.5
+    return estimate_moments(make_samples(rows)).sigma
+
+
+def at_the_int64_bound(den):
+    """A forced k = 3 covariance of entries +-1, whose sum of squared numerators is 9 den^2:
+    at most INT64_MAX at ``den = isqrt(INT64_MAX) // 3``, past it (an int64 sum would wrap)
+    one den later."""
+    return CovMatrix.from_exact(den * np.array([[1, -1, 1], [-1, 1, 1], [1, 1, -1]]), den)
+
+
+SUMS_BOUND_DEN = math.isqrt(INT64_MAX) // 3  # (k den)^2 <= INT64_MAX at k = 3
+
+
+@pytest.mark.parametrize("make, m", [
+    *((lambda s=s: fair_coins(s), 200) for s in (1, 2, 3)),
+    (lambda: fair_coins(2, 50, 10), 50),
+    (lambda: estimate_moments(make_samples(np.eye(7, dtype=np.uint8)), "unbiased").sigma, 7),
+    (lambda: CovMatrix.from_csv_text("0.24,0.04\n0.04,0.24\n"), 10),
+    (lambda: CovMatrix.from_csv_text("".join(",".join(
+        f"{(i + 1) * (j + 1) / 97:.9f}" if i != j else f"{0.25 - i / 89:.7f}" for j in range(6))
+        + "\n" for i in range(6))), 7),
+    (lambda: CovMatrix(np.array([[0.1, 1e-300, 0.03], [1e-300, 0.2, -0.07],
+                                 [0.03, -0.07, 0.15]])), 9),
+    (lambda: CovMatrix(np.array([[6.0, 1.0], [1.0, 6.0]]) / 25.0), 3),
+    (lambda: at_the_int64_bound(SUMS_BOUND_DEN), 11),
+    (lambda: at_the_int64_bound(SUMS_BOUND_DEN + 1), 11),
+], ids=["samples-k28-1", "samples-k28-2", "samples-k28-3", "samples-k10", "unbiased-k7",
+        "csv-k2", "csv-k6", "floats-tiny", "floats-25ths", "int64-bound", "past-int64-bound"])
+def test_trace_and_frobenius_statistics_are_the_exact_values_correctly_rounded(make, m):
+    # describe's total and Frobenius, t_T and t_N all read the exact value num / den
+    # through one set of sums: each is the exact rational correctly rounded, on
+    # sample-set, decimal CSV and float-built input and on both sides of the bound
+    # that sends the sums from int64 to Python ints
+    sigma = make()
+    total, frobenius, t_total, t_nagao = exact_statistics(sigma, m)
+    described = describe(sigma)
+    assert (described[0].raw, described[2].raw) == (total, frobenius)
+    assert (var_total(sigma), var_frobenius(sigma)) == (total, frobenius)
+    assert asymptotic.test_total(sigma, m).statistic == t_total
+    assert asymptotic.test_nagao(sigma, m).statistic == t_nagao
 
 
 def test_frobenius_bounds():
