@@ -27,7 +27,7 @@ import numpy as np
 
 from .distributions import chi_square_cdf, gamma_cdf, std_normal_cdf
 from .moments import CovMatrix, sample_count
-from .variability import _clamp01, _frobenius, exact_sums, var_generalized
+from .variability import _clamp01, _frobenius, var_generalized
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ def test_total(sigma: CovMatrix, m: int) -> TestResult:
     corrected significance conditions on that range.
     """
     k, m = sigma.k, sample_count(m, sigma.k)
-    trace, _, den = exact_sums(sigma)
+    trace, _, den = sigma.sums
     stat = 4 * m * trace / den  # correctly rounded
     df = m * k
     p_raw = chi_square_cdf(max(stat, 0.0), df)
@@ -108,7 +108,7 @@ def test_nagao(sigma: CovMatrix, m: int) -> TestResult:
     with k*(k+1)/2 degrees of freedom; the correction conditions on the attainable range
     [0, t_max] (:func:`nagao_statistic_max`)."""
     k, m = sigma.k, sample_count(m, sigma.k)
-    trace, squares, den = exact_sums(sigma)
+    trace, squares, den = sigma.sums
     stat = m * _frobenius(k, trace, squares, den, 1) / (2 * den * den)
     df = k * (k + 1) / 2.0
     p_raw = chi_square_cdf(stat, df, upper=True)

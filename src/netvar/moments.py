@@ -25,7 +25,8 @@ from .graphs import SampleSet
 
 SYMMETRY_TOL = 1e-12
 BOUND_TOL = 1e-9  # the slack of every bound; an eigenvalue within it below 0 is clamped
-MAX_SAMPLE_BITS = 2**32  # on m k: the tests' gamma shapes <= 2^31, an MC worker <= ~1.6 GiB
+MAX_SAMPLE_BITS = 2**32  # on m k: the tests' gamma shapes <= 2^31
+INT64_MAX = 2**63 - 1
 
 
 def _integer(name: str, value) -> int:
@@ -58,10 +59,10 @@ class CovMatrix:
 
     Asymmetry up to 1e-12 in absolute value is accepted and symmetrized:
     floats to the midpoint of each unequal pair, an exact value to
-    ``(num + num^T) / (2 den)``.  One ``eigvalsh`` of the entries is computed
-    on first use and cached as ``raw_eigenvalues`` (threads racing on the first
-    use may each compute it, but all get the first value stored); ``eigenvalues``
-    are those in descending order, clamped to 0 when within ``BOUND_TOL`` below it.
+    ``(num + num^T) / (2 den)``.  ``raw_eigenvalues`` (one ``eigvalsh`` of the entries) and
+    ``sums`` are computed on first use and cached (threads racing on the first use may each
+    compute one, but all get the first value stored); ``eigenvalues`` are the raw ones in
+    descending order, clamped to 0 when within ``BOUND_TOL`` below it.
     """
 
     def __init__(self, entries):
@@ -143,9 +144,17 @@ class CovMatrix:
     def exact(self) -> tuple[np.ndarray, int]:
         """Exact value as ``(num, den)``: integer numerators over one denominator."""
         if self._exact is None:  # float entries are exact binary fractions
-            rows = self._entries.tolist()
-            self._exact = _over_common_den({v: v.as_integer_ratio() for r in rows for v in r}, rows)
+            self._exact = _binary_exact(self._entries)
         return self._exact
+
+    @cached_property
+    def sums(self) -> tuple[int, int, int]:
+        """``(tr num, sum num_ij^2, den)`` of :attr:`exact` as Python ints, read by every total
+        and Frobenius statistic, test and bound.  Entries lie in [-1, 1], so no partial sum
+        passes ``k^2 den^2``: int64 sums while that is <= INT64_MAX, else Python-int sums."""
+        num, den = self.exact
+        num = num.astype(np.int64 if (self.k * den) ** 2 <= INT64_MAX else object, copy=False)
+        return self.__dict__.setdefault("sums", (*map(int, _sums(num)), den))
 
     def exact_entries(self) -> tuple[tuple[Fraction, ...], ...]:
         """Entries as exact rationals, built on demand from :attr:`exact`."""
@@ -203,6 +212,28 @@ def _over_common_den(ratios: dict, rows: list) -> tuple[np.ndarray, int]:
                    dtype=np.int64 if fits else object)  # numpy infers float64 past 2^63
     num.setflags(write=False)
     return num, den
+
+
+def _binary_exact(arr: np.ndarray) -> tuple[np.ndarray, int]:
+    """Finite floats in [-1, 1] exactly, as :func:`_over_common_den` gives them, in one
+    vectorized pass: each nonzero x is ``odd 2^e`` (its frexp mantissa as an integer, trailing
+    zero bits stripped), den is ``2^d``, ``d = -min(e)``, and each numerator ``odd 2^(e + d)``.
+    ``2^(exp - 1) <= |x| < 2^exp`` (frexp), so every numerator fits int64 iff ``exp + d <= 63``."""
+    mant, exp = np.frexp(arr)
+    big = np.ldexp(mant, 53).astype(np.int64)  # |big| in [2^52, 2^53), or 0 at x = 0
+    nonzero = big != 0
+    zeros = np.bitwise_count((big & -big) - 1)  # trailing zero bits of big
+    odd, e = np.where(nonzero, big >> zeros, 0), exp - 53 + zeros
+    d = int(-e[nonzero].min(initial=0))  # den = 2^d; zeros are left out (5e-324 beside 0)
+    dtype = np.int64 if (exp[nonzero] + d <= 63).all() else object
+    num = odd.astype(dtype) << np.where(nonzero, e + d, 0).astype(dtype)
+    num.setflags(write=False)
+    return num, 1 << d
+
+
+def _sums(num: np.ndarray, squares: bool = True):
+    """``(tr num, sum num_ij^2)`` of num (k, k) or (k, k, n); the second False without squares."""
+    return num.diagonal().sum(axis=-1), squares and np.einsum("ij...,ij...->...", num, num)
 
 
 def _rounded(num: np.ndarray, den: int) -> np.ndarray:
@@ -305,8 +336,8 @@ def validate_covariance(sigma: CovMatrix) -> Diagnostic:
     raw_min = sigma.min_raw_eigenvalue
     if raw_min < -BOUND_TOL:
         violations.append(Violation("negative_eigenvalue", (), raw_min, 0.0))
-    from .variability import var_total  # variability imports this module
-    if (tr := var_total(sigma)) > k / 4.0 + BOUND_TOL:
+    trace, _, den = sigma.sums
+    if (tr := trace / den) > k / 4.0 + BOUND_TOL:
         violations.append(Violation("trace_bound", (), tr, k / 4.0))
 
     return Diagnostic(valid=not violations, violations=tuple(violations))

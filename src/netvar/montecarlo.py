@@ -25,7 +25,7 @@ observed one.  Two implementation guarantees matter here:
    with positive probability (it does for decimal CSV input and for any
    covariance estimated from a sample set).  Each statistic has one integer form in a
    covariance's exact value ``num / den`` (:func:`_scaled_stat`; total and Frobenius from
-   tr num and sum num_ij^2, as :func:`exact_sums` gives the observed ones); replicates
+   tr num and sum num_ij^2, as :attr:`CovMatrix.sums` gives the observed ones); replicates
    have ``num = m s2 - s1 s1^T`` over ``den = m^2``.  :func:`_counter` derives each
    comparison once per call from the exact observed value t0
    (:func:`observed_statistic_exact`).  Total and Frobenius compare with ``cut =
@@ -54,8 +54,8 @@ from math import ceil, floor, inf, log, log1p, sqrt
 import numpy as np
 import numpy.random
 
-from .moments import CovMatrix, _integer, sample_count
-from .variability import INT64_MAX, StatKind, _frobenius, _sums, exact_sums
+from .moments import INT64_MAX, CovMatrix, _integer, _sums, sample_count
+from .variability import StatKind, _frobenius
 
 CHUNK_TARGET = 1 << 22  # edge bits per chunk of at least one replicate of m k bits
 BAND_BLOCK = 64  # undecided replicates per Python-int determinant (bounds its memory)
@@ -85,8 +85,8 @@ def _plan(kinds, replicates: int, m: int, k: int, seed: int, workers: int | None
     :func:`sample_count`), the counts as Python ints (numpy ints overflow in exact
     arithmetic), the replicates per chunk and the worker threads: min(requested or usable
     CPUs, chunks), but one where a chunk's popcount ANDs fewer than ``CHUNK_TARGET // 128``
-    words: two were slower there.  At m k = 2^32 a worker holds ~1.6 GiB: one replicate's
-    scratch (17 m k / 64 bytes) and draw (8 m k / 64)."""
+    words: two were slower there.  A worker's chunk of n replicates holds 25 m k n / 64 bytes of
+    bits and num's 8 k^2 n (779 MiB at k = 1225, m = 50), twice that once generalized copies it."""
     if not kinds:
         raise ValueError("kinds must name at least one statistic")
     for kind in kinds:
@@ -303,12 +303,12 @@ def _scaled_stat(kind: StatKind, num: np.ndarray, den: int, sums=None):
 
 def observed_statistic_exact(kind: StatKind, sigma: CovMatrix) -> Fraction:
     """Observed statistic as an exact rational (same form as the replicates): total and
-    Frobenius from :func:`exact_sums`; generalized is 4^-k with no Bareiss where a row of
-    num is zero (a zero diagonal entry is not enough)."""
+    Frobenius from the covariance's one :attr:`CovMatrix.sums`; generalized is 4^-k with no
+    Bareiss where a row of num is zero (a zero diagonal entry is not enough)."""
     num, den = sigma.exact
     scale = _scale(kind, sigma.k, den)  # first: it rejects a kind that is not a StatKind
     if kind is not StatKind.GENERALIZED:
-        return Fraction(_scaled_stat(kind, num, den, exact_sums(sigma)[:2]), scale)
+        return Fraction(_scaled_stat(kind, num, den, sigma.sums[:2]), scale)
     if not (num != 0).any(axis=1).all():
         return Fraction(1, 4**sigma.k)  # det sigma = 0; a forced matrix may be indefinite
     return Fraction(_scaled_stat(kind, num.astype(object), den), scale)

@@ -18,7 +18,6 @@ from .graphs import SampleSet
 from .moments import CovMatrix
 
 RANK_EPS = 1e-12
-INT64_MAX = 2**63 - 1
 
 
 class StatKind(enum.Enum):
@@ -54,20 +53,6 @@ class EntropySummary:
     frequencies: tuple[tuple[str, int], ...]  # (edge bit pattern, count)
 
 
-def _sums(num: np.ndarray, squares: bool = True):
-    """``(tr num, sum num_ij^2)`` of num (k, k) or (k, k, n); the second False without squares."""
-    return num.diagonal().sum(axis=-1), squares and np.einsum("ij...,ij...->...", num, num)
-
-
-def exact_sums(sigma: CovMatrix) -> tuple[int, int, int]:
-    """``(tr num, sum num_ij^2, den)`` of the exact value ``num / den``, as Python ints.  Entries
-    lie in [-1, 1], so ``|tr num| <= k den`` and every partial sum of squares is at most
-    ``k^2 den^2``: both sums run in int64 while ``k^2 den^2 <= INT64_MAX``, else in Python ints."""
-    num, den = sigma.exact
-    fit = (sigma.k * den) ** 2 <= INT64_MAX
-    return *map(int, _sums(num.astype(np.int64 if fit else object, copy=False))), den
-
-
 def _frobenius(k: int, trace, squares, den: int, a: int):
     """``16 den^2 sum_i (lambda_i - a/4)^2 = 16 squares - 8 a den trace + k a^2 den^2`` of
     ``num / den`` from ``trace = tr num`` and ``squares = sum num_ij^2``: Python ints, or the
@@ -77,7 +62,7 @@ def _frobenius(k: int, trace, squares, den: int, a: int):
 
 def var_total(sigma: CovMatrix) -> float:
     """Trace of the covariance matrix, correctly rounded; lies in [0, k/4]."""
-    trace, _, den = exact_sums(sigma)
+    trace, _, den = sigma.sums
     return trace / den
 
 
@@ -109,7 +94,7 @@ def var_frobenius(sigma: CovMatrix) -> float:
     """Squared Frobenius distance from (k/4)*I, sum of (lambda - k/4)^2 (:func:`_frobenius`, a = k)
     correctly rounded: maximal (k^3/16) at the zero matrix and minimal (k(k-1)^2/16) at (1/4)*I,
     so it is large for stable structures; the normalization flips the orientation."""
-    trace, squares, den = exact_sums(sigma)
+    trace, squares, den = sigma.sums
     return _frobenius(sigma.k, trace, squares, den, sigma.k) / (16 * den * den)
 
 

@@ -11,7 +11,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from netvar import cli, montecarlo
+from netvar import cli, moments, montecarlo
 from netvar.variability import StatKind
 
 MAX_ENT = "nodes A B\ngraph\nA B\ngraph\n"  # hand-built below where k=2 needed
@@ -275,20 +275,44 @@ def test_mc_below_resolution_annotation(tmp_path, capsys, schema):
     assert any("p < 0.0015 at 95% confidence" in w for w in report["warnings"])
 
 
+MC_GOLDEN = ["--replicates", "2000", "--seed", "20090607"]
+
+
 @pytest.mark.parametrize("fmt, ext", [("json", "json"), ("table", "txt")])
 @pytest.mark.parametrize("name, argv", [
-    ("mc_s1_m10", ["--cov", "s1.csv", "--m", "10"]),
+    ("mc_s1_m10", ["mc", "--cov", "s1.csv", "--m", "10", *MC_GOLDEN]),
     # frobenius reaches no replicate: covers the warning and p_value_upper_bound
-    ("mc_k6", ["--samples", "k6.txt", "--mc-stat", "vart,varg,varn"]),
+    ("mc_k6", ["mc", "--samples", "k6.txt", "--mc-stat", "vart,varg,varn", *MC_GOLDEN]),
+    # t_T and t_N only: t_G1, t_G2 and the eigenvalues of `stats` are eigensolver output
+    ("test_s1_m10", ["test", "--cov", "s1.csv", "--m", "10", "--methods", "tt,tn"]),
+    ("test_k6", ["test", "--samples", "k6.txt", "--methods", "tt,tn"]),
 ])
 def test_mc_golden_report(name, argv, fmt, ext, capsys, monkeypatch):
-    # every float in these reports is exact or correctly rounded (no
-    # eigensolver output), so the bytes are the same on every platform
+    # the statistics and observed values in these reports are exact or correctly
+    # rounded, and no eigensolver output enters them, so the bytes are the same on
+    # every platform; the t_T and t_N p-values also go through libm's exp, log and lgamma
     monkeypatch.chdir(GOLDEN)  # the report records the input path as given
-    code, out, err = run(["mc", *argv, "--replicates", "2000", "--seed", "20090607",
-                          "--format", fmt], capsys)
+    code, out, err = run([*argv, "--format", fmt], capsys)
     assert (code, err) == (0, "")
     assert out == (GOLDEN / f"{name}.{ext}").read_text()
+
+
+@pytest.mark.parametrize("argv", [["moments"], ["stats"], ["test"], ["classify"],
+                                  ["mc", "--replicates", "50"]], ids=lambda argv: argv[0])
+def test_each_command_sums_its_covariance_once(argv, capsys, monkeypatch):
+    # every statistic, test and bound reads the covariance's one cached CovMatrix.sums;
+    # the Monte Carlo replicate batches (k, k, n) are summed apart from it
+    calls, sums = [], moments._sums
+
+    def counted(num, *args):
+        calls.append(num.ndim)
+        return sums(num, *args)
+
+    monkeypatch.setattr(moments, "_sums", counted)
+    monkeypatch.setattr(montecarlo, "_sums", counted)
+    monkeypatch.chdir(GOLDEN)
+    code, _, err = run([*argv, "--samples", "k6.txt"], capsys)
+    assert (code, err, calls.count(2)) == (0, "", 1)
 
 
 def test_classify_command(tmp_path, capsys, schema):

@@ -1,9 +1,14 @@
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from netvar import moments
 from netvar.graphs import SampleSet
 from netvar.moments import (
     CovMatrix,
@@ -275,6 +280,59 @@ def test_exact_entries_fallback_for_float_matrices():
     assert exact[0][0] == Fraction(6.0 / 25.0)  # binary value of the float entry
     ent = [[0.1, -3e-300, 0.0], [-3e-300, -1.0, 5e-324], [0.0, 5e-324, 0.25]]
     assert CovMatrix(ent).exact_entries() == tuple(tuple(map(Fraction, r)) for r in ent)
+
+
+TINY, NORMAL_MIN = 5e-324, 2.2250738585072014e-308
+
+
+@pytest.mark.parametrize("entries, dtype", [
+    ([[0.0, -0.0], [-0.0, 0.0]], np.int64),  # den 1
+    ([[TINY, 0.0], [0.0, -0.0]], np.int64),  # den 2^1074: a zero widens nothing
+    ([[1.0, -1.0], [-1.0, 0.5]], np.int64),
+    ([[2.0**-60, 1.0], [1.0, -0.75]], np.int64),
+    ([[2.0**-62, -1.0], [-1.0, 0.5]], np.int64),  # 2^62: the widest int64 numerator of 1
+    ([[2.0**-63, 1.0], [1.0, 0.5]], object),  # 2^63 is past int64
+    ([[2.0**-63, -0.75], [-0.75, 0.5]], np.int64),  # 0.75 2^63 < 2^63
+    ([[2.0**-64, 0.5], [0.5, 0.1]], object),
+    ([[NORMAL_MIN, -TINY, 0.1], [-TINY, -1.0, 3e-300], [0.1, 3e-300, 0.0]], object),
+])
+def test_float_built_exact_value_is_each_float_over_the_least_power_of_two(entries, dtype):
+    sigma = CovMatrix(entries)
+    values = [Fraction(v) for row in entries for v in row]
+    den = max(v.denominator for v in values)  # powers of two: their lcm
+    num, got_den = sigma.exact
+    assert (got_den, type(got_den), num.dtype) == (den, int, np.dtype(dtype))
+    assert num.ravel().tolist() == [int(v * den) for v in values]
+    assert {type(v) for v in num.ravel().tolist()} == {int} and not num.flags.writeable
+
+
+def test_float_built_exact_value_of_random_floats():
+    rng = np.random.default_rng(64)
+    for k in (1, 4, 9):
+        for _ in range(30):
+            a = rng.uniform(-1, 1, (k, k)) * 2.0 ** rng.integers(-70, 1, (k, k))
+            a[rng.random((k, k)) < 0.2] = 0.0
+            sigma = CovMatrix((a + a.T) / 2)
+            num, den = sigma.exact
+            assert num.tolist() == [[int(Fraction(v) * den) for v in row]
+                                    for row in sigma.entries.tolist()]
+            assert den == max(Fraction(v).denominator for v in sigma.entries.ravel().tolist())
+
+
+def test_validate_covariance_loads_no_variability():
+    # the trace bound reads CovMatrix.sums, which moments owns
+    src = str(Path(moments.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "from netvar.moments import CovMatrix, validate_covariance\n"
+        "diag = validate_covariance(CovMatrix([[0.3, 0], [0, 0.25]]))\n"
+        "assert 'trace_bound' in {v.kind for v in diag.violations}, diag\n"
+        "assert 'netvar.variability' not in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_csv_parsing_exact_decimals():

@@ -7,9 +7,8 @@ import pytest
 
 from netvar import asymptotic, montecarlo
 from netvar.graphs import SampleSet
-from netvar.moments import CovMatrix, estimate_moments, validate_covariance
+from netvar.moments import INT64_MAX, CovMatrix, estimate_moments, validate_covariance
 from netvar.variability import (
-    INT64_MAX,
     StatKind,
     classify_entropy,
     describe,
