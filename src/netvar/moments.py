@@ -50,12 +50,13 @@ def sample_count(m, k: int) -> int:
 class CovMatrix:
     """Symmetric k x k covariance matrix, entries in [-1, 1], with lazily cached eigenvalues.
 
-    A covariance has one value, exact: ``num / den``, a read-only integer
-    numerator array over one positive integer denominator.  Its float
-    ``entries`` are that value correctly rounded.  ``CovMatrix(entries)``
-    takes floats, and their binary values are the exact value (built on
-    first use); :meth:`from_exact` takes ``num`` and ``den`` (from the moment
-    estimator and the decimal CSV parser) and rounds each entry once.
+    A covariance has one value, exact: ``num / den``, a read-only integer numerator array
+    over one positive integer denominator.  Its float ``entries`` are that value correctly
+    rounded.  Floats (library input) take ``CovMatrix(entries)``, which checks the shape, size,
+    range and asymmetry in that order; their binary values are the exact value (built on first
+    use).  Integers (the moment estimator, the CSV parser, :meth:`submatrix` of an exact value)
+    take :meth:`from_exact`: the range exactly, then, unless ``num`` is exactly symmetric, the
+    rest through the float constructor; each entry is rounded once.
 
     Asymmetry up to 1e-12 in absolute value is accepted and symmetrized:
     floats to the midpoint of each unequal pair, an exact value to
@@ -98,13 +99,14 @@ class CovMatrix:
             near = abs(n) <= den * int(np.finfo(np.float64).max)  # n / den cannot overflow
             got = n / den if near and abs(n / den) > 1 else f"{n}/{den}"
             raise ValueError(f"covariance entries must lie in [-1, 1], got {got}")
-        sigma = cls(_rounded(num, den))  # checks the shape and the asymmetry
-        if not (num == num.T).all():
+        if not (num.ndim == 2 and 1 <= len(num) == num.shape[1] and (num == num.T).all()):
+            cls(_rounded(num, den))  # the float constructor's shape, size and asymmetry checks
             obj = num.astype(object)  # Python ints: the sum cannot overflow
             num, den = obj + obj.T, 2 * den
-            sigma = cls(_rounded(num, den))
+        sigma = cls.__new__(cls)  # an exactly symmetric value, rounded once, needs no check
+        sigma._entries, sigma._exact = _rounded(num, den), (num, den)
+        sigma._entries.setflags(write=False)
         num.setflags(write=False)
-        sigma._exact = (num, den)
         return sigma
 
     @property
@@ -163,11 +165,9 @@ class CovMatrix:
 
     def submatrix(self, idx: Sequence[int]) -> "CovMatrix":
         ix = np.ix_(list(idx), list(idx))
-        sub = CovMatrix(self._entries[ix])  # a symmetric value's slice, rounded already
-        if self._exact is not None:
-            sub._exact = (self._exact[0][ix], self._exact[1])
-            sub._exact[0].setflags(write=False)
-        return sub
+        if self._exact is None:
+            return CovMatrix(self._entries[ix])
+        return CovMatrix.from_exact(self._exact[0][ix], self._exact[1])
 
     def __repr__(self):
         return f"CovMatrix(k={self.k})"
@@ -237,8 +237,9 @@ def _sums(num: np.ndarray, squares: bool = True):
 
 
 def _rounded(num: np.ndarray, den: int) -> np.ndarray:
-    """``num / den`` rounded once: float64 division of exact floats (< 2^53), else int division."""
-    if den < 2**53 and -(2**53) < num.min(initial=0) and num.max(initial=0) < 2**53:
+    """``num / den`` rounded once: float64 division of exact floats, else int division."""
+    if (den <= 2**1023 and float(den) == den  # den < 2^53, or a float-built value's 2^d
+            and -(2**53) < num.min(initial=0) and num.max(initial=0) < 2**53):
         return num.astype(np.float64) / den
     return np.array([n / den for n in num.ravel().tolist()]).reshape(num.shape)
 

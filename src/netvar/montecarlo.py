@@ -59,6 +59,7 @@ from .variability import StatKind, _frobenius
 
 CHUNK_TARGET = 1 << 22  # edge bits per chunk of at least one replicate of m k bits
 BAND_BLOCK = 64  # undecided replicates per Python-int determinant (bounds its memory)
+MAX_WORKERS = 256  # the most workers a run may request; each allocates its own scratch
 
 
 @dataclass(frozen=True)
@@ -85,8 +86,9 @@ def _plan(kinds, replicates: int, m: int, k: int, seed: int, workers: int | None
     :func:`sample_count`), the counts as Python ints (numpy ints overflow in exact
     arithmetic), the replicates per chunk and the worker threads: min(requested or usable
     CPUs, chunks), but one where a chunk's popcount ANDs fewer than ``CHUNK_TARGET // 128``
-    words: two were slower there.  A worker's chunk of n replicates holds 25 m k n / 64 bytes of
-    bits and num's 8 k^2 n (779 MiB at k = 1225, m = 50), twice that once generalized copies it."""
+    words: two were slower there.  A request past ``MAX_WORKERS`` is an error (the usable CPUs
+    are capped at it).  A worker's chunk of n replicates holds 25 m k n / 64 bytes of bits
+    and num's 8 k^2 n (779 MiB at k = 1225, m = 50), twice that once generalized copies it."""
     if not kinds:
         raise ValueError("kinds must name at least one statistic")
     for kind in kinds:
@@ -94,11 +96,13 @@ def _plan(kinds, replicates: int, m: int, k: int, seed: int, workers: int | None
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     names = ("replicate count", "dimension k", "worker count", "seed")
     values = [_integer(*named) for named in zip(names, (
-        replicates, k, (cpus or 1) if workers is None else workers, seed))]
+        replicates, k, min(cpus or 1, MAX_WORKERS) if workers is None else workers, seed))]
     for name, value in zip(names[:3], values):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
     replicates, k, w, seed = values
+    if w > MAX_WORKERS:
+        raise ValueError(f"worker count must be <= {MAX_WORKERS}, got {w}")
     m = sample_count(m, k)
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")

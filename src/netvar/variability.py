@@ -144,7 +144,7 @@ def classify_entropy(samples: SampleSet) -> EntropySummary:
     # np.unique returns the rows in lexicographic order of their bit patterns
     structures, counts = np.unique(samples.incidence, axis=0, return_counts=True)
     freq = tuple(
-        ("".join("1" if b else "0" for b in row), int(n)) for row, n in zip(structures, counts)
+        (row.tobytes().decode(), int(n)) for row, n in zip(structures + ord("0"), counts)
     )
     tag = "minimum" if len(freq) == 1 else "intermediate"
     return EntropySummary(tag, freq)

@@ -192,6 +192,13 @@ def test_mc_workers_below_one_is_usage_error(tmp_path, capsys, workers):
     assert "--workers" in capsys.readouterr().err
 
 
+def test_mc_workers_past_the_ceiling_is_an_error(tmp_path, capsys):
+    path = write(tmp_path, "s1.csv", "0.24,0.04\n0.04,0.24\n")
+    argv = ["mc", "--cov", path, "--m", "2", "--replicates", "1000000000", "--workers", "100000"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "netvar: error: worker count must be <= 256, got 100000\n"
+
+
 @pytest.mark.parametrize("command", ["moments", "classify"])
 def test_force_is_usage_error_without_covariance_input(tmp_path, capsys, command):
     # sample-set input never refuses its covariance, so --force has nothing to override

@@ -393,6 +393,9 @@ def test_from_exact_rounds_once_and_symmetrizes_exactly():
         (np.array([[big, 1], [1, big]], dtype=np.int64), 3 * 2**52),
         (np.array([[3 * 10**400, 1], [1, 10**400]], dtype=object), 7 * 10**400),
         (np.array([[1]], dtype=object), 2**60 + 1),
+        (np.array([[1, -3], [-3, 2**52 - 1]]), 2**1023),  # 2^d of a float-built value
+        (np.array([[1, -3], [-3, 2**53 + 1]], dtype=object), 2**60),
+        (np.array([[5, 1], [1, 7]]), 3 * 2**60),  # an exact float den
     ]
     for num, den in cases:
         sigma = CovMatrix.from_exact(num, den)
@@ -438,6 +441,73 @@ def test_submatrix_slices_the_floats_and_the_exact_value():
     floats = CovMatrix([[0.2, 0.1], [0.1, 0.3]]).submatrix([1])
     assert floats.entries.tolist() == [[0.3]]
     assert floats.exact_entries() == ((Fraction(0.3),),)
+
+
+def count_float_builds(monkeypatch) -> list:
+    """Patches ``CovMatrix.__init__`` to append to the list it returns on each call."""
+    calls, init = [], CovMatrix.__init__
+
+    def counted(self, entries):
+        calls.append(entries)
+        init(self, entries)
+
+    monkeypatch.setattr(CovMatrix, "__init__", counted)
+    return calls
+
+
+def test_from_exact_of_a_symmetric_value_rounds_it_with_no_float_construction(monkeypatch):
+    rows = np.array([[1, 0, 1, 1], [0, 1, 1, 0], [1, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1]])
+    calls = count_float_builds(monkeypatch)
+    for num, den in [(np.array([[1, -2], [-2, 3]]), 7), (np.array([[1]], dtype=object), 3),
+                     (np.array([[3 * 10**400, 1], [1, 10**400]], dtype=object), 7 * 10**400)]:
+        sigma = CovMatrix.from_exact(num, den)
+        want = [[float(Fraction(v, den)) for v in r] for r in num.tolist()]
+        assert sigma.entries.tolist() == want and not sigma.entries.flags.writeable
+        assert sigma.exact[0] is num
+    estimate_moments(make_samples(rows))
+    CovMatrix.from_csv_text("0.2,0.1\n0.1,0.3\n")
+    assert calls == []
+    CovMatrix.from_exact(np.array([[1, 1], [2, 1]]), 10**13)  # asymmetric: checked on floats once
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("num, den, message", [
+    (np.zeros((0, 0), np.int64), 4, "covariance matrix must be at least 1 x 1"),
+    (np.zeros((2, 3), np.int64), 4, "covariance matrix must be square, got shape (2, 3)"),
+    (np.zeros(3, np.int64), 4, "covariance matrix must be square, got shape (3,)"),
+    (np.array([[1, 5], [9, 1]]), 4, "covariance entries must lie in [-1, 1], got 1.25"),
+    (np.array([[1, 5, 0], [5, 1, 0]]), 4, "covariance entries must lie in [-1, 1], got 1.25"),
+    (np.array([[1, 2], [1, 1]]), 4, "matrix asymmetric beyond 1e-12: max |M - M^T| = 0.25"),
+])
+def test_from_exact_checks_range_then_shape_size_and_asymmetry(num, den, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CovMatrix.from_exact(num, den)
+
+
+def test_submatrix_of_an_exact_value_slices_its_numerators_and_rounds_them_once(monkeypatch):
+    rng = np.random.default_rng(5)
+    sigma = estimate_moments(make_samples(rng.random((9, 7)) < 0.5)).sigma
+    num, den = sigma.exact
+    calls = count_float_builds(monkeypatch)
+    for idx in ([0], [1, 4, 6], [6, 2, 2], range(7)):
+        sub = sigma.submatrix(idx)
+        ix = np.ix_(list(idx), list(idx))
+        assert sub.entries.tobytes() == sigma.entries[ix].tobytes()
+        assert (sub.exact[0] == num[ix]).all() and sub.exact[1] == den
+        assert not sub.exact[0].flags.writeable
+    assert calls == []
+    # a float-built covariance whose exact value was never built keeps the float slice
+    floats = CovMatrix([[-0.0, 0.1, 0.0], [0.1, 0.3, 0.2], [0.0, 0.2, 0.25]])
+    sub = floats.submatrix([0, 2])
+    assert sub.entries.tobytes() == floats.entries[np.ix_([0, 2], [0, 2])].tobytes()
+    assert len(calls) == 2 and floats._exact is None and sub._exact is None
+    # once built, a float-built covariance's binary exact value is sliced the same way
+    floats = CovMatrix(np.array([[1, 3, -1], [3, 5, 2], [-1, 2, 7]]) / 2**60 + np.eye(3) / 2**20)
+    num, den = floats.exact
+    sub = floats.submatrix([2, 0])
+    assert sub.entries.tobytes() == floats.entries[np.ix_([2, 0], [2, 0])].tobytes()
+    assert (sub.exact[0] == num[np.ix_([2, 0], [2, 0])]).all() and sub.exact[1] == den
+    assert len(calls) == 3
 
 
 def test_entries_at_the_domain_ends_symmetrize_and_past_them_are_rejected():

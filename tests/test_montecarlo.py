@@ -466,6 +466,32 @@ def test_worker_count_below_one_is_rejected(monkeypatch):
         mc_pvalues(S1, (StatKind.TOTAL,), 100, 10, seed=1, workers=-2)
 
 
+def test_a_worker_count_past_the_ceiling_fails_before_any_scratch_or_thread(monkeypatch):
+    # 100,000 workers on 10^9 replicates at k = 2 (244,141 chunks) would allocate 100,000
+    # scratches and start 99,999 threads; the plan rejects the count before either exists
+    ceiling = montecarlo.MAX_WORKERS
+    assert ceiling >= 64  # well above the largest count the tests run (16)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a scratch or a thread was made")
+
+    monkeypatch.setattr(montecarlo, "_scratch", fail)
+    monkeypatch.setattr(threading, "Thread", fail)
+    for workers in (ceiling + 1, 100_000):
+        message = f"^worker count must be <= {ceiling}, got {workers}$"
+        with pytest.raises(ValueError, match=message):
+            mc_pvalues(S1, ALL_KINDS, 10**9, 10, seed=1, workers=workers)
+        with pytest.raises(ValueError, match=message):
+            threads(workers, 10)
+    assert threads(ceiling, ceiling + 1) == ceiling  # planned, not run
+
+
+def test_the_default_worker_count_is_capped_at_the_ceiling_not_rejected(monkeypatch):
+    cpus = set(range(4 * montecarlo.MAX_WORKERS))
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    assert threads(None, len(cpus)) == montecarlo.MAX_WORKERS  # planned, not run
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 28, 64])
 @pytest.mark.parametrize("m", [1, 63, 64, 65, 200, 2000])
 def test_integer_statistics_match_exact_oracle(k, m):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -300,3 +301,13 @@ def test_classify_entropy():
     summary = classify_entropy(make_samples(rows))
     assert summary.classification == "intermediate"
     assert all(count == 1 for _, count in summary.frequencies)
+
+
+@pytest.mark.parametrize("k", [1, 7, 8, 9])
+def test_classify_entropy_strings_match_the_bits_in_order(k):
+    rng = np.random.default_rng(k)
+    rows = np.vstack([np.zeros(k), np.ones(k), rng.random((40, k)) < 0.5]).astype(np.uint8)
+    bits = Counter("".join("1" if b else "0" for b in row) for row in rows.tolist())
+    want = tuple(sorted(bits.items()))  # lexicographic, as the bit patterns
+    assert classify_entropy(make_samples(rows)).frequencies == want
+    assert {want[0][0], want[-1][0]} == {"0" * k, "1" * k}
