@@ -42,7 +42,9 @@ Replicates draw their edge bits straight from the generator's raw 64-bit output
 numpy loops run over the replicates, not over k; :func:`_numerators` forms num from the
 words by popcounts, with no bit unpacked and no float formed.  A chunk is one pass (draw,
 num, its float copy, the counts) through arrays that its worker allocates once
-(:func:`_scratch`).  Chunks too small to pay for a second thread's GIL hand-offs run on one.
+(:func:`_scratch`).  A run gets a second worker only where it pays (:func:`_plan`): a
+chunk's popcount ANDs at least ``CHUNK_TARGET // 64`` words, or generalized factors
+replicates in LAPACK, which releases the GIL.
 """
 
 import os
@@ -58,6 +60,7 @@ from .moments import INT64_MAX, CovMatrix, _integer, _sums, sample_count
 from .variability import StatKind, _frobenius
 
 CHUNK_TARGET = 1 << 22  # edge bits per chunk of at least one replicate of m k bits
+CHOLESKY_SLAB = 1 << 17  # float64 entries (1 MiB) per batched Cholesky factor
 BAND_BLOCK = 64  # undecided replicates per Python-int determinant (bounds its memory)
 MAX_WORKERS = 256  # the most workers a run may request; each allocates its own scratch
 
@@ -85,10 +88,15 @@ def _plan(kinds, replicates: int, m: int, k: int, seed: int, workers: int | None
     """The plan of a run, made before any work: every argument checked (m by
     :func:`sample_count`), the counts as Python ints (numpy ints overflow in exact
     arithmetic), the replicates per chunk and the worker threads: min(requested or usable
-    CPUs, chunks), but one where a chunk's popcount ANDs fewer than ``CHUNK_TARGET // 128``
-    words: two were slower there.  A request past ``MAX_WORKERS`` is an error (the usable CPUs
-    are capped at it).  A worker's chunk of n replicates holds 25 m k n / 64 bytes of bits
-    and num's 8 k^2 n (779 MiB at k = 1225, m = 50), twice that once generalized copies it."""
+    CPUs, chunks) where a chunk's popcount ANDs at least ``CHUNK_TARGET // 64`` words (k = 2
+    from m = 321, k = 3 from 129, k = 4 and 5 from 65, every k >= 6; k = 1 from 961, but past
+    1024 a chunk is ~2^16 words and the floored chunk size puts many m just below) or
+    generalized factors replicates (m > k past :func:`_int_stats_fit`, as in :func:`_counter`,
+    which adds k = 4 at m = 55..64 and k = 5 at 21..64: LAPACK releases the GIL), else one:
+    below both a second thread measured no faster and held ~1 MiB more (README).  A request
+    past ``MAX_WORKERS`` is an error (the usable CPUs are capped at it).  A worker's chunk of
+    n replicates holds 25 m k n / 64 bytes of bits and num's 8 k^2 n (779 MiB at k = 1225,
+    m = 50), twice that once generalized copies it."""
     if not kinds:
         raise ValueError("kinds must name at least one statistic")
     for kind in kinds:
@@ -109,7 +117,10 @@ def _plan(kinds, replicates: int, m: int, k: int, seed: int, workers: int | None
     chunk = _chunk_size(m, k)
     sizes = [min(chunk, replicates - s) for s in range(0, replicates, chunk)]
     words = chunk * k * (k + 1) // 2 * ((m + 63) // 64)
-    return replicates, m, k, seed, sizes, min(w, len(sizes) if words >= CHUNK_TARGET // 128 else 1)
+    factors = StatKind.GENERALIZED in kinds and m > k and not _int_stats_fit(
+        StatKind.GENERALIZED, m, k)
+    return replicates, m, k, seed, sizes, min(
+        w, len(sizes) if words >= CHUNK_TARGET // 64 or factors else 1)
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Philox:
@@ -324,7 +335,8 @@ def _cholesky_bracket(a: np.ndarray):
 
     ``a_ii += s max(a_ii, 1)``, ``s = c / (1 - c)``, ``c = 20 k^5/2 u``, bounds kappa_2 of the
     scaled ``num + shift`` by k (1 + s) / s: Demmel's ``20 k^3/2 kappa_2 u <= 1`` (Higham, ch. 10)
-    holds, so the batched Cholesky never fails.  Its error (Thm 10.3) and a lower bound lam of
+    holds, so the batched Cholesky never fails; it runs in slabs of ``CHOLESKY_SLAB`` entries,
+    since only each factor's diagonal is kept.  Its error (Thm 10.3) and a lower bound lam of
     lambda_min (AM-GM, or the shift) bound ``log det(num + shift) >= log det num`` by Weyl; lo
     adds ``k log(1 - tau / lam)``, tau >= the scaled shift, where ``tau < lam / 2`` (README)."""
     n, k, eps = len(a), a.shape[-1], np.finfo(np.float64).eps
@@ -334,7 +346,11 @@ def _cholesky_bracket(a: np.ndarray):
     diagonal[...] = d = unshifted + c / (1 - c) * np.maximum(unshifted, 1)
     shift = (d - unshifted) / d  # the subtraction is exact (Sterbenz, or 0)
     tau, sigma = shift.max(axis=1) * (1 + eps), shift.min(axis=1) * (1 - eps)
-    log_l, log_d = np.log(np.linalg.cholesky(a).diagonal(axis1=1, axis2=2)), np.log(d)
+    slab, log_l = max(1, CHOLESKY_SLAB // (k * k)), np.empty((n, k))
+    for i in range(0, n, slab):
+        factor = np.linalg.cholesky(a[i:i + slab])
+        np.log(factor.diagonal(axis1=1, axis2=2), out=log_l[i:i + slab])
+    log_d = np.log(d)
     logdet, delta = 2 * log_l.sum(axis=1), k * (g + eps / 2) / (1 - g)
     slack = (k + 8) * eps * (2 * np.abs(log_l).sum(axis=1) + np.abs(log_d).sum(axis=1))
     lam = np.maximum(np.exp(logdet - log_d.sum(axis=1) - slack + (k - 1) * log1p(-g) - 1),

@@ -175,10 +175,12 @@ def test_mc_command_reproducible_reports(tmp_path, capsys, schema):
         assert e["seed"] == 9 and e["replicates"] == 4000
 
 
-def test_mc_reports_identical_across_worker_counts(tmp_path, capsys):
-    path = write(tmp_path, "s1.csv", "0.24,0.04\n0.04,0.24\n")
-    argv = ["mc", "--cov", path, "--m", "10", "--replicates", "9000", "--seed", "4",
-            "--format", "json"]
+def test_mc_reports_identical_across_worker_counts(capsys):
+    # k = 6, m = 16: past the single-thread boundary, so 2 and 8 run threads
+    kinds, replicates = tuple(StatKind), 9000
+    assert montecarlo._plan(kinds, replicates, 16, 6, 4, 2)[-1] >= 2
+    argv = ["mc", "--samples", str(GOLDEN / "k6.txt"), "--mc-stat", "vart,varg,varn",
+            "--replicates", str(replicates), "--seed", "4", "--format", "json"]
     outs = {run(argv + ["--workers", w], capsys)[1] for w in ("1", "2", "8")}
     assert len(outs) == 1
 

@@ -55,9 +55,11 @@ def test_same_seed_reproduces_and_seeds_differ():
 
 def test_thread_count_invariance():
     # replicate count spans several chunks; tallies must be bit-identical.
-    # At m = 10 the chunks are small enough to run on one thread; at m = 200
-    # the requested workers run
-    for m in (10, 200):
+    # At m = 10 the chunks are small enough to run on one thread; at m = 400
+    # (past the k = 2 boundary at 321) the requested workers run
+    assert montecarlo._plan(ALL_KINDS, 12_345, 10, 2, 7, 8)[-1] == 1
+    assert montecarlo._plan(ALL_KINDS, 12_345, 400, 2, 7, 8)[-1] >= 2
+    for m in (10, 400):
         results = {
             w: mc_pvalues(S1, ALL_KINDS, 12_345, m, 7, workers=w) for w in (1, 2, 8)
         }
@@ -67,15 +69,25 @@ def test_thread_count_invariance():
 
 
 def test_small_chunks_run_on_one_thread():
-    # a chunk whose popcount ANDs fewer than CHUNK_TARGET // 128 words runs
-    # on one thread; larger chunks get the requested workers, capped as
-    # before, and the worker arguments are checked either way
-    def pool(workers, m, k, replicates=100_000):
-        return montecarlo._plan(ALL_KINDS, replicates, m, k, 1, workers)[-1]
+    # a chunk whose popcount ANDs fewer than CHUNK_TARGET // 64 words runs on
+    # one thread unless generalized factors replicates; the rest get the
+    # requested workers, capped as before, and the worker arguments are
+    # checked either way
+    def pool(workers, m, k, replicates=100_000, kinds=ALL_KINDS):
+        return montecarlo._plan(kinds, replicates, m, k, 1, workers)[-1]
 
     assert pool(2, 10, 2) == pool(8, 50, 2) == pool(2, 64, 3) == 1
-    # 4096 replicates x 3 column pairs x 2 or 3 words, against 2^22 // 128 = 32768
-    assert pool(2, 128, 2) == 1 and pool(2, 129, 2) == 2
+    assert {pool(8, m, 2) for m in (10, 20, 50, 100, 200)} == {1}  # the paper's table
+    # 4096 replicates x 3 or 6 column pairs x 5 or 6 (k = 2), 2 or 3 (k = 3)
+    # words, against 2^22 // 64 = 65536
+    assert pool(2, 320, 2) == 1 and pool(2, 321, 2) == 2
+    assert pool(2, 128, 3) == 1 and pool(2, 129, 3) == 2
+    # k = 4 and 5 at m = 64: 40960 and 61440 words, but generalized factors
+    # replicates there (past the int64 Bareiss), so two workers run; the
+    # trace statistics alone do not factor
+    assert pool(2, 64, 4) == pool(2, 64, 5) == 2
+    assert pool(2, 64, 4, kinds=(StatKind.TOTAL, StatKind.FROBENIUS)) == 1
+    assert pool(2, 54, 4) == pool(2, 20, 5) == 1  # within the int64 Bareiss
     assert pool(2, 2, 6) == 2 and pool(2, 200, 28) == 2 and pool(8, 200, 28) == 8
     assert pool(8, 200, 28, replicates=1000) == 2  # one worker per chunk at most
     with pytest.raises(ValueError, match="worker count"):
@@ -689,13 +701,12 @@ def test_generalized_float_count_equals_bareiss(k, m, n):
 
 def _factored_bracket(bracket, num, monkeypatch):
     """``bracket``'s ``(lo, hi)`` on ``num`` (k, k, n), and the float matrices it factored
-    (as passed to ``np.linalg.cholesky``: num plus its shift)."""
+    (as passed to ``np.linalg.cholesky`` slab by slab: num plus its shift)."""
     factored, cholesky = [], np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(a.copy()) or cholesky(a))
     lo, hi = bracket(np.ascontiguousarray(num.transpose(2, 0, 1), np.float64))
     monkeypatch.setattr(np.linalg, "cholesky", cholesky)
-    (a,) = factored
-    return lo, hi, a
+    return lo, hi, np.concatenate(factored)
 
 
 def _exact_log_det(a):
@@ -744,19 +755,27 @@ def _counted_eigvalsh(monkeypatch):
 
 
 @pytest.mark.parametrize("k, m, n", [(3, 4, 4096), (7, 8, 4096), (14, 15, 2000)])
-def test_one_cholesky_per_chunk_even_where_replicates_are_singular(k, m, n, monkeypatch):
+def test_cholesky_slabs_cover_each_chunk_once_even_where_replicates_are_singular(
+        k, m, n, monkeypatch):
     # just above m = k many replicates are exactly singular; the shifted
-    # factorization never fails, so a chunk takes one batched Cholesky.  Far
-    # below the observed bracket every replicate hits, without eigvalsh or
-    # the exact limit
+    # factorization never fails, so a chunk is factored once, in consecutive
+    # slabs of at most CHOLESKY_SLAB entries (1, 2 and 3 slabs here), with no
+    # retry.  Far below the observed bracket every replicate hits, without
+    # eigvalsh or the exact limit
     num = numerators(8, 0, n, m, k)
     assert (montecarlo._int_det(num[..., :200].astype(object)) == 0).any()
     calls, cholesky = [], np.linalg.cholesky
-    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(len(a)) or cholesky(a))
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.copy()) or cholesky(a))
     sizes = _counted_eigvalsh(monkeypatch)
     far = 2 * k * log(m * m)  # above log(prod(diag)) >= every log det
-    assert montecarlo._count_det_at_most(num, far, far, None, np.empty(num.size)) == n
-    assert (calls, sizes) == ([n], [])
+    floats = np.empty(num.size)
+    assert montecarlo._count_det_at_most(num, far, far, None, floats) == n
+    slab = montecarlo.CHOLESKY_SLAB // (k * k)
+    assert [len(a) for a in calls] == [min(slab, n - i) for i in range(0, n, slab)]
+    assert sizes == [] and all(a.size <= montecarlo.CHOLESKY_SLAB for a in calls)
+    shifted = np.concatenate(calls)
+    shifted.reshape(n, -1)[:, ::k + 1] = num.transpose(2, 0, 1).reshape(n, -1)[:, ::k + 1]
+    assert (shifted == num.transpose(2, 0, 1)).all()  # each replicate once, in order
 
 
 def test_only_the_observed_matrix_reaches_eigvalsh_at_k7_m8(monkeypatch):
