@@ -755,10 +755,9 @@ def _counted_eigvalsh(monkeypatch):
 
 
 @pytest.mark.parametrize("k, m, n", [(3, 4, 4096), (7, 8, 4096), (14, 15, 2000)])
-def test_cholesky_slabs_cover_each_chunk_once_even_where_replicates_are_singular(
-        k, m, n, monkeypatch):
+def test_one_cholesky_per_chunk_even_where_replicates_are_singular(k, m, n, monkeypatch):
     # just above m = k many replicates are exactly singular; the shifted
-    # factorization never fails, so a chunk is factored once, in consecutive
+    # factorization never fails, so a chunk takes one Cholesky pass, in consecutive
     # slabs of at most CHOLESKY_SLAB entries (1, 2 and 3 slabs here), with no
     # retry.  Far below the observed bracket every replicate hits, without
     # eigvalsh or the exact limit
