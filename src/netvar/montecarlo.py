@@ -42,9 +42,9 @@ Replicates draw their edge bits straight from the generator's raw 64-bit output
 numpy loops run over the replicates, not over k; :func:`_numerators` forms num from the
 words by popcounts, with no bit unpacked and no float formed.  A chunk is one pass (draw,
 num, its float copy, the counts) through arrays that its worker allocates once
-(:func:`_scratch`).  A run gets a second worker only where it pays (:func:`_plan`): a
-chunk's popcount ANDs at least ``CHUNK_TARGET // 64`` words, or generalized factors
-replicates in LAPACK, which releases the GIL.
+(:func:`_scratch`).  A run has one worker where a second measured slower (:func:`_plan`):
+where a chunk's popcount ANDs fewer than ``CHUNK_TARGET // 128`` words at k = 1 or at most
+``3 CHUNK_TARGET // 256`` past it, unless generalized factors replicates (:func:`_factors`).
 """
 
 import os
@@ -88,12 +88,11 @@ def _plan(kinds, replicates: int, m: int, k: int, seed: int, workers: int | None
     """The plan of a run, made before any work: every argument checked (m by
     :func:`sample_count`), the counts as Python ints (numpy ints overflow in exact
     arithmetic), the replicates per chunk and the worker threads: min(requested or usable
-    CPUs, chunks) where a chunk's popcount ANDs at least ``CHUNK_TARGET // 64`` words (k = 2
-    from m = 321, k = 3 from 129, k = 4 and 5 from 65, every k >= 6; k = 1 from 961, but past
-    1024 a chunk is ~2^16 words and the floored chunk size puts many m just below) or
-    generalized factors replicates (m > k past :func:`_int_stats_fit`, as in :func:`_counter`,
-    which adds k = 4 at m = 55..64 and k = 5 at 21..64: LAPACK releases the GIL), else one:
-    below both a second thread measured no faster and held ~1 MiB more (README).  A request
+    CPUs, chunks) where a chunk's popcount ANDs at least 2^15 words at k = 1 (m >= 449) and
+    more than 3 * 2^14 past it (``CHUNK_TARGET`` 2^22: k = 2 from m = 257, k = 3 from 129, k = 4
+    from 65, every m at k >= 5), or a requested generalized statistic factors replicates
+    (:func:`_factors`: k = 4 at m = 55..64 adds to that, as LAPACK releases the GIL), else
+    one: there a second thread measured slower and held ~1 MiB more (README).  A request
     past ``MAX_WORKERS`` is an error (the usable CPUs are capped at it).  A worker's chunk of
     n replicates holds 25 m k n / 64 bytes of bits and num's 8 k^2 n (779 MiB at k = 1225,
     m = 50), twice that once generalized copies it."""
@@ -117,10 +116,9 @@ def _plan(kinds, replicates: int, m: int, k: int, seed: int, workers: int | None
     chunk = _chunk_size(m, k)
     sizes = [min(chunk, replicates - s) for s in range(0, replicates, chunk)]
     words = chunk * k * (k + 1) // 2 * ((m + 63) // 64)
-    factors = StatKind.GENERALIZED in kinds and m > k and not _int_stats_fit(
-        StatKind.GENERALIZED, m, k)
-    return replicates, m, k, seed, sizes, min(
-        w, len(sizes) if words >= CHUNK_TARGET // 64 or factors else 1)
+    bound = CHUNK_TARGET // 128 if k == 1 else 3 * CHUNK_TARGET // 256 + 1
+    threaded = words >= bound or any(_factors(kind, m, k) for kind in kinds)
+    return replicates, m, k, seed, sizes, min(w, len(sizes) if threaded else 1)
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Philox:
@@ -404,6 +402,13 @@ def _count_det_at_most(num: np.ndarray, lo0: float, hi0: float, limit, floats) -
     return hits
 
 
+def _factors(kind: StatKind, m: int, k: int) -> bool:
+    """True where :func:`_counter` decides ``kind`` by log-determinant brackets, whose
+    Cholesky factors each chunk's replicates: generalized at m > k past
+    :func:`_int_stats_fit` (at m <= k it counts by rank, within it in integers)."""
+    return kind is StatKind.GENERALIZED and m > k and not _int_stats_fit(kind, m, k)
+
+
 def _float(t0: Fraction) -> float:
     """t0 rounded to nearest; from 2^1024 - 2^970 on that is +-inf (IEEE overflow), as the
     generalized t0 = 4^-k - det sigma of a forced Sylvester-Hadamard H_256 (det 2^1024) is."""
@@ -415,11 +420,12 @@ def _counter(kind: StatKind, sigma: CovMatrix, m: int):
     replicates of one chunk (:func:`_map_chunks`) at or above it: scaled statistic >=
     ``cut`` wherever :func:`_scaled_stat` decides in integers.  Else generalized counts
     ``det(num) <= floor(X)``, ``X = det(m^2 sigma)``: by rank at m <= k, on both sides of
-    :func:`_int_stats_fit`, else by brackets.  A bracket of ``det sigma`` decides the sign of
-    X and, where ``|det sigma| 4^k < 2^-54``, the reported t0 (4^-k); t0 is computed at most
-    once, where none decides."""
+    :func:`_int_stats_fit`, else by brackets (:func:`_factors`).  A bracket of ``det sigma``
+    decides the sign of X and, where ``|det sigma| 4^k < 2^-54``, the reported t0 (4^-k); t0
+    is computed at most once, where none decides."""
     k, den = sigma.k, m * m
-    if (fit := _int_stats_fit(kind, m, k)) and m > k or kind is not StatKind.GENERALIZED:
+    if kind is not StatKind.GENERALIZED or m > k and not _factors(kind, m, k):
+        fit = _int_stats_fit(kind, m, k)
         t0 = observed_statistic_exact(kind, sigma)
         # replicate value s / scale >= t0  <=>  s >= ceil(t0 scale); replicate values are
         # >= 0 and int64 values < INT64_MAX, so clamping at both ends keeps every count

@@ -56,7 +56,7 @@ def test_same_seed_reproduces_and_seeds_differ():
 def test_thread_count_invariance():
     # replicate count spans several chunks; tallies must be bit-identical.
     # At m = 10 the chunks are small enough to run on one thread; at m = 400
-    # (past the k = 2 boundary at 321) the requested workers run
+    # (past the k = 2 boundary at 257) the requested workers run
     assert montecarlo._plan(ALL_KINDS, 12_345, 10, 2, 7, 8)[-1] == 1
     assert montecarlo._plan(ALL_KINDS, 12_345, 400, 2, 7, 8)[-1] >= 2
     for m in (10, 400):
@@ -69,25 +69,29 @@ def test_thread_count_invariance():
 
 
 def test_small_chunks_run_on_one_thread():
-    # a chunk whose popcount ANDs fewer than CHUNK_TARGET // 64 words runs on
-    # one thread unless generalized factors replicates; the rest get the
-    # requested workers, capped as before, and the worker arguments are
-    # checked either way
+    # a chunk whose popcount ANDs fewer than CHUNK_TARGET // 128 words at
+    # k = 1, or at most 3 * CHUNK_TARGET // 256 past it, runs on one thread
+    # unless generalized factors replicates; the rest get the requested
+    # workers, capped as before, and the worker arguments are checked either way
     def pool(workers, m, k, replicates=100_000, kinds=ALL_KINDS):
         return montecarlo._plan(kinds, replicates, m, k, 1, workers)[-1]
 
     assert pool(2, 10, 2) == pool(8, 50, 2) == pool(2, 64, 3) == 1
     assert {pool(8, m, 2) for m in (10, 20, 50, 100, 200)} == {1}  # the paper's table
-    # 4096 replicates x 3 or 6 column pairs x 5 or 6 (k = 2), 2 or 3 (k = 3)
-    # words, against 2^22 // 64 = 65536
-    assert pool(2, 320, 2) == 1 and pool(2, 321, 2) == 2
+    # 4096 replicates x 1, 3 or 6 column pairs x 7 or 8 (k = 1), 4 or 5
+    # (k = 2), 2 or 3 (k = 3) words, against 2^15 (k = 1) and 3 * 2^14
+    assert pool(2, 448, 1) == 1 and pool(2, 449, 1) == 2
+    assert pool(2, 256, 2) == 1 and pool(2, 257, 2) == 2
     assert pool(2, 128, 3) == 1 and pool(2, 129, 3) == 2
-    # k = 4 and 5 at m = 64: 40960 and 61440 words, but generalized factors
-    # replicates there (past the int64 Bareiss), so two workers run; the
-    # trace statistics alone do not factor
-    assert pool(2, 64, 4) == pool(2, 64, 5) == 2
+    # past m = 1024 a k = 1 chunk is ~2^16 words, whatever the floors give
+    assert {pool(2, m, 1) for m in (1088, 1984, 2000, 2112)} == {2}
+    # k = 4 at m = 64: 40960 words, but generalized factors replicates there
+    # (past the int64 Bareiss), so two workers run; the trace statistics
+    # alone do not factor, nor does generalized within the Bareiss
+    assert pool(2, 64, 4) == pool(2, 65, 4) == 2
     assert pool(2, 64, 4, kinds=(StatKind.TOTAL, StatKind.FROBENIUS)) == 1
-    assert pool(2, 54, 4) == pool(2, 20, 5) == 1  # within the int64 Bareiss
+    assert pool(2, 54, 4) == 1
+    assert pool(2, 20, 5) == pool(2, 64, 5) == 2  # 61440 words
     assert pool(2, 2, 6) == 2 and pool(2, 200, 28) == 2 and pool(8, 200, 28) == 8
     assert pool(8, 200, 28, replicates=1000) == 2  # one worker per chunk at most
     with pytest.raises(ValueError, match="worker count"):
