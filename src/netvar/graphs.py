@@ -187,9 +187,12 @@ def parse_sample_set(stream: str | IO[str]) -> SampleSet:
 
 
 def format_sample_set(samples: SampleSet) -> str:
-    """Serialize to the text format; re-parsing restores the incidence matrix."""
+    """Serialize to the text format; re-parsing restores the sample set.  A node label that is
+    empty or holds whitespace or ``#`` (the parser splits lines at both) is an error."""
     if samples.nodes is None:
         raise SampleSetError("cannot serialize an anonymous edge-subset sample set")
+    if bad := [s for s in samples.nodes.labels if s.split() != [s] or "#" in s]:
+        raise SampleSetError(f"cannot serialize node label {bad[0]!r}: empty, whitespace or '#'")
     pairs = edge_pairs(samples.nodes)
     lines = ["nodes " + " ".join(samples.nodes.labels)]
     for row in samples.incidence:

@@ -54,9 +54,9 @@ class CovMatrix:
     over one positive integer denominator.  Its float ``entries`` are that value correctly
     rounded.  Floats (library input) take ``CovMatrix(entries)``, which checks the shape, size,
     range and asymmetry in that order; their binary values are the exact value (built on first
-    use).  Integers (the moment estimator, the CSV parser, :meth:`submatrix` of an exact value)
-    take :meth:`from_exact`: the range exactly, then, unless ``num`` is exactly symmetric, the
-    rest through the float constructor; each entry is rounded once.
+    use).  Integers (the moment estimator, the CSV parser) take :meth:`from_exact`: the range
+    exactly, then, unless ``num`` is exactly symmetric, the rest through the float
+    constructor; each entry is rounded once.  :meth:`submatrix` slices both, checking nothing.
 
     Asymmetry up to 1e-12 in absolute value is accepted and symmetrized:
     floats to the midpoint of each unequal pair, an exact value to
@@ -78,9 +78,7 @@ class CovMatrix:
         if gap > SYMMETRY_TOL:
             raise ValueError(f"matrix asymmetric beyond {SYMMETRY_TOL}: max |M - M^T| = {gap}")
         arr = (arr + arr.T) / 2  # exact where arr is symmetric: |entries| <= 1 do not overflow
-        arr.setflags(write=False)
-        self._entries = arr
-        self._exact = None
+        self._init(arr, None)
 
     @classmethod
     def from_exact(cls, num: np.ndarray, den: int) -> "CovMatrix":
@@ -103,11 +101,15 @@ class CovMatrix:
             cls(_rounded(num, den))  # the float constructor's shape, size and asymmetry checks
             obj = num.astype(object)  # Python ints: the sum cannot overflow
             num, den = obj + obj.T, 2 * den
-        sigma = cls.__new__(cls)  # an exactly symmetric value, rounded once, needs no check
-        sigma._entries, sigma._exact = _rounded(num, den), (num, den)
-        sigma._entries.setflags(write=False)
-        num.setflags(write=False)
-        return sigma
+        return cls.__new__(cls)._init(_rounded(num, den), (num, den))  # symmetric: no check
+
+    def _init(self, entries: np.ndarray, exact) -> "CovMatrix":
+        """Every constructor ends here: checked entries, their exact value or None, read-only."""
+        self._entries, self._exact = entries, exact
+        entries.setflags(write=False)
+        if exact:
+            exact[0].setflags(write=False)
+        return self
 
     @property
     def entries(self) -> np.ndarray:
@@ -164,10 +166,12 @@ class CovMatrix:
         return tuple(tuple(Fraction(v, den) for v in row) for row in num.tolist())
 
     def submatrix(self, idx: Sequence[int]) -> "CovMatrix":
-        ix = np.ix_(list(idx), list(idx))
-        if self._exact is None:
-            return CovMatrix(self._entries[ix])
-        return CovMatrix.from_exact(self._exact[0][ix], self._exact[1])
+        """The covariance of the edges ``idx``: its entries and any built num, sliced."""
+        if not (idx := list(idx)):
+            raise ValueError("covariance matrix must be at least 1 x 1")
+        ix = np.ix_(idx, idx)
+        exact = self._exact and (self._exact[0][ix], self._exact[1])
+        return CovMatrix.__new__(CovMatrix)._init(self._entries[ix], exact)
 
     def __repr__(self):
         return f"CovMatrix(k={self.k})"

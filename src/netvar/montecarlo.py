@@ -41,10 +41,10 @@ Replicates draw their edge bits straight from the generator's raw 64-bit output
 (:func:`_draw_bits`).  Every array of a chunk has its n replicates on the last axis, so
 numpy loops run over the replicates, not over k; :func:`_numerators` forms num from the
 words by popcounts, with no bit unpacked and no float formed.  A chunk is one pass (draw,
-num, its float copy, the counts) through arrays that its worker allocates once
-(:func:`_scratch`).  A run has one worker where a second measured slower (:func:`_plan`):
-where a chunk's popcount ANDs fewer than ``CHUNK_TARGET // 128`` words at k = 1 or at most
-``3 CHUNK_TARGET // 256`` past it, unless generalized factors replicates (:func:`_factors`).
+num, the counts) through arrays that its worker allocates once (:func:`_scratch`).  A run
+has one worker where a second measured slower (:func:`_plan`): where a chunk's popcount ANDs
+fewer than ``CHUNK_TARGET // 128`` words at k = 1 or at most ``3 CHUNK_TARGET // 256`` past
+it, unless generalized factors replicates (:func:`_factors`).
 """
 
 import os
@@ -60,7 +60,7 @@ from .moments import INT64_MAX, CovMatrix, _integer, _sums, sample_count
 from .variability import StatKind, _frobenius
 
 CHUNK_TARGET = 1 << 22  # edge bits per chunk of at least one replicate of m k bits
-CHOLESKY_SLAB = 1 << 17  # float64 entries (1 MiB) per batched Cholesky factor
+CHOLESKY_SLAB = 1 << 17  # float64 entries (1 MiB) per float copy of replicates and its factor
 BAND_BLOCK = 64  # undecided replicates per Python-int determinant (bounds its memory)
 MAX_WORKERS = 256  # the most workers a run may request; each allocates its own scratch
 
@@ -95,7 +95,7 @@ def _plan(kinds, replicates: int, m: int, k: int, seed: int, workers: int | None
     one: there a second thread measured slower and held ~1 MiB more (README).  A request
     past ``MAX_WORKERS`` is an error (the usable CPUs are capped at it).  A worker's chunk of
     n replicates holds 25 m k n / 64 bytes of bits and num's 8 k^2 n (779 MiB at k = 1225,
-    m = 50), twice that once generalized copies it."""
+    m = 50)."""
     if not kinds:
         raise ValueError("kinds must name at least one statistic")
     for kind in kinds:
@@ -139,11 +139,10 @@ def _draw_bits(bitgen: np.random.BitGenerator, n: int, m: int, k: int) -> np.nda
 
 def _scratch(n: int, k: int, n_words: int):
     """Flat arrays for up to n replicates of n_words-word columns: the words, their AND and
-    its popcount, num (:func:`_numerators`) and num's float64 copy
-    (:func:`_count_det_at_most`; ``np.empty`` commits no page until that writes it)."""
+    its popcount, and num (:func:`_numerators`)."""
     size = n_words * k * n
     return (np.empty(size, np.uint64), np.empty(size, np.uint64), np.empty(size, np.uint8),
-            np.empty(k * k * n, np.int64), np.empty(k * k * n))
+            np.empty(k * k * n, np.int64))
 
 
 def _numerators(words: np.ndarray, m: int, scratch=None) -> np.ndarray:
@@ -158,7 +157,7 @@ def _numerators(words: np.ndarray, m: int, scratch=None) -> np.ndarray:
     (:func:`_scratch` for >= n replicates) if given.
     """
     n, k, n_words = words.shape
-    by_word, pairs, counts, num, _ = scratch or _scratch(n, k, n_words)
+    by_word, pairs, counts, num = scratch or _scratch(n, k, n_words)
     by_word, num = by_word[:words.size].reshape(n_words, k, n), num[:k * k * n].reshape(k, k, n)
     np.copyto(by_word, words.transpose(2, 1, 0))
     s1 = np.empty((k, n), np.int64)
@@ -175,13 +174,13 @@ def _numerators(words: np.ndarray, m: int, scratch=None) -> np.ndarray:
 
 
 def _map_chunks(fn, seed: int, sizes: list[int], m: int, k: int, n_workers: int) -> list:
-    """``fn(num, floats)`` of each chunk's replicate numerators (:func:`_numerators`), in
-    chunk order, on ``n_workers`` workers (:func:`_plan`): the calling thread and the threads
-    it starts, each taking the next chunk until none is left through its own :func:`_scratch`,
-    whose float64 array is ``floats``: fn must not keep ``num`` or ``floats``.  An exception
-    in any worker (a failed start too) or Ctrl-C on the calling thread is recorded: no chunk
-    starts after it, the calling thread waits for each started worker to end its current
-    chunk and joins it, and the first exception recorded is re-raised."""
+    """``fn(num)`` of each chunk's replicate numerators (:func:`_numerators`), in chunk order,
+    on ``n_workers`` workers (:func:`_plan`): the calling thread and the threads it starts,
+    each taking the next chunk until none is left through its own :func:`_scratch`, which
+    holds num: fn must not keep it.  An exception in any worker (a failed start too) or
+    Ctrl-C on the calling thread is recorded: no chunk starts after it, the calling thread
+    waits for each started worker to end its current chunk and joins it, and the first
+    exception recorded is re-raised."""
     # scratches made here: in the workers' malloc arenas they raised the paper table's RSS ~0.5 MiB
     workers = [(_scratch(sizes[0], k, (m + 63) // 64), threading.Event()) for _ in range(n_workers)]
     results, errors, lock = [None] * len(sizes), [], threading.Lock()
@@ -196,7 +195,7 @@ def _map_chunks(fn, seed: int, sizes: list[int], m: int, k: int, n_workers: int)
                     if errors or (c := next(chunks, None)) is None:
                         return
                 num = _numerators(_draw_bits(_chunk_rng(seed, c), sizes[c], m, k), m, scratch)
-                results[c] = fn(num, scratch[4])
+                results[c] = fn(num)
         except BaseException as exc:  # on the calling thread, Ctrl-C too
             errors.append(exc)  # atomic: no lock, which Ctrl-C could interrupt
         finally:
@@ -333,10 +332,9 @@ def _cholesky_bracket(a: np.ndarray):
 
     ``a_ii += s max(a_ii, 1)``, ``s = c / (1 - c)``, ``c = 20 k^5/2 u``, bounds kappa_2 of the
     scaled ``num + shift`` by k (1 + s) / s: Demmel's ``20 k^3/2 kappa_2 u <= 1`` (Higham, ch. 10)
-    holds, so the batched Cholesky never fails; it runs in slabs of ``CHOLESKY_SLAB`` entries,
-    since only each factor's diagonal is kept.  Its error (Thm 10.3) and a lower bound lam of
-    lambda_min (AM-GM, or the shift) bound ``log det(num + shift) >= log det num`` by Weyl; lo
-    adds ``k log(1 - tau / lam)``, tau >= the scaled shift, where ``tau < lam / 2`` (README)."""
+    holds: one batched Cholesky of a never fails.  Its error (Thm 10.3) and a lower bound lam
+    of lambda_min (AM-GM, or the shift) bound ``log det(num + shift) >= log det num`` (Weyl);
+    lo adds ``k log(1 - tau / lam)``, tau >= the scaled shift, where ``tau < lam / 2`` (README)."""
     n, k, eps = len(a), a.shape[-1], np.finfo(np.float64).eps
     g, c = (k + 1) * eps / 2 / (1 - (k + 1) * eps / 2), 20 * k**2.5 * eps / 2
     diagonal = a.reshape(n, -1)[:, ::k + 1]  # a writeable view
@@ -344,11 +342,7 @@ def _cholesky_bracket(a: np.ndarray):
     diagonal[...] = d = unshifted + c / (1 - c) * np.maximum(unshifted, 1)
     shift = (d - unshifted) / d  # the subtraction is exact (Sterbenz, or 0)
     tau, sigma = shift.max(axis=1) * (1 + eps), shift.min(axis=1) * (1 - eps)
-    slab, log_l = max(1, CHOLESKY_SLAB // (k * k)), np.empty((n, k))
-    for i in range(0, n, slab):
-        factor = np.linalg.cholesky(a[i:i + slab])
-        np.log(factor.diagonal(axis1=1, axis2=2), out=log_l[i:i + slab])
-    log_d = np.log(d)
+    log_l, log_d = np.log(np.linalg.cholesky(a).diagonal(axis1=1, axis2=2)), np.log(d)
     logdet, delta = 2 * log_l.sum(axis=1), k * (g + eps / 2) / (1 - g)
     slack = (k + 8) * eps * (2 * np.abs(log_l).sum(axis=1) + np.abs(log_d).sum(axis=1))
     lam = np.maximum(np.exp(logdet - log_d.sum(axis=1) - slack + (k - 1) * log1p(-g) - 1),
@@ -378,19 +372,28 @@ def _eigen_bracket(a: np.ndarray, lam: np.ndarray):
     return sign, np.where(proven, lower.sum(axis=1) - slack, -np.inf), upper.sum(axis=1) + slack
 
 
-def _count_det_at_most(num: np.ndarray, lo0: float, hi0: float, limit, floats) -> int:
+def _float_slabs(num: np.ndarray):
+    """Consecutive slabs of num (k, k, n), at most ``CHOLESKY_SLAB`` entries each, as C-ordered
+    float64 copies (n', k, k), exact below 2^53 (astype alone would keep a view's order)."""
+    step = max(1, CHOLESKY_SLAB // len(num) ** 2)
+    for i in range(0, num.shape[-1], step):
+        yield num[..., i:i + step].transpose(2, 0, 1).astype(np.float64, order="C")
+
+
+def _count_det_at_most(num: np.ndarray, lo0: float, hi0: float, limit) -> int:
     """How many integer positive semidefinite ``num`` (k, k, n) have ``det <= limit() =
     floor(X)``, ``|X| <= e^hi0``, ``X >= e^lo0`` (lo0 = -inf if X > 0 is unproven).  A bracket
-    below lo0 hits and one above hi0 misses: :func:`_cholesky_bracket`, for the rest also
-    :func:`_eigen_bracket`, then ``log(limit())``, only now computed, and Python-int Bareiss.
-    The float copy of num goes to ``floats`` (float64, >= num.size: the scratch's fifth array)."""
-    a = floats[:num.size].reshape(num.shape[::-1])
-    np.copyto(a, num.transpose(2, 0, 1))  # exact while |num_ij| <= m^2/4 < 2^53
-    lo, hi = _cholesky_bracket(a)
-    if (rest := np.flatnonzero((hi >= lo0) & (lo <= hi0))).size:
-        left = a[rest]  # far cheaper than a transposing copy of num
-        _, lo_e, hi_e = _eigen_bracket(left, np.linalg.eigvalsh(left))
-        lo[rest], hi[rest] = np.maximum(lo[rest], lo_e), np.minimum(hi[rest], hi_e)
+    below lo0 hits and one above hi0 misses: by slab (:func:`_float_slabs`, exact: |num_ij| <=
+    m^2/4) :func:`_cholesky_bracket`, for the rest :func:`_eigen_bracket` of the same copy;
+    then in the whole chunk ``log(limit())``, only now computed, and Python-int Bareiss."""
+    brackets = []
+    for a in _float_slabs(num):
+        lo, hi = _cholesky_bracket(a)
+        if (rest := np.flatnonzero((hi >= lo0) & (lo <= hi0))).size:
+            _, lo_e, hi_e = _eigen_bracket(left := a[rest], np.linalg.eigvalsh(left))
+            lo[rest], hi[rest] = np.maximum(lo[rest], lo_e), np.minimum(hi[rest], hi_e)
+        brackets.append((lo, hi))
+    lo, hi = map(np.concatenate, zip(*brackets))
     hits, unsure = int((hi < lo0).sum()), (hi >= lo0) & (lo <= hi0)
     if unsure.any():
         exact = limit()
@@ -416,7 +419,7 @@ def _float(t0: Fraction) -> float:
 
 
 def _counter(kind: StatKind, sigma: CovMatrix, m: int):
-    """The observed statistic as a float, and a function ``count(num, floats)`` of the
+    """The observed statistic as a float, and a function ``count(num)`` of the
     replicates of one chunk (:func:`_map_chunks`) at or above it: scaled statistic >=
     ``cut`` wherever :func:`_scaled_stat` decides in integers.  Else generalized counts
     ``det(num) <= floor(X)``, ``X = det(m^2 sigma)``: by rank at m <= k, on both sides of
@@ -431,7 +434,7 @@ def _counter(kind: StatKind, sigma: CovMatrix, m: int):
         # >= 0 and int64 values < INT64_MAX, so clamping at both ends keeps every count
         cut = min(max(ceil(t0 * _scale(kind, k, den)), 0), INT64_MAX if fit else inf)
         dtype = np.int64 if fit else object  # Python ints never overflow
-        return _float(t0), lambda num, _: int(
+        return _float(t0), lambda num: int(
             (_scaled_stat(kind, num.astype(dtype, copy=False), den) >= cut).sum())
     lock, box = threading.Lock(), []
 
@@ -448,13 +451,12 @@ def _counter(kind: StatKind, sigma: CovMatrix, m: int):
     if m <= k or sign0 < 0:  # X < 0 is below every replicate det >= 0; at m <= k
         # num = X^T (m I - 1 1^T) X has rank <= m - 1 < k: every replicate has det 0
         hit = bool(sign0 > 0 or (sign0 == 0 and exact()[1] >= 0))
-        return observed, lambda num, _: num.shape[-1] * hit
+        return observed, lambda num: num.shape[-1] * hit
     # log|X| = log|det sigma| + 2k log m; widening by 4 eps (shift + |side|) covers
     # the float shift (within 2 eps: a log within 1 ulp, one product) and each sum
     shift, eps = 2 * k * log(m), np.finfo(np.float64).eps
     lo0, hi0 = lo + shift - 4 * eps * (shift + abs(lo)), hi + shift + 4 * eps * (shift + abs(hi))
-    return observed, lambda num, floats: _count_det_at_most(num, lo0, hi0, lambda: exact()[1],
-                                                            floats)
+    return observed, lambda num: _count_det_at_most(num, lo0, hi0, lambda: exact()[1])
 
 
 def sample_null_statistics(stat: StatKind, m: int, k: int, count: int, seed: int) -> np.ndarray:
@@ -470,9 +472,9 @@ def sample_null_statistics(stat: StatKind, m: int, k: int, count: int, seed: int
     scale, fit = _scale(stat, k, m * m), _int_stats_fit(stat, m, k)
     dtype = np.int64 if fit else object
 
-    def values(num, _):
+    def values(num):
         if stat is StatKind.GENERALIZED and not fit:
-            return 4.0**-k - np.linalg.det(num.transpose(2, 0, 1) / float(m * m))
+            return 4.0**-k - np.concatenate([np.linalg.det(a / m**2) for a in _float_slabs(num)])
         return (_scaled_stat(stat, num.astype(dtype, copy=False), m * m) / scale).astype(np.float64)
 
     return np.concatenate(_map_chunks(values, seed, sizes, m, k, 1))
@@ -496,7 +498,7 @@ def mc_pvalues(
     """
     replicates, m, k, seed, sizes, n_workers = _plan(kinds, replicates, m, sigma.k, seed, workers)
     counters = [_counter(kind, sigma, m) for kind in kinds]
-    tallies = _map_chunks(lambda num, floats: [count(num, floats) for _, count in counters],
+    tallies = _map_chunks(lambda num: [count(num) for _, count in counters],
                           seed, sizes, m, k, n_workers)
     out = []
     for kind, (observed, _), hits in zip(kinds, counters, zip(*tallies)):

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -97,6 +98,17 @@ def test_round_trip_serialization():
         again = parse_sample_set(format_sample_set(ss))
         assert again.nodes == nodes
         assert np.array_equal(again.incidence, ss.incidence)
+
+
+@pytest.mark.parametrize("labels, name", [
+    (["x y", "z"], "'x y'"),  # re-parsed without error as the nodes x, y and z: k = 3, not 1
+    (["a#1", "b"], "'a#1'"),  # re-parsed as the header "nodes a", which is rejected
+    (["a", ""], "''"), (["a", "b\tc", "d\u2028"], "'b\\tc'"),  # the first is named
+], ids=["space", "hash", "empty", "tab"])
+def test_a_label_that_would_not_re_parse_is_not_written(labels, name):
+    samples = sample_set_from_edge_lists(labels, [[], []])
+    with pytest.raises(SampleSetError, match=f"^cannot serialize node label {re.escape(name)}:"):
+        format_sample_set(samples)
 
 
 def test_directed_dag_equals_biorientation():

@@ -500,14 +500,25 @@ def test_submatrix_of_an_exact_value_slices_its_numerators_and_rounds_them_once(
     floats = CovMatrix([[-0.0, 0.1, 0.0], [0.1, 0.3, 0.2], [0.0, 0.2, 0.25]])
     sub = floats.submatrix([0, 2])
     assert sub.entries.tobytes() == floats.entries[np.ix_([0, 2], [0, 2])].tobytes()
-    assert len(calls) == 2 and floats._exact is None and sub._exact is None
-    # once built, a float-built covariance's binary exact value is sliced the same way
-    floats = CovMatrix(np.array([[1, 3, -1], [3, 5, 2], [-1, 2, 7]]) / 2**60 + np.eye(3) / 2**20)
-    num, den = floats.exact
-    sub = floats.submatrix([2, 0])
-    assert sub.entries.tobytes() == floats.entries[np.ix_([2, 0], [2, 0])].tobytes()
-    assert (sub.exact[0] == num[np.ix_([2, 0], [2, 0])]).all() and sub.exact[1] == den
+    assert len(calls) == 1 and floats._exact is None and sub._exact is None
+    # once built, a float-built covariance's binary exact value is sliced the same way,
+    # and nothing is rounded again: -0.0 keeps its sign, and subnormal entries (den
+    # 2^1074) are not rounded one Python int at a time
+    floats.exact
+    assert floats.submatrix([0, 2]).entries.tobytes() == sub.entries.tobytes()
+    tiny = np.array([[0, 3, -1], [3, 0, 2], [-1, 2, 0]]) / 2**60 + np.diag([1, 0, 1]) * 5e-324
+    built = [CovMatrix(a) for a in (tiny + np.eye(3) / 2**20, tiny)]
+    assert built[1].exact[1] == 2**1074
+    monkeypatch.setattr(moments, "_rounded", None)
+    for floats in built:
+        num, den = floats.exact
+        sub = floats.submatrix([2, 0])
+        assert sub.entries.tobytes() == floats.entries[np.ix_([2, 0], [2, 0])].tobytes()
+        assert (sub.exact[0] == num[np.ix_([2, 0], [2, 0])]).all() and sub.exact[1] == den
+        assert not sub.exact[0].flags.writeable and not sub.entries.flags.writeable
     assert len(calls) == 3
+    with pytest.raises(ValueError, match="^covariance matrix must be at least 1 x 1$"):
+        sigma.submatrix([])
 
 
 def test_entries_at_the_domain_ends_symmetrize_and_past_them_are_rejected():

@@ -331,7 +331,7 @@ def count_every_reachable_replicate(k, distinct, off_grid):
             for sigma in observed + [off_grid]:
                 t0 = statistic(kind.value, sigma.exact_entries())
                 expected = n - bisect_left(by_value, t0)
-                count = montecarlo._counter(kind, sigma, m)[1](num, np.empty(num.size))
+                count = montecarlo._counter(kind, sigma, m)[1](num)
                 assert count == expected, (m, kind, sigma)
 
 
@@ -410,8 +410,7 @@ def test_short_last_chunk_counts_equal_per_replicate_counts(last):
     nums = [numerators(seed, c, n, m, k) for c, n in enumerate(sizes)]
     own = nums[-1][..., -1]
     sigma = CovMatrix.from_exact(own, m * m)
-    floats = np.empty(k * k)  # one replicate's float copy
-    expected = [sum(count(num[..., r:r + 1].copy(), floats)
+    expected = [sum(count(num[..., r:r + 1].copy())
                     for num in nums for r in range(num.shape[-1]))
                 for _, count in (montecarlo._counter(kind, sigma, m) for kind in ALL_KINDS)]
     assert all(expected)
@@ -699,13 +698,13 @@ def test_generalized_float_count_equals_bareiss(k, m, n):
         # the point bracket of log(limit) lets the replicate brackets decide
         point = log(limit) if limit > 0 else -np.inf
         for lo0, hi0 in ((-np.inf, np.inf), (point, point)):
-            count = montecarlo._count_det_at_most(num, lo0, hi0, lambda: limit, np.empty(num.size))
+            count = montecarlo._count_det_at_most(num, lo0, hi0, lambda: limit)
             assert count == (exact <= limit).sum(), limit
 
 
 def _factored_bracket(bracket, num, monkeypatch):
     """``bracket``'s ``(lo, hi)`` on ``num`` (k, k, n), and the float matrices it factored
-    (as passed to ``np.linalg.cholesky`` slab by slab: num plus its shift)."""
+    (as passed to ``np.linalg.cholesky``: num plus its shift)."""
     factored, cholesky = [], np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(a.copy()) or cholesky(a))
     lo, hi = bracket(np.ascontiguousarray(num.transpose(2, 0, 1), np.float64))
@@ -761,9 +760,9 @@ def _counted_eigvalsh(monkeypatch):
 @pytest.mark.parametrize("k, m, n", [(3, 4, 4096), (7, 8, 4096), (14, 15, 2000)])
 def test_one_cholesky_per_chunk_even_where_replicates_are_singular(k, m, n, monkeypatch):
     # just above m = k many replicates are exactly singular; the shifted
-    # factorization never fails, so a chunk takes one Cholesky pass, in consecutive
-    # slabs of at most CHOLESKY_SLAB entries (1, 2 and 3 slabs here), with no
-    # retry.  Far below the observed bracket every replicate hits, without
+    # factorization never fails, so a chunk takes one Cholesky pass, one call per
+    # float slab of at most CHOLESKY_SLAB entries (1, 2 and 3 slabs here), with
+    # no retry.  Far below the observed bracket every replicate hits, without
     # eigvalsh or the exact limit
     num = numerators(8, 0, n, m, k)
     assert (montecarlo._int_det(num[..., :200].astype(object)) == 0).any()
@@ -771,8 +770,7 @@ def test_one_cholesky_per_chunk_even_where_replicates_are_singular(k, m, n, monk
     monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.copy()) or cholesky(a))
     sizes = _counted_eigvalsh(monkeypatch)
     far = 2 * k * log(m * m)  # above log(prod(diag)) >= every log det
-    floats = np.empty(num.size)
-    assert montecarlo._count_det_at_most(num, far, far, None, floats) == n
+    assert montecarlo._count_det_at_most(num, far, far, None) == n
     slab = montecarlo.CHOLESKY_SLAB // (k * k)
     assert [len(a) for a in calls] == [min(slab, n - i) for i in range(0, n, slab)]
     assert sizes == [] and all(a.size <= montecarlo.CHOLESKY_SLAB for a in calls)
@@ -838,20 +836,33 @@ def test_trace_and_frobenius_statistics_need_no_eigenvalues(monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_each_worker_factors_every_chunk_in_one_float_copy(workers, monkeypatch):
-    # the float copy of num is in its worker's scratch, reused chunk after
-    # chunk: a fresh one per chunk cost ~90k minor page faults against ~3k at
-    # k = 28, R = 50000.  Every factored array is kept alive, so no freed
-    # address can recur
+def test_each_worker_holds_its_scratch_and_one_float_slab_at_a_time(workers, monkeypatch):
+    # past the int64 bound a generalized run holds per worker the four arrays
+    # of its scratch (the words, their AND, its popcount, num) and float copies
+    # of num one slab at a time, never of a whole chunk.  tracemalloc sees
+    # numpy's buffers: at k = 28, m = 200 over 4 chunks a float copy of each
+    # chunk peaked at 13.0 MiB on 1 worker and 25.9 MiB on 2, slabs at 8.0 and
+    # 16.0 MiB.  Every factored array is a C-ordered float64 slab
+    import tracemalloc
+
     k, m, chunks = 28, 200, 4
+    n, n_words = montecarlo._chunk_size(m, k), (m + 63) // 64
     seen, bracket = [], montecarlo._cholesky_bracket
-    monkeypatch.setattr(montecarlo, "_cholesky_bracket", lambda a: seen.append(a) or bracket(a))
-    replicates = chunks * montecarlo._chunk_size(m, k)
-    assert montecarlo._plan(ALL_KINDS, replicates, m, k, 6, workers)[-1] == workers
+    monkeypatch.setattr(montecarlo, "_cholesky_bracket", lambda a: seen.append(
+        (len(a), a.size, a.dtype, a.flags.c_contiguous)) or bracket(a))  # a is not kept
+    assert montecarlo._plan(ALL_KINDS, chunks * n, m, k, 6, workers)[-1] == workers
     sigma = CovMatrix(np.identity(k) / 4)
-    est = mc_pvalues(sigma, (StatKind.GENERALIZED,), replicates, m, seed=6, workers=workers)[0]
-    assert est.p_value == 1.0 and len(seen) == chunks
-    assert len({a.__array_interface__["data"][0] for a in seen}) <= workers
+    tracemalloc.start()
+    try:
+        est = mc_pvalues(sigma, (StatKind.GENERALIZED,), chunks * n, m, seed=6, workers=workers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est[0].p_value == 1.0 and sum(s[0] for s in seen) == chunks * n
+    assert all(size <= montecarlo.CHOLESKY_SLAB and dtype == np.float64 and c_ordered
+               for _, size, dtype, c_ordered in seen)
+    scratch = n * k * (17 * n_words + 8 * k)  # two uint64 arrays of words, one uint8, num
+    assert peak <= workers * (scratch + 3 * 8 * montecarlo.CHOLESKY_SLAB) + 2**20, peak
 
 
 def map_k28_chunks(first_call, workers):
@@ -862,7 +873,7 @@ def map_k28_chunks(first_call, workers):
                                             1, workers)
     assert len(sizes) == 40 and n_workers == workers
 
-    def fn(num, floats):
+    def fn(num):
         if next(calls) == 0:
             first_call()
 
@@ -929,7 +940,7 @@ def test_ctrl_c_while_waiting_ends_the_pass_after_the_other_workers_chunk(monkey
         handled.set()
         raise KeyboardInterrupt
 
-    def fn(num, floats):
+    def fn(num):
         if threading.get_ident() == main:
             started.wait(60)  # each worker holds one of the two chunks
         else:
@@ -1182,9 +1193,8 @@ def test_generalized_exact_tie_above_k64(monkeypatch):
     barrier, results = threading.Barrier(8), []
 
     def race():
-        floats = np.empty(num.size)  # each thread its own float copy, as each worker
         barrier.wait(timeout=30)
-        results.append(count(num, floats))
+        results.append(count(num))
 
     threads = [threading.Thread(target=race) for _ in range(8)]
     interval = sys.getswitchinterval()
@@ -1225,7 +1235,7 @@ def test_generalized_null_values_past_the_int64_bound():
     values = sample_null_statistics(kind, m, k, count, seed)
     sizes = montecarlo._plan((kind,), count, m, k, seed, 1)[4]
     assert len(sizes) == 2  # the chunk boundary is crossed
-    num = np.concatenate(montecarlo._map_chunks(lambda num, _: num.copy(), seed, sizes, m, k, 1),
+    num = np.concatenate(montecarlo._map_chunks(lambda num: num.copy(), seed, sizes, m, k, 1),
                          axis=-1)
     scale = montecarlo._scale(kind, k, m * m)
     exact = [float(Fraction(int(s), scale))
