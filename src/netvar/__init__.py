@@ -24,7 +24,7 @@ _EXPORTS = {  # module: the public names it defines
     "graphs": ("NodeSet", "SampleSet", "SampleSetError", "biorient", "edge_index", "edge_pairs",
                "format_sample_set", "parse_sample_set", "sample_set_from_edge_lists"),
     "moments": ("CovMatrix", "Diagnostic", "MomentEstimate", "Violation", "estimate_moments",
-                "marginal_subvector", "validate_covariance"),
+                "validate_covariance"),
     "montecarlo": ("McEstimate", "mc_pvalues", "observed_statistic_exact",
                    "sample_null_statistics"),
     "variability": ("EntropySummary", "GenVar", "StatKind", "StatValue", "classify_entropy",

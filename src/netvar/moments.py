@@ -3,9 +3,12 @@
 Each potential edge is a Bernoulli variable; the edge set of a graph is a
 binary random vector whose joint behaviour is summarized here by the
 marginal success probabilities, the pairwise success probabilities, and
-the covariance matrix.  The default covariance estimator is the plug-in
-form ``p_ij_hat - p_i_hat * p_j_hat`` built from empirical proportions; an
-``m/(m-1)`` bias-corrected variant is available.
+the covariance matrix.  An estimate holds the edge counts and one exact
+covariance, from which both frequencies are derived.  The default
+covariance estimator is the plug-in form ``p_ij_hat - p_i_hat * p_j_hat``
+built from empirical proportions; an ``m/(m-1)`` bias-corrected variant is
+available.  The moments of a subset of the edges are the estimate of those
+columns of the sample set.
 
 Covariance matrices of binary vectors obey hard bounds (diagonal in
 [0, 1/4], Cauchy-Schwarz on the off-diagonal, non-negative eigenvalues
@@ -17,7 +20,6 @@ from fractions import Fraction
 from functools import cached_property
 from math import isinf, lcm
 from operator import index
-from typing import Sequence
 
 import numpy as np
 
@@ -54,9 +56,10 @@ class CovMatrix:
     over one positive integer denominator.  Its float ``entries`` are that value correctly
     rounded.  Floats (library input) take ``CovMatrix(entries)``, which checks the shape, size,
     range and asymmetry in that order; their binary values are the exact value (built on first
-    use).  Integers (the moment estimator, the CSV parser) take :meth:`from_exact`: the range
+    use).  Integers (the CSV parser, library input) take :meth:`from_exact`: the range
     exactly, then, unless ``num`` is exactly symmetric, the rest through the float
-    constructor; each entry is rounded once.  :meth:`submatrix` slices both, checking nothing.
+    constructor; each entry is rounded once.  :func:`estimate_moments` rounds its own
+    numerators once, with no check: they hold every bound by construction.
 
     Asymmetry up to 1e-12 in absolute value is accepted and symmetrized:
     floats to the midpoint of each unequal pair, an exact value to
@@ -165,14 +168,6 @@ class CovMatrix:
         num, den = self.exact
         return tuple(tuple(Fraction(v, den) for v in row) for row in num.tolist())
 
-    def submatrix(self, idx: Sequence[int]) -> "CovMatrix":
-        """The covariance of the edges ``idx``: its entries and any built num, sliced."""
-        if not (idx := list(idx)):
-            raise ValueError("covariance matrix must be at least 1 x 1")
-        ix = np.ix_(idx, idx)
-        exact = self._exact and (self._exact[0][ix], self._exact[1])
-        return CovMatrix.__new__(CovMatrix)._init(self._entries[ix], exact)
-
     def __repr__(self):
         return f"CovMatrix(k={self.k})"
 
@@ -250,26 +245,34 @@ def _rounded(num: np.ndarray, den: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MomentEstimate:
-    """Empirical first and second moments of the edge indicators.
+    """Empirical first and second moments of the edge indicators: the counts and one
+    exact covariance.
 
-    ``p_hat[i]`` is the edge frequency, ``p_hat2[i, j]`` the joint
-    frequency of edges i and j (diagonal equals ``p_hat``), and ``sigma``
-    the covariance matrix under the chosen estimator.
+    ``s1[i]`` (read-only int64) counts the graphs that hold edge i, and ``sigma`` is the
+    covariance under the chosen estimator.  Its numerators carry the joint counts s2:
+    ``m s2 = num + s1 s1^T``.  The frequencies are derived from them on each access,
+    correctly rounded: ``p_hat = s1 / m`` and ``p_hat2 = s2 / m`` (diagonal ``p_hat``).
     """
 
-    p_hat: np.ndarray
-    p_hat2: np.ndarray
+    s1: np.ndarray
     sigma: CovMatrix
     m: int
     estimator: str = "plugin"
 
     def __post_init__(self):
-        self.p_hat.setflags(write=False)
-        self.p_hat2.setflags(write=False)
+        self.s1.setflags(write=False)
 
     @property
     def k(self) -> int:
-        return self.p_hat.shape[0]
+        return self.s1.shape[0]
+
+    @property
+    def p_hat(self) -> np.ndarray:
+        return self.s1 / self.m
+
+    @property
+    def p_hat2(self) -> np.ndarray:
+        return (self.sigma.exact[0] + np.outer(self.s1, self.s1)) // self.m / self.m  # s2 / m
 
 
 @dataclass(frozen=True)
@@ -293,9 +296,10 @@ def estimate_moments(samples: SampleSet, estimator: str = "plugin") -> MomentEst
     """Estimate moments from an incidence matrix.
 
     The computation runs on integer counts, and the covariance is the exact
-    rational ``num / den`` (:meth:`CovMatrix.from_exact`; denominator m^2
-    plug-in, m*(m-1) bias-corrected), so its floats are correctly rounded.
-    Frequencies (denominator m) are correctly rounded too.
+    rational ``num / den`` (denominator m^2 plug-in, m*(m-1) bias-corrected),
+    so its floats are correctly rounded.  Frequencies (denominator m) are
+    correctly rounded too.  To restrict the moments to a subset ``idx`` of the
+    edges, estimate ``SampleSet(None, samples.incidence[:, idx])``.
     """
     if estimator not in ("plugin", "unbiased"):
         raise ValueError(f"estimator must be 'plugin' or 'unbiased', got {estimator!r}")
@@ -303,11 +307,17 @@ def estimate_moments(samples: SampleSet, estimator: str = "plugin") -> MomentEst
     if estimator == "unbiased" and m < 2:
         raise ValueError("bias-corrected estimator needs at least 2 samples")
     x = samples.incidence.astype(np.float64)
-    s2 = (x.T @ x).astype(np.int64)  # exact: integer-valued float matmul
-    s1 = s2.diagonal().copy()  # binary data: x_i . x_i = sum(x_i)
-    num = m * s2 - np.outer(s1, s1)  # m^2 * plug-in covariance, exact integers
+    num = (x.T @ x).astype(np.int64)  # s2, exact: integer-valued float matmul
+    s1 = num.diagonal().copy()  # binary data: x_i . x_i = sum(x_i)
+    num *= m
+    num -= np.outer(s1, s1)  # m^2 * plug-in covariance, exact integers
     den = m * m if estimator == "plugin" else m * (m - 1)
-    return MomentEstimate(s1 / m, s2 / m, CovMatrix.from_exact(num, den), m, estimator)
+    # from_exact's checks hold by construction, so num goes straight to _init.  Symmetric:
+    # each s2_ij sums m products in {0, 1}, every partial sum an integer below 2^53, so it
+    # is exact in any order, and s2_ij = s2_ji.  In range: |num_ij| = m^2 |sigma_ij| <= m^2/4,
+    # a covariance of 0/1 variables, and m^2/4 <= den for den = m^2, and for m (m - 1) at m >= 2.
+    sigma = CovMatrix.__new__(CovMatrix)._init(_rounded(num, den), (num, den))
+    return MomentEstimate(s1, sigma, m, estimator)
 
 
 def validate_covariance(sigma: CovMatrix) -> Diagnostic:
@@ -346,28 +356,3 @@ def validate_covariance(sigma: CovMatrix) -> Diagnostic:
         violations.append(Violation("trace_bound", (), tr, k / 4.0))
 
     return Diagnostic(valid=not violations, violations=tuple(violations))
-
-
-def marginal_subvector(est: MomentEstimate, idx: Sequence[int]) -> MomentEstimate:
-    """Restrict an estimate to a subset of edges.
-
-    Any subvector of a binary random vector is again a binary random
-    vector, so the restriction of the moments is the moments of the
-    restriction; this function commutes with :func:`estimate_moments`.
-    """
-    ids = list(idx)
-    if not ids:
-        raise ValueError("index list must be non-empty")
-    if any(not 0 <= i < est.k for i in ids):
-        raise ValueError(f"indices out of range [0, {est.k})")
-    if any(b <= a for a, b in zip(ids, ids[1:])):
-        raise ValueError("indices must be strictly increasing")
-    sel = np.array(ids)
-    return MomentEstimate(
-        est.p_hat[sel].copy(),
-        est.p_hat2[np.ix_(sel, sel)].copy(),
-        est.sigma.submatrix(ids),
-        est.m,
-        est.estimator,
-    )
-

@@ -32,7 +32,7 @@ from mc_null_exact import exact_pvalues
 from netvar import asymptotic, cli
 from netvar.distributions import chi_square_cdf, gamma_cdf
 from netvar.graphs import SampleSet
-from netvar.moments import CovMatrix, estimate_moments, marginal_subvector, validate_covariance
+from netvar.moments import CovMatrix, estimate_moments, validate_covariance
 from netvar.montecarlo import mc_pvalues, observed_statistic_exact
 from netvar.variability import StatKind, describe, var_frobenius, var_generalized, var_total
 from netvar import montecarlo
@@ -458,17 +458,22 @@ def test_c5_zero_covariance_iff_independence_on_pmf_grid():
 
 
 def test_c5_restriction_commutes_with_estimation():
+    # the one restriction path: estimate the sample set's columns
     rng = np.random.default_rng(55)
     for _ in range(1000):
         samples = random_samples(rng)
         k = samples.incidence.shape[1]
         take = sorted(rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False))
-        a = marginal_subvector(estimate_moments(samples), take)
-        b = estimate_moments(SampleSet(None, samples.incidence[:, take]))
-        assert np.array_equal(a.p_hat, b.p_hat)
-        assert np.array_equal(a.p_hat2, b.p_hat2)
-        assert np.array_equal(a.sigma.entries, b.sigma.entries)
-    _pass("C5e estimate/restrict commutation is exact (1000 cases)")
+        ix = np.ix_(take, take)
+        for estimator in ("plugin", "unbiased")[: 1 + (samples.m > 1)]:
+            a = estimate_moments(samples, estimator)
+            b = estimate_moments(SampleSet(None, samples.incidence[:, take]), estimator)
+            assert a.p_hat[take].tobytes() == b.p_hat.tobytes()
+            assert a.p_hat2[ix].tobytes() == b.p_hat2.tobytes()
+            assert a.sigma.entries[ix].tobytes() == b.sigma.entries.tobytes()
+            (num, den), (sub, sub_den) = a.sigma.exact, b.sigma.exact
+            assert np.array_equal(num[ix], sub) and den == sub_den
+    _pass("C5e estimate/restrict commutation is exact, both estimators (1000 cases)")
 
 
 def test_c5_nagao_eigen_form_equals_trace_form():

@@ -14,7 +14,6 @@ from netvar.moments import (
     CovMatrix,
     Violation,
     estimate_moments,
-    marginal_subvector,
     validate_covariance,
 )
 from netvar.variability import var_total
@@ -218,24 +217,6 @@ def test_eigenvalue_clamping():
     assert m.min_raw_eigenvalue >= -1e-9
 
 
-def test_marginal_subvector():
-    rows = [[a, b, c] for a in (0, 1) for b in (0, 1) for c in (0, 1)]
-    est = estimate_moments(make_samples(rows))
-    full = marginal_subvector(est, [0, 1, 2])
-    assert np.array_equal(full.sigma.entries, est.sigma.entries)
-    single = marginal_subvector(est, [0])
-    assert single.sigma.entries.tolist() == [[0.25]]
-    pair = marginal_subvector(est, [0, 2])
-    assert np.array_equal(pair.sigma.entries, 0.25 * np.eye(2))
-    assert validate_covariance(pair.sigma).valid
-    with pytest.raises(ValueError, match="strictly increasing"):
-        marginal_subvector(est, [1, 1])
-    with pytest.raises(ValueError, match="out of range"):
-        marginal_subvector(est, [0, 5])
-    with pytest.raises(ValueError, match="non-empty"):
-        marginal_subvector(est, [])
-
-
 def test_estimated_covariance_respects_bounds_on_random_samples():
     rng = np.random.default_rng(1234)
     for _ in range(300):
@@ -386,6 +367,60 @@ def test_entries_are_the_correctly_rounded_exact_value(estimator):
         assert est.sigma.exact_entries() == tuple(tuple(Fraction(v, den) for v in r) for r in num)
 
 
+@pytest.mark.parametrize("estimator", ["plugin", "unbiased"])
+def test_estimated_numerators_hold_from_exacts_checks_by_construction(estimator, monkeypatch):
+    # estimate_moments rounds its num with no check: num is exactly symmetric, and
+    # |num_ij| <= m^2/4 <= den, at m = 1 and m = 2 and on constant columns too
+    def refuse(*args):
+        raise AssertionError("estimate_moments checked its own numerators")
+
+    monkeypatch.setattr(CovMatrix, "from_exact", refuse)
+    monkeypatch.setattr(CovMatrix, "__init__", refuse)
+    rng = np.random.default_rng(36)
+    low = 1 if estimator == "plugin" else 2
+    cases = [np.ones((low, 3)), np.zeros((2, 1)), np.array([[1, 0], [0, 1]])]
+    for _ in range(300):
+        m, k = int(rng.integers(low, 4 if rng.random() < 0.3 else 60)), int(rng.integers(1, 12))
+        rows = (rng.random((m, k)) < rng.random(k)).astype(np.uint8)
+        rows[:, rng.random(k) < 0.25] = rng.integers(0, 2)  # constant columns
+        cases.append(rows)
+    for rows in cases:
+        sigma = estimate_moments(make_samples(rows), estimator).sigma
+        num, den = sigma.exact
+        m, x = len(rows), rows.astype(np.int64)
+        assert num.dtype == np.int64 and not num.flags.writeable
+        assert (num == num.T).all()
+        assert (num == m * (x.T @ x) - np.outer(x.sum(axis=0), x.sum(axis=0))).all()
+        assert 4 * int(np.abs(num).max()) <= m * m <= 4 * den
+        assert sigma.entries.tobytes() == moments._rounded(num, den).tobytes()
+        assert not sigma.entries.flags.writeable
+
+
+@pytest.mark.parametrize("estimator", ["plugin", "unbiased"])
+def test_an_estimate_retains_its_counts_and_one_exact_covariance(estimator):
+    # an estimate holds s1, num and the entries, and no float copy of the joint
+    # frequencies: p_hat and p_hat2 are derived on access, bit for bit s1 / m and s2 / m
+    import tracemalloc
+
+    rng = np.random.default_rng(300)
+    m, k = 40, 300
+    samples = make_samples(rng.random((m, k)) < rng.random(k))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        est = estimate_moments(samples, estimator)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained <= 2 * 8 * k * k + 8 * k + 8192, retained  # num, entries, s1, objects
+    x = samples.incidence.astype(np.int64)
+    s1 = x.sum(axis=0)
+    assert est.k == k and est.s1.dtype == np.int64 and not est.s1.flags.writeable
+    assert (est.s1 == s1).all()
+    assert est.p_hat.tobytes() == (s1 / m).tobytes()
+    assert est.p_hat2.tobytes() == ((x.T @ x) / m).tobytes()
+
+
 def test_from_exact_rounds_once_and_symmetrizes_exactly():
     big = 2**53 + 1  # not a float: one division of Python ints rounds it once
     cases = [
@@ -432,17 +467,6 @@ def test_from_exact_keeps_a_numpy_integer_den_as_a_python_int():
     assert type(sigma.exact[1]) is int and sigma.entries.tolist() == [[0.25]]
 
 
-def test_submatrix_slices_the_floats_and_the_exact_value():
-    sigma = CovMatrix.from_csv_text("0.2,0.1,0\n0.1,0.3,0.05\n0,0.05,0.1\n")
-    sub = sigma.submatrix([0, 2])
-    num, den = sub.exact
-    assert (num.tolist(), den) == ([[4, 0], [0, 2]], 20) and not num.flags.writeable
-    assert sub.entries.tolist() == [[float(Fraction(v, den)) for v in r] for r in num.tolist()]
-    floats = CovMatrix([[0.2, 0.1], [0.1, 0.3]]).submatrix([1])
-    assert floats.entries.tolist() == [[0.3]]
-    assert floats.exact_entries() == ((Fraction(0.3),),)
-
-
 def count_float_builds(monkeypatch) -> list:
     """Patches ``CovMatrix.__init__`` to append to the list it returns on each call."""
     calls, init = [], CovMatrix.__init__
@@ -456,7 +480,6 @@ def count_float_builds(monkeypatch) -> list:
 
 
 def test_from_exact_of_a_symmetric_value_rounds_it_with_no_float_construction(monkeypatch):
-    rows = np.array([[1, 0, 1, 1], [0, 1, 1, 0], [1, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1]])
     calls = count_float_builds(monkeypatch)
     for num, den in [(np.array([[1, -2], [-2, 3]]), 7), (np.array([[1]], dtype=object), 3),
                      (np.array([[3 * 10**400, 1], [1, 10**400]], dtype=object), 7 * 10**400)]:
@@ -464,7 +487,6 @@ def test_from_exact_of_a_symmetric_value_rounds_it_with_no_float_construction(mo
         want = [[float(Fraction(v, den)) for v in r] for r in num.tolist()]
         assert sigma.entries.tolist() == want and not sigma.entries.flags.writeable
         assert sigma.exact[0] is num
-    estimate_moments(make_samples(rows))
     CovMatrix.from_csv_text("0.2,0.1\n0.1,0.3\n")
     assert calls == []
     CovMatrix.from_exact(np.array([[1, 1], [2, 1]]), 10**13)  # asymmetric: checked on floats once
@@ -482,43 +504,6 @@ def test_from_exact_of_a_symmetric_value_rounds_it_with_no_float_construction(mo
 def test_from_exact_checks_range_then_shape_size_and_asymmetry(num, den, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         CovMatrix.from_exact(num, den)
-
-
-def test_submatrix_of_an_exact_value_slices_its_numerators_and_rounds_them_once(monkeypatch):
-    rng = np.random.default_rng(5)
-    sigma = estimate_moments(make_samples(rng.random((9, 7)) < 0.5)).sigma
-    num, den = sigma.exact
-    calls = count_float_builds(monkeypatch)
-    for idx in ([0], [1, 4, 6], [6, 2, 2], range(7)):
-        sub = sigma.submatrix(idx)
-        ix = np.ix_(list(idx), list(idx))
-        assert sub.entries.tobytes() == sigma.entries[ix].tobytes()
-        assert (sub.exact[0] == num[ix]).all() and sub.exact[1] == den
-        assert not sub.exact[0].flags.writeable
-    assert calls == []
-    # a float-built covariance whose exact value was never built keeps the float slice
-    floats = CovMatrix([[-0.0, 0.1, 0.0], [0.1, 0.3, 0.2], [0.0, 0.2, 0.25]])
-    sub = floats.submatrix([0, 2])
-    assert sub.entries.tobytes() == floats.entries[np.ix_([0, 2], [0, 2])].tobytes()
-    assert len(calls) == 1 and floats._exact is None and sub._exact is None
-    # once built, a float-built covariance's binary exact value is sliced the same way,
-    # and nothing is rounded again: -0.0 keeps its sign, and subnormal entries (den
-    # 2^1074) are not rounded one Python int at a time
-    floats.exact
-    assert floats.submatrix([0, 2]).entries.tobytes() == sub.entries.tobytes()
-    tiny = np.array([[0, 3, -1], [3, 0, 2], [-1, 2, 0]]) / 2**60 + np.diag([1, 0, 1]) * 5e-324
-    built = [CovMatrix(a) for a in (tiny + np.eye(3) / 2**20, tiny)]
-    assert built[1].exact[1] == 2**1074
-    monkeypatch.setattr(moments, "_rounded", None)
-    for floats in built:
-        num, den = floats.exact
-        sub = floats.submatrix([2, 0])
-        assert sub.entries.tobytes() == floats.entries[np.ix_([2, 0], [2, 0])].tobytes()
-        assert (sub.exact[0] == num[np.ix_([2, 0], [2, 0])]).all() and sub.exact[1] == den
-        assert not sub.exact[0].flags.writeable and not sub.entries.flags.writeable
-    assert len(calls) == 3
-    with pytest.raises(ValueError, match="^covariance matrix must be at least 1 x 1$"):
-        sigma.submatrix([])
 
 
 def test_entries_at_the_domain_ends_symmetrize_and_past_them_are_rejected():
