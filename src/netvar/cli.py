@@ -14,8 +14,10 @@ runs one input step (:func:`_start`): load the input, check its covariance
 bounds, and start the report with the part all reports share (schema,
 command, input, warnings); then it runs the subparser's handler on them.
 Statistics, bounds diagnostics and test results are the library's
-dataclasses, written with their fields in declaration order.  JSON output
-carries full float precision; the table view prints 7 significant digits.
+dataclasses, written with their fields in declaration order; vectors and
+matrices stay the library's arrays until :func:`emit`, and only JSON output
+converts them, each while it is written.  JSON output carries full float
+precision; the table view prints 7 significant digits.
 Exit code is 0 only when no errors occurred; warnings do not affect it.
 Ctrl-C exits 130.
 """
@@ -194,24 +196,19 @@ def _located(kind: str, where) -> str:
 
 
 def _record(result) -> dict:
-    """A result dataclass as a report record: its fields in declaration
-    order, enums by value and tuples as lists."""
-
-    def plain(value):
-        if isinstance(value, Enum):
-            return value.value
-        return list(value) if isinstance(value, tuple) else value
-
-    return asdict(result, dict_factory=lambda items: {key: plain(v) for key, v in items})
+    """A result dataclass as a report record: its fields in declaration order, enums
+    by value (the table prints ``kind`` as a string); JSON writes tuples as lists."""
+    return asdict(result, dict_factory=lambda items: {
+        key: v.value if isinstance(v, Enum) else v for key, v in items})
 
 
 def cmd_moments(args, inputs, report, diag) -> dict:
     est = inputs.estimate
     report["moments"] = {
-        "p_hat": est.p_hat.tolist(),
-        "p_hat2": est.p_hat2.tolist(),
-        "sigma": est.sigma.entries.tolist(),
-        "eigenvalues": est.sigma.eigenvalues.tolist(),
+        "p_hat": est.p_hat,
+        "p_hat2": est.p_hat2,
+        "sigma": est.sigma.entries,
+        "eigenvalues": est.sigma.eigenvalues,
     }
     report["diagnostics"] = _record(diag)
     summary = classify_entropy(inputs.samples)
@@ -228,8 +225,8 @@ def cmd_stats(args, inputs, report, diag) -> dict:
                               for sv in values if sv.rank_deficient)
     lo, hi = frobenius_bounds(inputs.sigma.k)
     report["covariance"] = {
-        "matrix": inputs.sigma.entries.tolist(),
-        "eigenvalues": inputs.sigma.eigenvalues.tolist(),
+        "matrix": inputs.sigma.entries,
+        "eigenvalues": inputs.sigma.eigenvalues,
     }
     report["diagnostics"] = _record(diag)
     report["statistics"] = [_record(sv) for sv in values]
@@ -293,8 +290,8 @@ def _emit_table(report, out):
     if report.get("moments"):
         print("p_hat: " + " ".join(_fmt(v) for v in report["moments"]["p_hat"]), file=out)
         print("sigma:", file=out)
-        for row in report["moments"]["sigma"]:
-            print("  " + " ".join(f"{v:12.7g}" for v in row), file=out)
+        for row in report["moments"]["sigma"]:  # one row's Python floats: they format faster
+            print("  " + " ".join(f"{v:12.7g}" for v in row.tolist()), file=out)
         print("eigenvalues: "
               + " ".join(_fmt(v) for v in report["moments"]["eigenvalues"]), file=out)
     if report.get("covariance"):
@@ -348,7 +345,7 @@ def _emit_table(report, out):
 def emit(report: dict, fmt: str, out=None) -> None:
     out = out or sys.stdout
     if fmt == "json":  # one write: json.dump's many small writes are each a syscall unbuffered
-        out.write(json.dumps(report, indent=2) + "\n")
+        out.write(json.dumps(report, indent=2, default=lambda a: a.tolist()) + "\n")
     else:
         _emit_table(report, out)
 

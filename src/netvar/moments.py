@@ -272,7 +272,11 @@ class MomentEstimate:
 
     @property
     def p_hat2(self) -> np.ndarray:
-        return (self.sigma.exact[0] + np.outer(self.s1, self.s1)) // self.m / self.m  # s2 / m
+        """``s2 / m``, with ``s2 = (num + s1 s1^T) / m`` built in one int64 array."""
+        s2 = np.outer(self.s1, self.s1)
+        s2 += self.sigma.exact[0]
+        s2 //= self.m
+        return s2 / self.m
 
 
 @dataclass(frozen=True)
@@ -326,6 +330,7 @@ def validate_covariance(sigma: CovMatrix) -> Diagnostic:
     Checks: diagonal within [0, 1/4], off-diagonal within the Cauchy-Schwarz envelope
     and within 1/4 in absolute value, eigenvalues at least 0 (within the slack: clamped),
     and the exact trace, correctly rounded, at most k/4; all with ``BOUND_TOL`` slack.
+    Each pair i < j is compared once, one row at a time: no k x k temporary.
     """
     ent = sigma.entries
     k = sigma.k
@@ -335,18 +340,15 @@ def validate_covariance(sigma: CovMatrix) -> Diagnostic:
     for i in np.flatnonzero((d < -BOUND_TOL) | (d > 0.25 + BOUND_TOL)).tolist():
         violations.append(Violation("diagonal_range", (i,), float(d[i]), 0.25))
     dpos = np.where(d < 0.0, 0.0, d)  # keeps -0.0, like max(d, 0.0)
-    # an entry breaches a bound iff |e_ij| > min(sqrt(d_i d_j), 1/4) + BOUND_TOL
-    lim = np.minimum(np.sqrt(np.outer(dpos, dpos)), 0.25) + BOUND_TOL
-    rows, cols = np.nonzero(np.abs(ent) > lim)  # row-major, so pair-major over i < j
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        if i >= j:
-            continue
-        value = float(ent[i, j])
-        cs = float(np.sqrt(dpos[i] * dpos[j]))
-        if abs(value) > 0.25 + BOUND_TOL:
-            violations.append(Violation("offdiag_quarter", (i, j), value, 0.25))
-        if abs(value) > cs + BOUND_TOL:
-            violations.append(Violation("cauchy_schwarz", (i, j), value, cs))
+    for i in range(k - 1):  # pairs i < j in row-major order
+        row, cs = ent[i, i + 1:], np.sqrt(dpos[i] * dpos[i + 1:])  # Cauchy-Schwarz bounds
+        # an entry breaches a bound iff |e_ij| > min(sqrt(d_i d_j), 1/4) + BOUND_TOL
+        for j in np.flatnonzero(np.abs(row) > np.minimum(cs, 0.25) + BOUND_TOL).tolist():
+            where, value, bound = (i, i + 1 + j), float(row[j]), float(cs[j])
+            if abs(value) > 0.25 + BOUND_TOL:
+                violations.append(Violation("offdiag_quarter", where, value, 0.25))
+            if abs(value) > bound + BOUND_TOL:
+                violations.append(Violation("cauchy_schwarz", where, value, bound))
 
     raw_min = sigma.min_raw_eigenvalue
     if raw_min < -BOUND_TOL:

@@ -571,6 +571,54 @@ def test_a_json_report_is_one_write():
     assert writes == [text.getvalue() + "\n"]
 
 
+@pytest.mark.parametrize("command", ["moments", "stats"])
+@pytest.mark.parametrize("estimator", ["plugin", "unbiased"])
+def test_json_writes_each_array_as_its_list(command, estimator, capsys):
+    # a report keeps the library's arrays; emit's JSON hook writes each one as
+    # json.dumps writes its tolist()
+    argv = [command, "--samples", str(GOLDEN / "k6.txt"), "--estimator", estimator]
+    args = cli.build_parser().parse_args(argv)
+    report, arrays = args.run(args, *cli._start(args)), []
+
+    def plain(value):
+        if isinstance(value, np.ndarray):
+            arrays.append(value)
+            return value.tolist()
+        if isinstance(value, dict):
+            return {key: plain(v) for key, v in value.items()}
+        return [plain(v) for v in value] if isinstance(value, (list, tuple)) else value
+
+    expected = json.dumps(plain(report), indent=2) + "\n"
+    assert len(arrays) == {"moments": 4, "stats": 2}[command]
+    assert run(argv + ["--format", "json"], capsys) == (0, expected, "")
+
+
+@pytest.mark.parametrize("argv, limit", [
+    (["stats"], 4), (["test", "--methods", "tt,tg1,tn"], 3.5), (["moments"], 6)])
+def test_a_sample_set_report_holds_few_k_by_k_arrays(argv, limit, tmp_path, capsys):
+    # a sample-set command holds num, its floats and one eigensolver copy; table
+    # output and the bounds check add no k x k array (limits in k x k float arrays;
+    # 6.1, 4.2 and 10.2 when every handler built lists); moments prints its matrix
+    import tracemalloc
+
+    from netvar.graphs import NodeSet, SampleSet, format_sample_set
+
+    nodes = NodeSet(tuple(f"n{i}" for i in range(30)))  # v = 30: k = 435 edges
+    rng = np.random.default_rng([1, 30])
+    rows = rng.random((60, nodes.k)) < rng.random(nodes.k) / 2  # m = 60 graphs
+    argv = argv + ["--samples", write(tmp_path, "v30.txt",
+                                      format_sample_set(SampleSet(nodes, rows)))]
+    assert run(argv, capsys)[0] == 0  # warm-up: first imports are not the report's
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0 and peak < limit * 8 * nodes.k**2, peak / (8 * nodes.k**2)
+
+
 def test_test_table_per_method_error_row(tmp_path, capsys):
     path = write(tmp_path, "s1.csv", "0.24,0.04\n0.04,0.24\n")
     code, out, _ = run(["test", "--cov", path, "--m", "1", "--methods", "tg2,tt"], capsys)

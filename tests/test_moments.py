@@ -139,12 +139,39 @@ def test_validate_matches_pairwise_loop():
         return out
 
     rng = np.random.default_rng(11)
+    cases = []
     for _ in range(20):
         a = rng.uniform(-0.35, 0.35, size=(9, 9))
         a[rng.random((9, 9)) < 0.3] = 0.0
-        sigma = CovMatrix((a + a.T) / 2)
+        cases.append((a + a.T) / 2)
+    b = rng.uniform(-0.35, 0.35, size=(60, 60))
+    b = (b + b.T) / 2  # zero, -0.0 and negative diagonal entries: a Cauchy-Schwarz bound of +-0
+    b[np.diag_indices(60)] = rng.choice([0.0, -0.0, -0.01, 0.1, 0.2, 0.3], size=60)
+    cases += [np.array([[0.3]]), np.array([[-0.0, 0.1], [0.1, 0.2]]), b]
+    for ent in cases:
+        sigma = CovMatrix(ent)
         got = [v for v in validate_covariance(sigma).violations if v.where]
-        assert got == pair_loop(sigma.entries) and len(got) > 5
+        assert repr(got) == repr(pair_loop(sigma.entries))  # the sign of a zero bound too
+        assert len(got) > 5 or len(ent) <= 2
+    assert np.signbit(CovMatrix(b).entries.diagonal()).any()
+
+
+def test_the_bounds_check_holds_no_k_by_k_array():
+    # each pair i < j is compared once, one row at a time: with the spectrum and the sums
+    # cached, the check's peak is below one k x k float array (2.13 of them when it built
+    # a full-square envelope)
+    import tracemalloc
+
+    k = 400
+    sigma = estimate_moments(make_samples(np.random.default_rng(400).random((40, k)) < 0.3)).sigma
+    sigma.eigenvalues, sigma.sums
+    tracemalloc.start()
+    try:
+        assert validate_covariance(sigma).valid
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * k * k, peak / (8 * k * k)
 
 
 def test_asymmetric_input_rejected():
